@@ -38,9 +38,7 @@ class BinaryWriter {
     append_le(bits);
   }
 
-  void bytes(std::span<const std::uint8_t> data) {
-    buf_.insert(buf_.end(), data.begin(), data.end());
-  }
+  void bytes(std::span<const std::uint8_t> data);
 
   /// Length-prefixed byte blob.
   void blob(std::span<const std::uint8_t> data) {

@@ -73,6 +73,11 @@ struct CostModel {
         static_cast<std::int64_t>(sockets) * socket_subtract_ns +
         static_cast<std::int64_t>(static_cast<double>(bytes) * per_byte_subtract_ns));
   }
+  /// per_byte_serialize_ns as charged at `workers` parallelism: nothing at
+  /// degree 1, whose page_copy_ns already covers serialization.
+  double serialize_ns_per_byte(int workers) const {
+    return workers == 1 ? 0.0 : per_byte_serialize_ns;
+  }
   SimDuration restore_cost(std::size_t sockets, std::size_t bytes) const {
     return SimTime::nanoseconds(
         static_cast<std::int64_t>(sockets) * socket_restore_ns +

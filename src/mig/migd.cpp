@@ -5,6 +5,7 @@
 
 #include "src/common/log.hpp"
 #include "src/mig/test_hooks.hpp"
+#include "src/mig/transport.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/span.hpp"
 
@@ -188,6 +189,71 @@ bool tcp_busy(const stack::TcpSocket& tcp) {
          !cb.prequeue.empty();
 }
 
+/// A stage's cost when its work shards across the migration's worker pool:
+/// `cpu()` is the serial total the CPU meter pays (parallelism spreads work,
+/// it does not shrink it), `elapsed()` the slowest shard, after which the
+/// stage continues. With one worker the two are the same serial cost.
+class ShardedCost {
+ public:
+  explicit ShardedCost(int workers) : workers_(static_cast<std::size_t>(workers)) {}
+
+  /// `n` items of `ns_each`, dealt out in contiguous shards.
+  void items(std::size_t n, std::int64_t ns_each) {
+    cpu_ns_ += static_cast<std::int64_t>(n) * ns_each;
+    elapsed_ns_ += static_cast<std::int64_t>(ckpt::DirtyTracker::max_shard(n, workers_)) * ns_each;
+  }
+  /// `n` bytes at `ns_per_byte`, split evenly.
+  void bytes(double n, double ns_per_byte) {
+    cpu_ns_ += static_cast<std::int64_t>(n * ns_per_byte);
+    elapsed_ns_ += static_cast<std::int64_t>(n * ns_per_byte / static_cast<double>(workers_));
+  }
+  /// Work that does not shard.
+  void serial(std::int64_t ns) {
+    cpu_ns_ += ns;
+    elapsed_ns_ += ns;
+  }
+
+  SimDuration cpu() const { return SimTime::nanoseconds(cpu_ns_); }
+  SimDuration elapsed() const { return SimTime::nanoseconds(elapsed_ns_); }
+
+ private:
+  std::size_t workers_;
+  std::int64_t cpu_ns_{0};
+  std::int64_t elapsed_ns_{0};
+};
+
+/// What both session roles share: the owning daemon, its node, and the
+/// continuations that pay for kernel work.
+template <class Self>
+class Session : public std::enable_shared_from_this<Self> {
+ protected:
+  explicit Session(Migd& owner) : owner_(&owner), node_(&owner.node()) {}
+
+  sim::Engine& engine() const { return node_->engine(); }
+  const CostModel& cm() const { return owner_->cost_model(); }
+
+  /// Spend `d` of (kernel/helper-thread) CPU, then continue.
+  void after(SimDuration d, std::function<void()> fn) {
+    after_parallel(d, d, std::move(fn));
+  }
+
+  /// Parallel stage: `cpu` of total work spread over the worker pool, whose
+  /// slowest shard finishes after `elapsed`. The CPU meter is charged the full
+  /// serial amount, the continuation runs at the makespan. With cpu ==
+  /// elapsed this is the serial after().
+  void after_parallel(SimDuration cpu, SimDuration elapsed, std::function<void()> fn) {
+    node_->cpu().account(kKernelPid, cpu);
+    engine().schedule_after(elapsed,
+                            [self = this->shared_from_this(), fn = std::move(fn)] {
+                              (void)self;
+                              fn();
+                            });
+  }
+
+  Migd* owner_;
+  proc::Node* node_;
+};
+
 }  // namespace
 
 const char* strategy_name(SocketMigStrategy s) {
@@ -233,15 +299,13 @@ void Transd::on_readable() {
 
 // ==================================================================== sessions
 
-class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSession> {
+class Migd::SourceSession : public Session<Migd::SourceSession> {
  public:
   SourceSession(Migd& owner, std::shared_ptr<proc::Process> proc,
                 net::Ipv4Addr dest, MigrateOptions options)
-      : owner_(&owner), node_(&owner.node()), proc_(std::move(proc)), dest_(dest) {
+      : Session(owner), proc_(std::move(proc)), dest_(dest) {
     config_ = options.config;
     config_.parallelism = std::clamp(config_.parallelism, 1, kMaxParallelism);
-    config_.pipeline_depth = std::max(config_.pipeline_depth, 1);
-    config_.stripe_chunk_bytes = std::max<std::uint32_t>(config_.stripe_chunk_bytes, 4096);
     stats_.pid = proc_->pid();
     stats_.proc_name = proc_->name();
     stats_.strategy = options.strategy;
@@ -249,7 +313,7 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
     stats_.parallelism = config_.parallelism;
     stats_.src_node = node_->local_addr();
     stats_.dst_node = dest;
-    loop_timeout_ns_ = owner_->cm_.initial_loop_timeout_ns;
+    loop_timeout_ns_ = cm().initial_loop_timeout_ns;
     obs_track_ = tracer().track(node_->name() + "/migd.src");
   }
 
@@ -302,21 +366,7 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
   void detach_callbacks() {
     connect_timer_.cancel();
     watchdog_.cancel();
-    if (stripes_) stripes_->detach_callbacks();
-    on_stripes_ready_ = nullptr;
-    for (auto& ch : stripe_channels_) {
-      ch->set_on_frame(nullptr);
-      ch->set_on_error(nullptr);
-    }
-    for (auto& s : stripe_socks_) {
-      s->set_on_connected(nullptr);
-      s->set_on_reset(nullptr);
-      s->set_on_drained(nullptr);
-    }
-    if (channel_) {
-      channel_->set_on_frame(nullptr);
-      channel_->set_on_error(nullptr);
-    }
+    if (transport_) transport_->detach_callbacks();
     if (sock_) {
       sock_->set_on_connected(nullptr);
       sock_->set_on_reset(nullptr);
@@ -335,27 +385,6 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
     net::Endpoint effective_remote{};  // where the peer actually lives now
   };
 
-  sim::Engine& engine() const { return node_->engine(); }
-  const CostModel& cm() const { return owner_->cm_; }
-
-  /// Spend `d` of (kernel/helper-thread) CPU, then continue.
-  void after(SimDuration d, std::function<void()> fn) {
-    after_parallel(d, d, std::move(fn));
-  }
-
-  /// Parallel stage: `cpu` of total work spread over the worker pool, whose
-  /// slowest shard finishes after `elapsed`. The CPU meter is charged the full
-  /// serial amount (the work does not shrink, it spreads), the continuation
-  /// runs at the makespan. With cpu == elapsed this is the serial after().
-  void after_parallel(SimDuration cpu, SimDuration elapsed, std::function<void()> fn) {
-    node_->cpu().account(kKernelPid, cpu);
-    engine().schedule_after(elapsed,
-                            [self = shared_from_this(), fn = std::move(fn)] {
-                              (void)self;
-                              fn();
-                            });
-  }
-
   /// finish()/fail() run inside channel or socket callbacks; detach on a
   /// fresh event once the dispatch that called us has unwound.
   void detach_later() {
@@ -368,6 +397,16 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
   void close_span(obs::SpanId& id) {
     if (id != 0) tracer().end(id);
     id = 0;
+  }
+
+  /// Close the transport (sending mig_abort first if `abort`) and count its
+  /// stripe traffic.
+  void close_transport(bool abort) {
+    if (!transport_) return;
+    transport_->close(abort);
+    auto& m = MigMetrics::get();
+    m.stripe_segments.add(transport_->segments_sent());
+    m.stripe_bytes.add(transport_->segment_bytes());
   }
 
   void fail(const std::string& why) {
@@ -397,7 +436,6 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
     if (proc_->frozen()) proc_->resume();  // best effort: keep the source alive
     stats_.success = false;
     // Close the whole span tree inner-to-outer so depths unwind cleanly.
-    close_span(span_stripe_connect_);
     close_span(span_stage_);
     close_span(span_round_);
     close_span(span_precopy_);
@@ -410,19 +448,7 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
     // filters and a staged image — and release both control sockets. A silent
     // source-side failure used to leak the dest session, whose filters kept
     // stealing the process's packets forever.
-    if (channel_ && (sock_->state() == stack::TcpState::established ||
-                     sock_->state() == stack::TcpState::close_wait)) {
-      // mig_abort bypasses the stripe queues on purpose: it must not wait
-      // behind megabytes of queued page data on a migration that is dead.
-      channel_->send(MsgType::mig_abort, Buffer{});
-    }
-    if (stripes_) {
-      auto& m = MigMetrics::get();
-      m.stripe_segments.add(stripes_->segments_sent());
-      m.stripe_bytes.add(stripes_->segment_bytes());
-    }
-    pending_frames_.clear();
-    for (auto& s : stripe_socks_) s->close();
+    close_transport(/*abort=*/true);
     if (sock_) sock_->close();
     if (ctrl_) ctrl_->close();
     detach_later();
@@ -430,20 +456,19 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
   }
 
   void on_connected() {
-    channel_ = std::make_unique<FrameChannel>(sock_);
-    channel_->set_on_frame(
+    transport_ = std::make_unique<SourceTransport>(
+        sock_,
         [self = shared_from_this()](MsgType t, BinaryReader& r) {
           self->on_frame(t, r);
+        },
+        [self = shared_from_this()](const std::string& why, bool deferred) {
+          if (!deferred) return self->fail(why);
+          // Deferred one event so the channel is not torn down from inside
+          // its own receive path.
+          DVEMIG_WARN("migd", "pid %u %s", self->stats_.pid.value, why.c_str());
+          self->engine().schedule_after(SimTime::zero(),
+                                        [self] { self->fail("malformed frame"); });
         });
-    // A malformed reply stream means the destination is garbage-in, garbage-out:
-    // give up on the migration rather than deserialize noise. Deferred one event
-    // so the channel is not torn down from inside its own receive path.
-    channel_->set_on_error([self = shared_from_this()](const char* reason) {
-      DVEMIG_WARN("migd", "pid %u source channel: %s", self->stats_.pid.value,
-                  reason);
-      self->engine().schedule_after(SimTime::zero(),
-                                    [self] { self->fail("malformed frame"); });
-    });
     mig_id_ = (std::uint64_t{node_->local_addr().value} << 20) | ++owner_->next_mig_id_;
     BinaryWriter w;
     w.u32(stats_.pid.value);
@@ -452,13 +477,12 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
     w.u32(node_->local_addr().value);
     w.u64(mig_id_);
     w.u8(static_cast<std::uint8_t>(config_.parallelism));
-    logical_sent_ += w.size() + 5;  // counted like any other logical frame
-    channel_->send(MsgType::mig_begin, std::move(w));
+    transport_->send(MsgType::mig_begin, w.take());
     connect_timer_.cancel();
-    // Stripe connections are opened in the background; logical frames queue in
-    // send_frame() until the striped sender is up, so neither the precopy loop
-    // nor a stop-and-copy freeze waits on the extra handshakes.
-    if (config_.parallelism > 1) open_stripes();
+    if (config_.parallelism > 1) {
+      transport_->open_stripes(node_->stack(), config_.parallelism - 1, mig_id_,
+                               obs_track_);
+    }
     if (stats_.live) {
       span_precopy_ = tracer().begin(obs_track_, "mig.precopy");
       phase_ = Phase::precopy;
@@ -468,111 +492,6 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
       // (the first tracker round inside the freeze ships the entire image).
       enter_freeze();
     }
-  }
-
-  // ---------------- striped transfer (parallelism > 1) ----------------
-
-  void open_stripes() {
-    span_stripe_connect_ = tracer().begin(obs_track_, "mig.stripe_connect");
-    tracer().attr(span_stripe_connect_, "stripes",
-                  std::to_string(config_.parallelism - 1));
-    for (int i = 1; i < config_.parallelism; ++i) {
-      auto s = node_->stack().make_tcp();
-      s->bind(node_->local_addr(), 0);
-      s->set_on_connected([self = shared_from_this()] { self->on_stripe_connected(); });
-      s->set_on_reset(
-          [self = shared_from_this()] { self->fail("stripe connection reset"); });
-      s->connect(net::Endpoint{dest_, kMigdPort});
-      stripe_socks_.push_back(std::move(s));
-    }
-  }
-
-  void on_stripe_connected() {
-    stripes_connected_ += 1;
-    if (stripes_connected_ < config_.parallelism - 1) return;
-    close_span(span_stripe_connect_);
-    std::vector<FrameChannel*> chans;
-    chans.push_back(channel_.get());
-    for (auto& s : stripe_socks_) {
-      auto ch = std::make_unique<FrameChannel>(s);
-      // The destination never speaks on a stripe channel; any inbound frame or
-      // framing noise there is a broken transport.
-      ch->set_on_frame([self = shared_from_this()](MsgType, BinaryReader&) {
-        self->fail("unexpected frame on stripe channel");
-      });
-      ch->set_on_error([self = shared_from_this()](const char* reason) {
-        DVEMIG_WARN("migd", "pid %u stripe channel: %s", self->stats_.pid.value,
-                    reason);
-        self->engine().schedule_after(SimTime::zero(),
-                                      [self] { self->fail("malformed frame"); });
-      });
-      stripe_channels_.push_back(std::move(ch));
-      chans.push_back(stripe_channels_.back().get());
-    }
-    stripes_ = std::make_unique<StripeSender>(std::move(chans), mig_id_,
-                                              config_.stripe_chunk_bytes,
-                                              config_.pipeline_depth);
-    for (auto& [type, payload] : pending_frames_) stripes_->send(type, payload);
-    pending_frames_.clear();
-    if (on_stripes_ready_) std::exchange(on_stripes_ready_, nullptr)();
-  }
-
-  /// Route one logical frame to the destination: directly on the primary
-  /// channel at degree 1, through the striped sender otherwise (queued until
-  /// the stripe connections finish). `logical_sent_` counts the frame exactly
-  /// as FrameChannel would (payload + 5 framing bytes), so byte statistics are
-  /// identical at every parallelism degree. Returns the payload buffer once
-  /// the transport has copied it out, so hot paths can recycle the allocation
-  /// (empty when the frame had to be queued, which consumes the buffer).
-  Buffer send_frame(MsgType type, Buffer payload) {
-    logical_sent_ += payload.size() + 5;
-    if (config_.parallelism > 1) {
-      if (stripes_) {
-        stripes_->send(type, payload);
-        return payload;
-      }
-      pending_frames_.emplace_back(type, std::move(payload));
-      return {};
-    }
-    channel_->send(type, payload);
-    return payload;
-  }
-  void send_frame(MsgType type, BinaryWriter&& w) {
-    (void)send_frame(type, w.take());
-  }
-
-  /// Slice variant for the chunked socket_state path: both transports copy
-  /// out of the span synchronously, so chunks of the unified buffer go on the
-  /// wire with no intermediate allocation. Only the queued case (stripes not
-  /// yet connected) must own its bytes.
-  void send_frame_span(MsgType type, std::span<const std::uint8_t> payload) {
-    logical_sent_ += payload.size() + 5;
-    if (config_.parallelism > 1) {
-      if (stripes_) {
-        stripes_->send(type, payload);
-      } else {
-        pending_frames_.emplace_back(type, Buffer(payload.begin(), payload.end()));
-      }
-      return;
-    }
-    channel_->send(type, payload);
-  }
-
-  /// Ship a finish()ed unified buffer as one socket_state frame per chunk and
-  /// return the allocation for recycling. Single chunk: the whole buffer IS
-  /// the frame — exactly the pre-chunking send.
-  Buffer send_socket_chunks(SockStateChunks&& chunks) {
-    const std::vector<std::size_t> starts = chunks.starts();
-    Buffer whole = chunks.take();
-    if (starts.size() == 1) {
-      return send_frame(MsgType::socket_state, std::move(whole));
-    }
-    const std::span<const std::uint8_t> all(whole);
-    for (std::size_t i = 0; i < starts.size(); ++i) {
-      const std::size_t end = i + 1 < starts.size() ? starts[i + 1] : whole.size();
-      send_frame_span(MsgType::socket_state, all.subspan(starts[i], end - starts[i]));
-    }
-    return whole;
   }
 
   void on_frame(MsgType type, BinaryReader& r) {
@@ -607,95 +526,88 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
     }
   }
 
+  // ---------------- socket dumps ----------------
+
+  /// A fresh unified socket_state buffer on the recycled allocation.
+  SockStateChunks open_dump() {
+    return SockStateChunks(std::move(sock_spare_),
+                           static_cast<std::size_t>(cm().socket_chunk_bytes));
+  }
+
+  /// Serialize one socket's record into `chunks`. `force_all` distinguishes
+  /// full dumps (iterative, collective) from incremental deltas, which leave
+  /// an unchanged socket out entirely.
+  void emit_socket(Fd fd, const stack::Socket& sock, SockStateChunks& chunks,
+                   bool force_all) {
+    const SectionFlags sent =
+        sock.type() == stack::SocketType::tcp
+            ? sock_tracker_.emit_tcp(
+                  extract_tcp(static_cast<const stack::TcpSocket&>(sock), fd),
+                  chunks.writer(), force_all)
+            : sock_tracker_.emit_udp(
+                  extract_udp(static_cast<const stack::UdpSocket&>(sock), fd),
+                  chunks.writer(), force_all);
+    if (sent != SectionFlags::none) chunks.record_emitted();
+  }
+
+  /// Close a dump and ship it as socket_state frames, one per chunk, adding
+  /// its wire bytes to `stat`; an empty dump sends nothing. The allocation
+  /// goes back to sock_spare_ for the next dump.
+  void send_dump(SockStateChunks& chunks, std::uint64_t& stat) {
+    if (chunks.total_records() > 0) {
+      chunks.finish();
+      stat += chunks.wire_bytes();
+      sock_spare_ = transport_->send(MsgType::socket_state, chunks.take(),
+                                     chunks.starts());
+    } else {
+      sock_spare_ = chunks.take();
+    }
+    sock_spare_.clear();  // keep only the capacity
+  }
+
   // ---------------- precopy ----------------
 
   void precopy_round() {
     span_round_ = tracer().begin(obs_track_, "mig.precopy_round");
     ckpt::MemoryDelta delta = mem_tracker_.round(proc_->mem());
-    const auto pages = static_cast<std::int64_t>(delta.dirty_pages.size());
-    SimDuration cost = SimTime::nanoseconds(pages * cm().page_copy_ns);
+    const std::size_t pages = delta.dirty_pages.size();
 
     // Incremental collective: track socket changes during precopy as well,
-    // serialized straight into the unified socket_state buffer behind a
-    // back-patched record-count prefix. The allocation is recycled across
-    // rounds (sock_spare_), so steady-state rounds allocate nothing.
-    SockStateChunks chunks(std::move(sock_spare_),
-                           static_cast<std::size_t>(cm().socket_chunk_bytes));
+    // serialized straight into the unified socket_state buffer.
+    SockStateChunks chunks = open_dump();
     std::size_t scanned = 0;
-    std::size_t sock_bytes = 0;
     if (stats_.strategy == SocketMigStrategy::incremental_collective) {
       for (const auto& [fd, file] : proc_->files().entries()) {
         if (file.kind != proc::FileKind::socket) continue;
         scanned += 1;
-        if (file.socket->type() == stack::SocketType::tcp) {
-          const auto& tcp = static_cast<const stack::TcpSocket&>(*file.socket);
-          if (tcp_busy(tcp)) continue;  // leave for a later loop or the freeze
-          if (sock_tracker_.emit_tcp(extract_tcp(tcp, fd), chunks.writer(),
-                                     false) != SectionFlags::none) {
-            chunks.record_emitted();
-          }
-        } else {
-          const auto& udp = static_cast<const stack::UdpSocket&>(*file.socket);
-          if (sock_tracker_.emit_udp(extract_udp(udp, fd), chunks.writer(),
-                                     false) != SectionFlags::none) {
-            chunks.record_emitted();
-          }
+        if (file.socket->type() == stack::SocketType::tcp &&
+            tcp_busy(static_cast<const stack::TcpSocket&>(*file.socket))) {
+          continue;  // leave for a later loop or the freeze
         }
+        emit_socket(fd, *file.socket, chunks, /*force_all=*/false);
       }
-      sock_bytes = chunks.record_bytes();
-      cost += SimTime::nanoseconds(
-          static_cast<std::int64_t>(scanned) * cm().socket_delta_check_ns +
-          static_cast<std::int64_t>(static_cast<double>(sock_bytes) *
-                                    cm().per_byte_subtract_ns));
     }
+    const std::size_t sock_bytes = chunks.record_bytes();
 
-    // Degree > 1: the scan shards across the worker pool (elapsed = largest
-    // shard) and feeds the serialize stage, which is charged explicitly (the
-    // serial path folds it into page_copy_ns). The CPU meter still pays the
-    // full serial totals — parallelism spreads work, it does not shrink it.
-    SimDuration elapsed = cost;
-    SimDuration cpu = cost;
-    const int par = config_.parallelism;
-    if (par > 1) {
-      const auto workers = static_cast<std::size_t>(par);
-      const auto page_shard = static_cast<std::int64_t>(
-          ckpt::DirtyTracker::max_shard(delta.dirty_pages.size(), workers));
-      const auto sock_shard = static_cast<std::int64_t>(
-          ckpt::DirtyTracker::max_shard(scanned, workers));
-      const double est_bytes =
-          static_cast<double>(delta.dirty_pages.size()) *
-              static_cast<double>(proc::kPageSize + 8) +
-          static_cast<double>(sock_bytes);
-      const auto serialize_total = SimTime::nanoseconds(
-          static_cast<std::int64_t>(est_bytes * cm().per_byte_serialize_ns));
-      const auto serialize_shard = SimTime::nanoseconds(static_cast<std::int64_t>(
-          est_bytes * cm().per_byte_serialize_ns / static_cast<double>(par)));
-      elapsed = SimTime::nanoseconds(
-                    page_shard * cm().page_copy_ns +
-                    sock_shard * cm().socket_delta_check_ns +
-                    static_cast<std::int64_t>(
-                        static_cast<double>(sock_bytes) *
-                        cm().per_byte_subtract_ns / static_cast<double>(par))) +
-                serialize_shard;
-      cpu = cost + serialize_total;
-      tracer().attr(span_round_, "shards", std::to_string(par));
-    }
+    // The dirty scan and the socket checks shard across the worker pool and
+    // feed the serialize stage.
+    ShardedCost cost(config_.parallelism);
+    cost.items(pages, cm().page_copy_ns);
+    cost.items(scanned, cm().socket_delta_check_ns);
+    cost.bytes(static_cast<double>(sock_bytes), cm().per_byte_subtract_ns);
+    cost.bytes(static_cast<double>(pages) * static_cast<double>(proc::kPageSize + 8) +
+                   static_cast<double>(sock_bytes),
+               cm().serialize_ns_per_byte(config_.parallelism));
+    tracer().attr(span_round_, "shards", std::to_string(config_.parallelism));
 
     const std::uint32_t sock_records = chunks.total_records();
-    after_parallel(cpu, elapsed, [this, delta = std::move(delta),
-                                  chunks = std::move(chunks),
-                                  sock_records]() mutable {
+    after_parallel(cost.cpu(), cost.elapsed(),
+                   [this, delta = std::move(delta), chunks = std::move(chunks),
+                    sock_records]() mutable {
       BinaryWriter w;
       delta.serialize(w);
-      send_frame(MsgType::memory_delta, std::move(w));
-      if (sock_records > 0) {
-        chunks.finish();
-        stats_.precopy_socket_bytes += chunks.wire_bytes();
-        sock_spare_ = send_socket_chunks(std::move(chunks));
-      } else {
-        sock_spare_ = chunks.take();
-      }
-      sock_spare_.clear();  // keep only the capacity for the next round
+      transport_->send(MsgType::memory_delta, w.take());
+      send_dump(chunks, stats_.precopy_socket_bytes);
       stats_.precopy_rounds += 1;
       tracer().attr(span_round_, "round", std::to_string(stats_.precopy_rounds));
       tracer().attr(span_round_, "dirty_pages",
@@ -716,7 +628,7 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
       // this round's data has actually reached the destination. Otherwise
       // successive rounds pile up in the channel's send queue and the freeze
       // phase's tiny control messages crawl out behind megabytes of pages.
-      wait_for_drain([self = shared_from_this(), wait, last] {
+      transport_->when_drained([self = shared_from_this(), wait, last] {
         // The round span covers scan + serialize + the transfer itself: it
         // closes when this round's bytes have actually left the send queue.
         self->close_span(self->span_round_);
@@ -731,31 +643,6 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
     });
   }
 
-  void wait_for_drain(std::function<void()> fn) {
-    if (config_.parallelism > 1) {
-      // The striped sender owns every channel's drain callback; "drained"
-      // means all queues flushed and all stripe sockets fully ACKed. Frames
-      // may still be parked waiting for the stripe connections — then drain
-      // completion is re-armed the moment the sender comes up.
-      if (!stripes_) {
-        on_stripes_ready_ = [self = shared_from_this(), fn = std::move(fn)]() mutable {
-          self->stripes_->when_drained(std::move(fn));
-        };
-        return;
-      }
-      stripes_->when_drained(std::move(fn));
-      return;
-    }
-    if (sock_->drained()) {
-      fn();
-      return;
-    }
-    sock_->set_on_drained([self = shared_from_this(), fn = std::move(fn)] {
-      self->sock_->set_on_drained(nullptr);
-      fn();
-    });
-  }
-
   // ---------------- freeze ----------------
 
   void enter_freeze() {
@@ -765,12 +652,7 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
     span_freeze_ = tracer().begin(obs_track_, "mig.freeze");
     phase_ = Phase::freeze;
     stats_.t_freeze_begin = engine().now();  // == the span's begin instant
-    // Striped transfers count logical frame bytes (payload + framing) — the
-    // same quantity FrameChannel::bytes_sent() measures at degree 1, summed
-    // across channels and without the stripe segment headers, so the byte
-    // statistics are comparable (and equal, by test) at every degree.
-    stats_.precopy_channel_bytes =
-        config_.parallelism > 1 ? logical_sent_ : channel_->bytes_sent();
+    stats_.precopy_channel_bytes = transport_->logical_bytes();
     proc_->freeze();
 
     // Gather the fd-ordered socket list (BLCR's fd table iteration).
@@ -842,7 +724,7 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
       close_span(span_stage_);
       then();
     };
-    send_frame(MsgType::capture_request, std::move(w));
+    transport_->send(MsgType::capture_request, w.take());
   }
 
   /// In-cluster connections need a translation filter on the peer before the
@@ -905,23 +787,6 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
     }
   }
 
-  /// Emit one socket's record. `force_all` distinguishes full dumps (iterative,
-  /// collective) from incremental deltas.
-  std::uint32_t emit_socket(const MigSocket& ms, BinaryWriter& out, bool force_all) {
-    if (ms.sock->type() == stack::SocketType::tcp) {
-      const auto& tcp = static_cast<const stack::TcpSocket&>(*ms.sock);
-      return sock_tracker_.emit_tcp(extract_tcp(tcp, ms.fd), out, force_all) !=
-                     SectionFlags::none
-                 ? 1
-                 : 0;
-    }
-    const auto& udp = static_cast<const stack::UdpSocket&>(*ms.sock);
-    return sock_tracker_.emit_udp(extract_udp(udp, ms.fd), out, force_all) !=
-                   SectionFlags::none
-               ? 1
-               : 0;
-  }
-
   // Iterative: capture / translate / disable / subtract / dump / ack, one socket
   // at a time — the repeated computation/transmission interleaving the paper
   // identifies as the bottleneck.
@@ -936,22 +801,16 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
         const MigSocket& ms = sockets_[idx];
         disable_for_migration(ms);
         span_stage_ = tracer().begin(obs_track_, "mig.subtract");
-        BinaryWriter buf(std::move(sock_spare_));
-        buf.clear();
-        buf.u32(0);  // record count, back-patched below
-        const std::uint32_t records = emit_socket(ms, buf, /*force_all=*/true);
-        const SimDuration cost =
-            cm().subtract_cost(1, buf.size() - sizeof(std::uint32_t));
-        after(cost, [this, buf = std::move(buf), records]() mutable {
+        SockStateChunks chunks = open_dump();
+        emit_socket(ms.fd, *ms.sock, chunks, /*force_all=*/true);
+        after(cm().subtract_cost(1, chunks.record_bytes()),
+              [this, chunks = std::move(chunks)]() mutable {
           close_span(span_stage_);
-          buf.patch_u32(records, 0);
-          stats_.freeze_socket_bytes += buf.size();
           on_socket_ack_ = [this] {
             iter_idx_ += 1;
             iterative_next();
           };
-          sock_spare_ = send_frame(MsgType::socket_state, buf.take());
-          sock_spare_.clear();
+          send_dump(chunks, stats_.freeze_socket_bytes);
         });
       });
     });
@@ -986,25 +845,22 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
     // back-patched before send. The allocation is recycled from the precopy
     // rounds, and full dumps pre-reserve so a 10^5-socket freeze never
     // reallocates mid-serialization.
-    SockStateChunks chunks(std::move(sock_spare_),
-                           static_cast<std::size_t>(cm().socket_chunk_bytes));
+    SockStateChunks chunks = open_dump();
     if (force) {
       chunks.reserve(sizeof(std::uint32_t) +
                      sockets_.size() * kFullDumpReserveBytes);
     }
-    std::uint32_t records = 0;
-    // Per-socket record sizes, kept so the parallel path can price each
-    // worker's batch. The emit itself stays serial in fd order — the unified
-    // buffer is byte-identical at every degree; workers merely partition it.
+    // Per-socket record sizes, kept to price each worker's batch. The emit
+    // itself stays serial in fd order — the unified buffer is byte-identical
+    // at every degree; workers merely partition it.
     std::vector<std::size_t> record_bytes;
     record_bytes.reserve(sockets_.size());
     for (const MigSocket& ms : sockets_) {
-      const std::size_t before = chunks.writer().size();
-      const std::uint32_t emitted = emit_socket(ms, chunks.writer(), force);
-      record_bytes.push_back(chunks.writer().size() - before);
-      records += emitted;
-      if (emitted > 0) chunks.record_emitted();
+      const std::size_t before = chunks.record_bytes();
+      emit_socket(ms.fd, *ms.sock, chunks, force);
+      record_bytes.push_back(chunks.record_bytes() - before);
     }
+    const std::uint32_t records = chunks.total_records();
     const std::size_t subtract_bytes = chunks.record_bytes();
 
     const auto batch_cost = [&](std::size_t n_socks, std::size_t n_bytes) {
@@ -1017,37 +873,26 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
                          static_cast<std::int64_t>(static_cast<double>(n_bytes) *
                                                    cm().per_byte_subtract_ns));
     };
-    const SimDuration cost = batch_cost(sockets_.size(), subtract_bytes);
-    SimDuration elapsed = cost;
-    if (config_.parallelism > 1) {
-      // Workers subtract contiguous fd-order batches; the merge into the
-      // unified buffer preserves that order. Elapsed = slowest batch.
-      elapsed = SimTime::zero();
-      for (const auto& shard : ckpt::DirtyTracker::shard_ranges(
-               sockets_.size(), static_cast<std::size_t>(config_.parallelism))) {
-        std::size_t shard_bytes = 0;
-        for (std::size_t i = shard.begin; i < shard.end; ++i) {
-          shard_bytes += record_bytes[i];
-        }
-        elapsed = std::max(elapsed, batch_cost(shard.size(), shard_bytes));
+    // Workers subtract contiguous fd-order batches; the merge into the
+    // unified buffer preserves that order. Elapsed = slowest batch.
+    SimDuration elapsed = SimTime::zero();
+    for (const auto& shard : ckpt::DirtyTracker::shard_ranges(
+             sockets_.size(), static_cast<std::size_t>(config_.parallelism))) {
+      std::size_t shard_bytes = 0;
+      for (std::size_t i = shard.begin; i < shard.end; ++i) {
+        shard_bytes += record_bytes[i];
       }
-      tracer().attr(span_stage_, "shards", std::to_string(config_.parallelism));
+      elapsed = std::max(elapsed, batch_cost(shard.size(), shard_bytes));
     }
+    tracer().attr(span_stage_, "shards", std::to_string(config_.parallelism));
     DVEMIG_DEBUG("migd", "pid %u subtract: %u records, %zu bytes", stats_.pid.value,
                  records, subtract_bytes);
     tracer().attr(span_stage_, "records", std::to_string(records));
     tracer().attr(span_stage_, "bytes", std::to_string(subtract_bytes));
-    after_parallel(cost, elapsed,
-                   [this, chunks = std::move(chunks), records]() mutable {
+    after_parallel(batch_cost(sockets_.size(), subtract_bytes), elapsed,
+                   [this, chunks = std::move(chunks)]() mutable {
       close_span(span_stage_);
-      if (records > 0) {
-        chunks.finish();
-        stats_.freeze_socket_bytes += chunks.wire_bytes();
-        sock_spare_ = send_socket_chunks(std::move(chunks));
-      } else {
-        sock_spare_ = chunks.take();
-      }
-      sock_spare_.clear();
+      send_dump(chunks, stats_.freeze_socket_bytes);
       final_transfer();
     });
   }
@@ -1057,46 +902,31 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
   void final_transfer() {
     span_stage_ = tracer().begin(obs_track_, "mig.final_transfer");
     ckpt::MemoryDelta delta = mem_tracker_.round(proc_->mem());
-    tracer().attr(span_stage_, "dirty_pages",
-                  std::to_string(delta.dirty_pages.size()));
-    const SimDuration cost = SimTime::nanoseconds(
-        static_cast<std::int64_t>(delta.dirty_pages.size()) * cm().page_copy_ns +
-        cm().process_meta_ns);
-    SimDuration elapsed = cost;
-    SimDuration cpu = cost;
-    if (config_.parallelism > 1) {
-      const auto workers = static_cast<std::size_t>(config_.parallelism);
-      const auto page_shard = static_cast<std::int64_t>(
-          ckpt::DirtyTracker::max_shard(delta.dirty_pages.size(), workers));
-      const double est_bytes = static_cast<double>(delta.dirty_pages.size()) *
-                               static_cast<double>(proc::kPageSize + 8);
-      const auto serialize_total = SimTime::nanoseconds(
-          static_cast<std::int64_t>(est_bytes * cm().per_byte_serialize_ns));
-      elapsed = SimTime::nanoseconds(
-          page_shard * cm().page_copy_ns + cm().process_meta_ns +
-          static_cast<std::int64_t>(est_bytes * cm().per_byte_serialize_ns /
-                                    static_cast<double>(config_.parallelism)));
-      cpu = cost + serialize_total;
-      tracer().attr(span_stage_, "shards", std::to_string(config_.parallelism));
-    }
-    after_parallel(cpu, elapsed, [this, delta = std::move(delta)]() mutable {
+    const std::size_t pages = delta.dirty_pages.size();
+    tracer().attr(span_stage_, "dirty_pages", std::to_string(pages));
+    ShardedCost cost(config_.parallelism);
+    cost.items(pages, cm().page_copy_ns);
+    cost.serial(cm().process_meta_ns);
+    cost.bytes(static_cast<double>(pages) * static_cast<double>(proc::kPageSize + 8),
+               cm().serialize_ns_per_byte(config_.parallelism));
+    tracer().attr(span_stage_, "shards", std::to_string(config_.parallelism));
+    after_parallel(cost.cpu(), cost.elapsed(), [this, delta = std::move(delta)]() mutable {
       close_span(span_stage_);
       BinaryWriter wm;
       delta.serialize(wm);
-      send_frame(MsgType::memory_delta, std::move(wm));
+      transport_->send(MsgType::memory_delta, wm.take());
 
       const ckpt::ProcessImage img = ckpt::snapshot_process(*proc_);
       BinaryWriter wi;
       img.serialize(wi);
-      send_frame(MsgType::process_image, std::move(wi));
+      transport_->send(MsgType::process_image, wi.take());
       // Now await resume_done.
     });
   }
 
   void finish(SimTime t_resume) {
     stats_.freeze_channel_bytes =
-        (config_.parallelism > 1 ? logical_sent_ : channel_->bytes_sent()) -
-        stats_.precopy_channel_bytes;
+        transport_->logical_bytes() - stats_.precopy_channel_bytes;
     stats_.success = true;
 
     // The stats' freeze window is *derived from the span tree*: the span is
@@ -1117,10 +947,6 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
     m.completed.add(1);
     m.freeze_bytes.add(stats_.freeze_channel_bytes);
     m.precopy_bytes.add(stats_.precopy_channel_bytes);
-    if (stripes_) {
-      m.stripe_segments.add(stripes_->segments_sent());
-      m.stripe_bytes.add(stripes_->segment_bytes());
-    }
     m.freeze_time_us.record(static_cast<double>(stats_.freeze_time().ns) / 1e3);
     m.total_time_us.record(static_cast<double>(stats_.total_time().ns) / 1e3);
     m.precopy_rounds.record(stats_.precopy_rounds);
@@ -1132,37 +958,24 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
       }
     }
     node_->kill(stats_.pid);
-    for (auto& s : stripe_socks_) s->close();
+    close_transport(/*abort=*/false);
     sock_->close();
     ctrl_->close();
     detach_later();
     owner_->source_finished(stats_);
   }
 
-  Migd* owner_;
-  proc::Node* node_;
   std::shared_ptr<proc::Process> proc_;
   net::Ipv4Addr dest_;
   MigrationStats stats_;
   MigrationConfig config_;
 
   stack::TcpSocket::Ptr sock_;
-  std::unique_ptr<FrameChannel> channel_;
+  std::unique_ptr<SourceTransport> transport_;  // from on_connected() on
   std::shared_ptr<stack::UdpSocket> ctrl_;
   sim::TimerHandle connect_timer_;
   sim::TimerHandle watchdog_;
-
-  // Striped transfer (parallelism > 1). The sender is declared after the
-  // channels it references so destruction detaches it first.
   std::uint64_t mig_id_{0};
-  std::vector<stack::TcpSocket::Ptr> stripe_socks_;
-  std::vector<std::unique_ptr<FrameChannel>> stripe_channels_;
-  std::unique_ptr<StripeSender> stripes_;
-  std::vector<std::pair<MsgType, Buffer>> pending_frames_;  // pre-stripe-connect
-  std::function<void()> on_stripes_ready_;
-  int stripes_connected_{0};
-  std::uint64_t logical_sent_{0};  // logical frame bytes incl. framing
-  obs::SpanId span_stripe_connect_{0};
 
   ckpt::DirtyTracker mem_tracker_;
   SocketDeltaTracker sock_tracker_;
@@ -1192,10 +1005,10 @@ class Migd::SourceSession : public std::enable_shared_from_this<Migd::SourceSess
 
 // -------------------------------------------------------------- DestSession
 
-class Migd::DestSession : public std::enable_shared_from_this<Migd::DestSession> {
+class Migd::DestSession : public Session<Migd::DestSession> {
  public:
   DestSession(Migd& owner, stack::TcpSocket::Ptr conn)
-      : owner_(&owner), node_(&owner.node()), sock_(std::move(conn)) {}
+      : Session(owner), sock_(std::move(conn)) {}
 
   void begin() {
     channel_ = std::make_unique<FrameChannel>(sock_);
@@ -1236,32 +1049,6 @@ class Migd::DestSession : public std::enable_shared_from_this<Migd::DestSession>
   }
 
  private:
-  struct MigSocket {
-    Fd fd;
-    std::shared_ptr<stack::Socket> sock;
-    bool in_cluster{false};       // local addr is this node's cluster address
-    bool translatable{false};     // connected in-cluster socket needing a filter
-    net::Endpoint orig_remote{};  // remote endpoint as stored in the socket
-    net::Endpoint effective_remote{};  // where the peer actually lives now
-  };
-
-  sim::Engine& engine() const { return node_->engine(); }
-  const CostModel& cm() const { return owner_->cm_; }
-
-  void after(SimDuration d, std::function<void()> fn) {
-    after_parallel(d, d, std::move(fn));
-  }
-
-  /// See SourceSession::after_parallel: serial CPU charge, parallel makespan.
-  void after_parallel(SimDuration cpu, SimDuration elapsed, std::function<void()> fn) {
-    node_->cpu().account(kKernelPid, cpu);
-    engine().schedule_after(elapsed,
-                            [self = shared_from_this(), fn = std::move(fn)] {
-                              (void)self;
-                              fn();
-                            });
-  }
-
   /// Common failure teardown: drop armed capture filters, optionally tell the
   /// peer, close and retire the session. Idempotent — the abort, reset and
   /// peer-closed paths can all fire for the same dead migration. The release
@@ -1399,8 +1186,8 @@ class Migd::DestSession : public std::enable_shared_from_this<Migd::DestSession>
         }
         begun_ = true;
         pid_ = Pid{r.u32()};
-        name_ = r.str();
-        strategy_ = static_cast<SocketMigStrategy>(r.u8());
+        (void)r.str();  // process name
+        (void)r.u8();   // socket strategy
         src_local_.value = r.u32();
         if (r.remaining() >= 9) {
           mig_id_ = r.u64();
@@ -1479,7 +1266,6 @@ class Migd::DestSession : public std::enable_shared_from_this<Migd::DestSession>
           teardown("memory_delta before mig_begin", /*notify_peer=*/true);
           return;
         }
-        memory_bytes_ += r.remaining() + 1;
         const ckpt::MemoryDelta delta = ckpt::MemoryDelta::deserialize(r);
         pages_received_ += delta.dirty_pages.size();
         return;
@@ -1496,22 +1282,18 @@ class Migd::DestSession : public std::enable_shared_from_this<Migd::DestSession>
         span_restore_ = tracer().begin(
             tracer().track(node_->name() + "/migd.dst"), "mig.restore");
         tracer().attr(span_restore_, "pid", std::to_string(img_.pid.value));
-        const SimDuration cost =
-            SimTime::nanoseconds(cm().restore_meta_ns) +
-            cm().restore_cost(staging_.size(), socket_bytes_);
-        SimDuration elapsed = cost;
-        if (stripe_count_ > 1) {
-          // Restore workers mirror the source's pool: socket reconstruction
-          // shards across stripe_count_ workers, metadata stays serial.
-          const auto workers = static_cast<std::size_t>(stripe_count_);
-          elapsed = SimTime::nanoseconds(cm().restore_meta_ns) +
-                    cm().restore_cost(
-                        ckpt::DirtyTracker::max_shard(staging_.size(), workers),
-                        ckpt::DirtyTracker::max_shard(
-                            static_cast<std::size_t>(socket_bytes_), workers));
-          tracer().attr(span_restore_, "shards", std::to_string(stripe_count_));
-        }
-        after_parallel(cost, elapsed, [this] { do_restore(); });
+        // Restore workers mirror the source's pool: socket reconstruction
+        // shards across stripe_count_ workers, metadata stays serial.
+        const auto workers = static_cast<std::size_t>(stripe_count_);
+        const auto meta = SimTime::nanoseconds(cm().restore_meta_ns);
+        tracer().attr(span_restore_, "shards", std::to_string(stripe_count_));
+        after_parallel(
+            meta + cm().restore_cost(staging_.size(), socket_bytes_),
+            meta + cm().restore_cost(
+                       ckpt::DirtyTracker::max_shard(staging_.size(), workers),
+                       ckpt::DirtyTracker::max_shard(
+                           static_cast<std::size_t>(socket_bytes_), workers)),
+            [this] { do_restore(); });
         return;
       }
       case MsgType::mig_abort:
@@ -1613,14 +1395,10 @@ class Migd::DestSession : public std::enable_shared_from_this<Migd::DestSession>
     });
   }
 
-  Migd* owner_;
-  proc::Node* node_;
   stack::TcpSocket::Ptr sock_;
   std::unique_ptr<FrameChannel> channel_;
 
   Pid pid_{};
-  std::string name_;
-  SocketMigStrategy strategy_{};
   net::Ipv4Addr src_local_{};
   std::uint64_t capture_session_{0};
   bool begun_{false};           // mig_begin received
@@ -1630,12 +1408,11 @@ class Migd::DestSession : public std::enable_shared_from_this<Migd::DestSession>
 
   SocketStaging staging_;
   std::uint64_t socket_bytes_{0};
-  std::uint64_t memory_bytes_{0};
   std::uint64_t pages_received_{0};
   ckpt::ProcessImage img_;
   obs::SpanId span_restore_{0};
 
-  // --- striped transfer (parallelism > 1 on the source) ---
+  // --- striped transfer (a parallel source) ---
   std::uint64_t mig_id_{0};      // cluster-unique id binding stripes to a main
   int stripe_count_{1};          // source parallelism announced in mig_begin
   bool is_feeder_{false};        // this session is a secondary stripe channel

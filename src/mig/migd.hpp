@@ -53,11 +53,6 @@ const char* strategy_name(SocketMigStrategy s);
 struct MigrationConfig {
   /// Worker count == transfer stream count. Clamped to [1, kMaxParallelism].
   int parallelism{1};
-  /// Segments in flight per stripe channel before the sender waits for the
-  /// socket to drain (the pipeline's bounded send queue).
-  int pipeline_depth{2};
-  /// Stripe segment payload size; logical frames are cut at this granularity.
-  std::uint32_t stripe_chunk_bytes{256 * 1024};
 };
 
 /// Upper bound on MigrationConfig::parallelism (stripe index fits a u8 and a

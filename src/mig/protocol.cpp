@@ -118,16 +118,11 @@ void FrameChannel::on_readable() {
 // Striped transfer sublayer
 // ---------------------------------------------------------------------------
 
-StripeSender::StripeSender(std::vector<FrameChannel*> channels, std::uint64_t mig_id,
-                           std::uint32_t chunk_bytes, int pipeline_depth)
+StripeSender::StripeSender(std::vector<FrameChannel*> channels, std::uint64_t mig_id)
     : channels_(std::move(channels)),
-      chunk_bytes_(chunk_bytes),
-      pipeline_depth_(pipeline_depth),
       queues_(channels_.size()),
       in_flight_(channels_.size(), 0) {
   DVEMIG_EXPECTS(channels_.size() >= 2);
-  DVEMIG_EXPECTS(chunk_bytes_ > 0);
-  DVEMIG_EXPECTS(pipeline_depth_ > 0);
   for (std::size_t i = 0; i < channels_.size(); ++i) {
     channels_[i]->socket().set_on_drained([this, i] { on_channel_drained(i); });
     if (i == 0) continue;  // the primary channel already spoke mig_begin
@@ -148,7 +143,6 @@ void StripeSender::detach_callbacks() {
 void StripeSender::send(MsgType inner, std::span<const std::uint8_t> payload) {
   DVEMIG_EXPECTS(payload.size() < kMaxFrameLen);
   FrameChannel::notify_frame(*channels_[0], /*outbound=*/true, inner, payload.size());
-  logical_frames_ += 1;
   const std::uint64_t seq = next_seq_++;
   const auto total = static_cast<std::uint32_t>(payload.size());
   std::uint32_t off = 0;
@@ -156,7 +150,7 @@ void StripeSender::send(MsgType inner, std::span<const std::uint8_t> payload) {
   // An empty payload still travels as one (empty) segment so the sequence
   // number is consumed and the peer delivers the frame.
   do {
-    const std::uint32_t chunk = std::min(chunk_bytes_, total - off);
+    const std::uint32_t chunk = std::min(kStripeChunkBytes, total - off);
     BinaryWriter seg;
     seg.u64(seq);
     seg.u8(static_cast<std::uint8_t>(inner));
@@ -173,7 +167,7 @@ void StripeSender::send(MsgType inner, std::span<const std::uint8_t> payload) {
 
 void StripeSender::pump(std::size_t channel) {
   auto& q = queues_[channel];
-  while (in_flight_[channel] < pipeline_depth_ && !q.empty()) {
+  while (in_flight_[channel] < kStripePipelineDepth && !q.empty()) {
     Buffer seg = std::move(q.front());
     q.pop_front();
     in_flight_[channel] += 1;

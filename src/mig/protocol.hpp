@@ -151,22 +151,28 @@ class FrameChannel {
   bool errored_{false};
 };
 
+/// Stripe segment payload size; logical frames are cut at this granularity.
+inline constexpr std::uint32_t kStripeChunkBytes = 256 * 1024;
+/// Segments in flight per stripe channel before the sender waits for the
+/// socket to drain (the pipeline's bounded send queue).
+inline constexpr int kStripePipelineDepth = 2;
+
 /// Send half of the striped transfer sublayer (parallelism > 1).
 ///
-/// Chunks each logical frame into stripe_seg frames of at most `chunk_bytes`
-/// spread round-robin across the channels (index 0 = the migration's primary
-/// channel), tagged with a per-logical-frame sequence number so the peer's
-/// StripeReassembler restores logical order regardless of per-channel timing.
-/// Per channel at most `pipeline_depth` segments sit in the socket's send
-/// buffer; the rest wait in a queue and are pumped as the socket drains — the
-/// bounded queue between the serialize and send stages of the pipeline.
+/// Chunks each logical frame into stripe_seg frames of at most
+/// kStripeChunkBytes spread round-robin across the channels (index 0 = the
+/// migration's primary channel), tagged with a per-logical-frame sequence
+/// number so the peer's StripeReassembler restores logical order regardless of
+/// per-channel timing. Per channel at most kStripePipelineDepth segments sit
+/// in the socket's send buffer; the rest wait in a queue and are pumped as the
+/// socket drains — the bounded queue between the serialize and send stages of
+/// the pipeline.
 ///
 /// Constructing the sender emits one stripe_hello on every secondary channel
 /// (their opening frame). Not copyable; destroy before the channels.
 class StripeSender {
  public:
-  StripeSender(std::vector<FrameChannel*> channels, std::uint64_t mig_id,
-               std::uint32_t chunk_bytes, int pipeline_depth);
+  StripeSender(std::vector<FrameChannel*> channels, std::uint64_t mig_id);
   StripeSender(const StripeSender&) = delete;
   StripeSender& operator=(const StripeSender&) = delete;
   ~StripeSender();
@@ -182,7 +188,6 @@ class StripeSender {
   /// Clear socket callbacks and the drain waiter (session teardown).
   void detach_callbacks();
 
-  std::uint64_t logical_frames() const { return logical_frames_; }
   std::uint64_t segments_sent() const { return segments_; }
   std::uint64_t segment_bytes() const { return segment_bytes_; }
 
@@ -192,13 +197,10 @@ class StripeSender {
   void check_drained();
 
   std::vector<FrameChannel*> channels_;
-  std::uint32_t chunk_bytes_;
-  int pipeline_depth_;
   std::vector<std::deque<Buffer>> queues_;   // pre-built stripe_seg payloads
   std::vector<int> in_flight_;               // segments sent since last drain
   std::function<void()> on_all_drained_;
   std::uint64_t next_seq_{0};
-  std::uint64_t logical_frames_{0};
   std::uint64_t segments_{0};
   std::uint64_t segment_bytes_{0};
 };

@@ -446,9 +446,17 @@ TEST(ParallelEquivalence, LivePrecopyImagesAreDegreeInvariant) {
 struct StripeCounter : FrameChannel::Observer {
   int hellos_out{0};
   std::uint64_t segs_out{0};
-  void on_channel_frame(const FrameChannel&, bool outbound, MsgType type,
-                        std::size_t) override {
+  // Bytes the source's primary channel (the one that sent mig_begin) put on
+  // the wire before resume_done: payload + 5 framing bytes per frame.
+  const FrameChannel* primary{nullptr};
+  bool resumed{false};
+  std::uint64_t primary_bytes_out{0};
+  void on_channel_frame(const FrameChannel& ch, bool outbound, MsgType type,
+                        std::size_t payload_len) override {
+    if (type == MsgType::resume_done) resumed = true;
     if (!outbound) return;
+    if (type == MsgType::mig_begin) primary = &ch;
+    if (&ch == primary && !resumed) primary_bytes_out += payload_len + 5;
     if (type == MsgType::stripe_hello) hellos_out += 1;
     if (type == MsgType::stripe_seg) segs_out += 1;
   }
@@ -458,10 +466,15 @@ TEST(ParallelWire, StripeFramesAppearOnlyAboveDegreeOne) {
   {
     StripeCounter tap;
     FrameChannel::set_observer(&tap);
-    (void)run_degree(1, /*live=*/true);
+    const DegreeRun d1 = run_degree(1, /*live=*/true);
     FrameChannel::set_observer(nullptr);
     EXPECT_EQ(tap.hellos_out, 0);
     EXPECT_EQ(tap.segs_out, 0u);
+    // At degree 1 the logical byte count is exactly the primary channel's
+    // wire bytes, precopy and freeze together.
+    EXPECT_GT(tap.primary_bytes_out, 0u);
+    EXPECT_EQ(d1.stats.precopy_channel_bytes + d1.stats.freeze_channel_bytes,
+              tap.primary_bytes_out);
   }
   {
     StripeCounter tap;

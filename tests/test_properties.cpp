@@ -4,6 +4,7 @@
 //  - the conductor equalizes any initial imbalance without losing processes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "src/dve/population.hpp"
@@ -140,11 +141,12 @@ INSTANTIATE_TEST_SUITE_P(
                                          mig::SocketMigStrategy::collective,
                                          mig::SocketMigStrategy::incremental_collective)),
     [](const auto& suite_info) {
-      std::string name = mig::strategy_name(std::get<1>(suite_info.param));
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return "n" + std::to_string(std::get<0>(suite_info.param)) + "_" + name;
+      std::string name = "n";
+      name += std::to_string(std::get<0>(suite_info.param));
+      name += '_';
+      name += mig::strategy_name(std::get<1>(suite_info.param));
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
     });
 
 // ------------------------------------------------- load-balancing convergence

@@ -49,11 +49,8 @@ Args parse(int argc, char** argv, int from) {
     }
     key = key.substr(2);
     // Flags may be bare (--trace) or valued (--clients 24).
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      args.values[key] = argv[++i];
-    } else {
-      args.values[key] = "1";
-    }
+    const bool valued = i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0;
+    args.values[key] = valued ? argv[++i] : "1";
   }
   return args;
 }

@@ -28,7 +28,7 @@ using dvemig::mc::Script;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--preset handshake|precopy|freeze|crash]\n"
+               "usage: %s [--preset handshake|precopy|stripe|freeze|crash]\n"
                "          [--mode dfs|random] [--max-states N] [--max-depth N]\n"
                "          [--seed N] [--runs N] [--mutation NAME]\n"
                "          [--no-stop-on-violation] [--repro-out FILE]\n"
