@@ -24,6 +24,7 @@
 #include "src/dve/testbed.hpp"
 #include "src/dve/zone_server.hpp"
 #include "src/obs/bench_report.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/obs/runtime.hpp"
 
 using namespace dvemig;
@@ -43,9 +44,13 @@ struct SimResult {
   std::uint64_t migrations{0};
   std::uint64_t handoffs{0};
   double worst_freeze_ms{0};
+  std::uint64_t ticks{0};         // zone-server real-time loop iterations
+  std::uint64_t socket_reads{0};  // client read() calls those ticks made
 };
 
 SimResult run_dve(bool lb_enabled, std::uint32_t clients, std::int64_t duration_s) {
+  const obs::Counter& reads = obs::Registry::instance().counter("dve.socket_reads");
+  const std::uint64_t reads_before = reads.value();
   dve::TestbedConfig cfg;
   cfg.dve_nodes = kNodes;
   dve::Testbed bed(cfg);
@@ -100,6 +105,14 @@ SimResult run_dve(bool lb_enabled, std::uint32_t clients, std::int64_t duration_
     result.samples.push_back(sample);
   }
   result.handoffs = pop.zone_handoffs();
+  result.socket_reads = reads.value() - reads_before;
+  for (std::uint32_t n = 0; n < kNodes; ++n) {
+    for (const auto& [pid, p] : bed.node(n).node.processes()) {
+      if (const auto* zs = dynamic_cast<const dve::ZoneServerApp*>(p->app().get())) {
+        result.ticks += zs->ticks();
+      }
+    }
+  }
 
   if (pop.total_resets() != 0) {
     std::fprintf(stderr, "# WARNING: %llu client connections were reset\n",
@@ -191,6 +204,13 @@ int main(int argc, char** argv) {
   report.result("zone_handoffs", static_cast<double>(on.handoffs));
   report.result("cpu_spread_final_lb_off_pct", final_spread(off));
   report.result("cpu_spread_final_lb_on_pct", final_spread(on));
+  // Deterministic host-work counter: the passive tick reads only the client
+  // sockets that received data, so this stays near the per-tick message rate.
+  const std::uint64_t ticks = off.ticks + on.ticks;
+  report.result("socket_reads_per_tick",
+                ticks == 0 ? 0.0
+                           : static_cast<double>(off.socket_reads + on.socket_reads) /
+                                 static_cast<double>(ticks));
   report.write();
   return 0;
 }

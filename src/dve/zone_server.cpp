@@ -123,7 +123,18 @@ void ZoneServerApp::start(proc::Process& proc) {
   if (db_fd_ >= 0) {
     tcp_at(db_fd_).set_on_readable([this] { on_db_readable(); });
   }
+  ready_.clear();
   for (const Fd fd : client_fds_) adopt_client(fd);
+  // A client that left while the process was frozen found drop_client()
+  // refusing to run; reap it now. Collected first: dropping edits client_fds_.
+  std::vector<Fd> gone;
+  for (const Fd fd : client_fds_) {
+    const stack::TcpState state = tcp_at(fd).state();
+    if (state == stack::TcpState::close_wait || state == stack::TcpState::closed) {
+      gone.push_back(fd);
+    }
+  }
+  for (const Fd fd : gone) drop_client(fd);
 
   // Resume the real-time loop where it left off (catch-up after a freeze).
   sim::Engine& engine = proc.node().engine();
@@ -161,7 +172,20 @@ void ZoneServerApp::adopt_client(Fd fd) {
   stack::TcpSocket& sock = tcp_at(fd);
   sock.set_on_peer_closed([this, fd] { drop_client(fd); });
   sock.set_on_reset([this, fd] { drop_client(fd); });
-  // Client requests are drained each tick; no per-message callback needed.
+  sock.set_on_readable([this, fd] { mark_ready(fd); });
+  const auto slot = static_cast<std::size_t>(fd);
+  if (slots_.size() <= slot) slots_.resize(slot + 1);
+  slots_[slot] = ClientSlot{next_adopt_seq_++, false};
+  // Bytes may already be queued: on a child whose data arrived before it was
+  // accepted, or on a socket restored by migration.
+  if (sock.bytes_available() > 0) mark_ready(fd);
+}
+
+void ZoneServerApp::mark_ready(Fd fd) {
+  ClientSlot& slot = slots_[static_cast<std::size_t>(fd)];
+  if (slot.ready) return;
+  slot.ready = true;
+  ready_.push_back(fd);
 }
 
 void ZoneServerApp::drop_client(Fd fd) {
@@ -169,6 +193,7 @@ void ZoneServerApp::drop_client(Fd fd) {
   const auto it = std::find(client_fds_.begin(), client_fds_.end(), fd);
   if (it == client_fds_.end()) return;
   client_fds_.erase(it);
+  std::erase(ready_, fd);  // data and FIN often arrive together
   tcp_at(fd).close();
   proc_->files().close(fd);
 }
@@ -194,6 +219,7 @@ void ZoneServerApp::tick() {
       // Drain whatever the client sent since the last tick (the "events").
       sock.lock_user();  // the app is inside a recv/send syscall pair
       (void)sock.read();
+      socket_reads_.get().add(1);
       BinaryWriter w;
       w.u32(static_cast<std::uint32_t>(cfg_.update_bytes - 4));
       w.u32(update_seq_);
@@ -202,8 +228,21 @@ void ZoneServerApp::tick() {
       sock.unlock_user();
       updates_sent_ += 1;
     }
+    for (const Fd fd : ready_) slots_[static_cast<std::size_t>(fd)].ready = false;
+    ready_.clear();
   } else {
-    for (const Fd fd : client_fds_) (void)tcp_at(fd).read();
+    // Drain only the clients that received data, in client_fds_ order: a read
+    // that reopens a pinched receive window sends a window-update ACK.
+    std::sort(ready_.begin(), ready_.end(), [this](Fd a, Fd b) {
+      return slots_[static_cast<std::size_t>(a)].adopt_seq <
+             slots_[static_cast<std::size_t>(b)].adopt_seq;
+    });
+    for (const Fd fd : ready_) {
+      slots_[static_cast<std::size_t>(fd)].ready = false;
+      (void)tcp_at(fd).read();
+    }
+    socket_reads_.get().add(ready_.size());
+    ready_.clear();
   }
 
   next_tick_at_ns_ = (proc_->node().engine().now() + cfg_.tick).ns;

@@ -6,12 +6,16 @@
 // the database server over the cluster network. Fully migratable: its logical
 // state serializes into the checkpoint image and its sockets take the socket
 // migration path, so clients and the DB session survive a node change untouched.
+//
+// Client events are found epoll-style: each client socket's readable callback
+// puts its fd on a ready list, and the passive tick drains only those fds.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "src/dve/zone.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/proc/node.hpp"
 
 namespace dvemig::dve {
@@ -77,6 +81,7 @@ class ZoneServerApp final : public proc::AppLogic {
   void on_db_readable();
   void adopt_client(Fd fd);
   void drop_client(Fd fd);
+  void mark_ready(Fd fd);
   stack::TcpSocket& tcp_at(Fd fd) const;
 
   ZoneServerConfig cfg_;
@@ -85,6 +90,17 @@ class ZoneServerApp final : public proc::AppLogic {
   Fd listener_fd_{-1};
   Fd db_fd_{-1};
   std::vector<Fd> client_fds_;
+
+  // Ready list, rebuilt by start() and never serialized. `adopt_seq` orders a
+  // drain exactly as client_fds_ does (that vector only appends and erases).
+  struct ClientSlot {
+    std::uint32_t adopt_seq{0};
+    bool ready{false};
+  };
+  std::vector<ClientSlot> slots_;  // indexed by fd
+  std::vector<Fd> ready_;          // fds with data delivered since the last drain
+  std::uint32_t next_adopt_seq_{0};
+  obs::CounterRef socket_reads_{"dve.socket_reads"};  // read() calls made by tick()
 
   sim::TimerHandle tick_timer_;
   sim::TimerHandle db_timer_;

@@ -7,6 +7,7 @@
 #include "src/dve/population.hpp"
 #include "src/dve/testbed.hpp"
 #include "src/dve/zone_server.hpp"
+#include "src/obs/metrics.hpp"
 
 namespace dvemig::dve {
 namespace {
@@ -226,6 +227,121 @@ TEST_F(ZoneServerFixture, FrozenServerStopsTicking) {
   proc->resume();
   bed->run_for(SimTime::seconds(1));
   EXPECT_GT(app_of(proc)->ticks(), ticks + 15);
+}
+
+TEST_F(ZoneServerFixture, ClientLeavingWhileFrozenIsReaped) {
+  ZoneServerConfig zs;
+  zs.zone = 17;
+  zs.use_db = false;
+  auto proc = ZoneServerApp::launch(bed->node(0).node, zs);
+  std::vector<std::unique_ptr<TcpDveClient>> clients;
+  for (int i = 0; i < 3; ++i) {
+    auto c = std::make_unique<TcpDveClient>(bed->make_client_host(), bed->public_ip());
+    if (i == 1) c->set_active(SimTime::milliseconds(50), 48);
+    c->connect_to_zone(17);
+    clients.push_back(std::move(c));
+  }
+  bed->run_for(SimTime::seconds(1));
+  ASSERT_EQ(app_of(proc)->client_count(), 3u);
+
+  // Unread bytes, then the FIN, land while the server cannot act on them.
+  proc->freeze();
+  bed->run_for(SimTime::milliseconds(120));
+  clients[1]->disconnect();
+  bed->run_for(SimTime::seconds(1));
+  EXPECT_EQ(app_of(proc)->client_count(), 3u);
+
+  proc->resume();
+  bed->run_for(SimTime::seconds(2));
+  EXPECT_EQ(app_of(proc)->client_count(), 2u);
+  EXPECT_EQ(proc->files().socket_count(), 3u);  // listener + 2 clients
+}
+
+// ------------------------------------------------- ZoneServer ready-list tick
+
+/// Read-call counter shared by every zone server in the process.
+std::uint64_t socket_reads() {
+  const obs::Counter* c = obs::Registry::instance().find_counter("dve.socket_reads");
+  return c != nullptr ? c->value() : 0;
+}
+
+/// Server-side TCP sockets of `proc` other than `skip` (its listener).
+std::vector<stack::TcpSocket*> client_sockets(proc::Process& proc, Fd skip) {
+  std::vector<stack::TcpSocket*> out;
+  for (const auto& [fd, file] : proc.files().entries()) {
+    if (fd == skip || file.kind != proc::FileKind::socket) continue;
+    out.push_back(static_cast<stack::TcpSocket*>(file.socket.get()));
+  }
+  return out;
+}
+
+/// Fire events one at a time until `app` has ticked `target` times.
+void step_until_ticks(sim::Engine& engine, const ZoneServerApp& app,
+                      std::uint64_t target) {
+  while (app.ticks() < target) ASSERT_EQ(engine.run(1), 1u);
+}
+
+TEST_F(ZoneServerFixture, BytesQueuedBeforeAcceptAreDrainedOnFirstTick) {
+  ZoneServerConfig zs;
+  zs.zone = 18;
+  zs.use_db = false;
+  auto proc = ZoneServerApp::launch(bed->node(0).node, zs);
+  bed->run_for(SimTime::milliseconds(200));
+
+  // Frozen, the server accepts nothing, but the stack still completes the
+  // handshake and queues the client's bytes on the unaccepted child.
+  proc->freeze();
+  ClientHost& host = bed->make_client_host();
+  auto sock = host.stack().make_tcp();
+  sock->bind(host.addr(), 0);
+  sock->connect(net::Endpoint{bed->public_ip(), zone_port(18)});
+  bed->run_for(SimTime::milliseconds(200));
+  ASSERT_EQ(sock->state(), stack::TcpState::established);
+  sock->send(Buffer(100, 0x6B));
+  bed->run_for(SimTime::milliseconds(200));
+
+  const ZoneServerApp& app = *app_of(proc);
+  const std::uint64_t ticks = app.ticks();
+  proc->resume();  // accepts and adopts the child; nothing arrives after this
+  ASSERT_EQ(app.client_count(), 1u);
+  const auto children = client_sockets(*proc, app.listener_fd());
+  ASSERT_EQ(children.size(), 1u);
+  EXPECT_EQ(children[0]->bytes_available(), 100u);
+
+  const std::uint64_t reads = socket_reads();
+  step_until_ticks(bed->engine(), app, ticks + 1);
+  EXPECT_EQ(children[0]->bytes_available(), 0u);
+  EXPECT_EQ(socket_reads() - reads, 1u);
+}
+
+TEST_F(ZoneServerFixture, IdleClientsCostNoReads) {
+  ZoneServerConfig zs;
+  zs.zone = 19;
+  zs.use_db = false;
+  auto proc = ZoneServerApp::launch(bed->node(0).node, zs);
+  std::vector<std::unique_ptr<TcpDveClient>> clients;
+  for (int i = 0; i < 51; ++i) {
+    auto c = std::make_unique<TcpDveClient>(bed->make_client_host(), bed->public_ip());
+    if (i == 25) c->set_active(SimTime::milliseconds(50), 48);
+    c->connect_to_zone(19);
+    clients.push_back(std::move(c));
+  }
+  bed->run_for(SimTime::seconds(1));
+  ASSERT_EQ(app_of(proc)->client_count(), 51u);
+
+  const std::uint64_t ticks = app_of(proc)->ticks();
+  const std::uint64_t reads = socket_reads();
+  bed->run_for(SimTime::seconds(2));
+  const std::uint64_t dticks = app_of(proc)->ticks() - ticks;
+  const std::uint64_t dreads = socket_reads() - reads;
+  // One 48-byte message per 50 ms from the active client, none from the
+  // other 50: at most one read per tick, where polling would make 51.
+  EXPECT_GE(dticks, 38u);
+  EXPECT_LE(dreads, dticks);
+  EXPECT_GE(dreads, dticks - 2);
+  for (stack::TcpSocket* s : client_sockets(*proc, app_of(proc)->listener_fd())) {
+    EXPECT_LE(s->bytes_available(), 48u);
+  }
 }
 
 // ----------------------------------------------------------------- GameServer

@@ -13,6 +13,7 @@
 #include "src/dve/population.hpp"
 #include "src/dve/testbed.hpp"
 #include "src/dve/zone_server.hpp"
+#include "src/obs/metrics.hpp"
 
 namespace dvemig {
 namespace {
@@ -269,6 +270,62 @@ TEST_F(LiveMigrationFixture, ListenerAcceptsNewClientsAfterMigration) {
   ASSERT_NE(moved, nullptr);
   EXPECT_EQ(static_cast<const dve::ZoneServerApp*>(moved->app().get())->client_count(),
             1u);
+}
+
+// Restored receive queues fire no readable callback: the restored server must
+// put each client holding bytes on its ready list itself, or these bytes would
+// sit unread until the client happened to send again.
+TEST_F(LiveMigrationFixture, RestoredUnreadClientBytesDrainOnFirstTick) {
+  dve::ZoneServerConfig zs;
+  zs.zone = 6;
+  zs.use_db = false;
+  zs.tick = SimTime::seconds(5);  // first tick only after the move completes
+  auto proc = dve::ZoneServerApp::launch(bed->node(0).node, zs);
+  const Pid pid = proc->pid();
+
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kBytes = 100;
+  std::vector<std::shared_ptr<stack::TcpSocket>> clients;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    auto& host = bed->make_client_host();
+    auto sock = host.stack().make_tcp();
+    sock->bind(host.addr(), 0);
+    sock->connect(net::Endpoint{bed->public_ip(), dve::zone_port(zs.zone)});
+    clients.push_back(std::move(sock));
+  }
+  bed->run_for(SimTime::milliseconds(300));
+  for (const auto& sock : clients) sock->send(Buffer(kBytes, 0x6B));  // and never again
+  bed->run_for(SimTime::milliseconds(200));
+
+  bool done = false;
+  ASSERT_TRUE(bed->node(0).migd.migrate(pid, bed->node(1).node.local_addr(),
+                                        SocketMigStrategy::incremental_collective,
+                                        [&](const MigrationStats& s) {
+                                          EXPECT_TRUE(s.success);
+                                          done = true;
+                                        }));
+  std::shared_ptr<proc::Process> moved;
+  while ((moved = bed->node(1).node.find(pid)) == nullptr || moved->frozen()) {
+    ASSERT_LT(bed->engine().now(), SimTime::seconds(4));
+    ASSERT_EQ(bed->engine().run(1), 1u);
+  }
+  const auto* app = static_cast<const dve::ZoneServerApp*>(moved->app().get());
+  ASSERT_EQ(app->ticks(), 0u);
+  std::vector<stack::TcpSocket*> restored;
+  for (const auto& [fd, file] : moved->files().entries()) {
+    if (fd == app->listener_fd() || file.kind != proc::FileKind::socket) continue;
+    restored.push_back(static_cast<stack::TcpSocket*>(file.socket.get()));
+  }
+  ASSERT_EQ(restored.size(), kClients);
+  for (const stack::TcpSocket* s : restored) EXPECT_EQ(s->bytes_available(), kBytes);
+
+  const obs::Counter& reads = obs::Registry::instance().counter("dve.socket_reads");
+  const std::uint64_t reads_before = reads.value();
+  while (app->ticks() == 0) ASSERT_EQ(bed->engine().run(1), 1u);
+  for (const stack::TcpSocket* s : restored) EXPECT_EQ(s->bytes_available(), 0u);
+  EXPECT_EQ(reads.value() - reads_before, kClients);
+  bed->run_for(SimTime::seconds(1));
+  EXPECT_TRUE(done);
 }
 
 TEST_F(LiveMigrationFixture, DbSessionContinuesViaTranslation) {
