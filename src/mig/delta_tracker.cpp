@@ -1,29 +1,32 @@
 #include "src/mig/delta_tracker.hpp"
 
+#include <bit>
+
 namespace dvemig::mig {
 
-// Both emitters serialize straight into the unified transfer buffer (the
-// paper's "one buffer, one transfer" collective design, DESIGN.md §12): the
-// record header is written blind with a zero flags placeholder, each section
-// is serialized at the buffer tail and hashed *in place*, and a section that
-// turns out unchanged is rolled back with truncate_to. No per-section scratch
-// writers, no second copy — the wire bytes are identical to the old
-// serialize-then-append encoding by construction.
+// TCP and UDP records go through one emitter, which serializes straight into
+// the unified transfer buffer (the paper's "one buffer, one transfer"
+// collective design, DESIGN.md §12): the record header is written blind with
+// a zero flags placeholder, each section is serialized at the buffer tail and
+// hashed *in place*, and a section that turns out unchanged is rolled back
+// with truncate_to. No per-section scratch writers, no second copy.
 
-SectionFlags SocketDeltaTracker::emit_tcp(const TcpImage& img, BinaryWriter& out,
-                                          bool force_all) {
+template <class Sections>
+SectionFlags SocketDeltaTracker::emit(net::IpProto proto, std::uint64_t key,
+                                      BinaryWriter& out, bool force_all,
+                                      const Sections& sections) {
   const std::size_t record_at = out.mark();
-  out.u8(static_cast<std::uint8_t>(net::IpProto::tcp));
-  out.u64(img.src_sock_key);
+  out.u8(static_cast<std::uint8_t>(proto));
+  out.u64(key);
   const std::size_t flags_at = out.mark();
   out.u8(0);  // SectionFlags, patched below once known
 
-  Entry& e = entries_[img.src_sock_key];
+  Entry& e = entries_[key];
   const bool keep_all = force_all || !e.have;
   SectionFlags flags = SectionFlags::none;
-
-  const auto section = [&](const auto& serialize, std::uint64_t& stored_hash,
-                           SectionFlags bit) {
+  sections([&](const auto& serialize, SectionFlags bit) {
+    std::uint64_t& stored_hash =
+        e.hash[static_cast<std::size_t>(std::countr_zero(static_cast<unsigned>(bit)))];
     const std::size_t at = out.mark();
     serialize();
     const std::uint64_t h = fnv1a(out.span_from(at));
@@ -32,11 +35,8 @@ SectionFlags SocketDeltaTracker::emit_tcp(const TcpImage& img, BinaryWriter& out
     } else {
       out.truncate_to(at);  // unchanged since last round: not sent
     }
-    stored_hash = h;  // always updated, matching the pre-rewrite tracker
-  };
-  section([&] { img.serialize_static(out); }, e.stat_hash, SectionFlags::stat);
-  section([&] { img.serialize_dynamic(out); }, e.dyn_hash, SectionFlags::dyn);
-  section([&] { img.serialize_queues(out); }, e.queues_hash, SectionFlags::queues);
+    stored_hash = h;  // a forced dump re-bases the next round's compare too
+  });
   e.have = true;
 
   if (flags == SectionFlags::none) {
@@ -47,43 +47,24 @@ SectionFlags SocketDeltaTracker::emit_tcp(const TcpImage& img, BinaryWriter& out
   return flags;
 }
 
-SectionFlags SocketDeltaTracker::emit_udp(const UdpImage& img, BinaryWriter& out,
+SectionFlags SocketDeltaTracker::emit_tcp(const TcpImage& img, BinaryWriter& out,
                                           bool force_all) {
-  const std::size_t record_at = out.mark();
-  out.u8(static_cast<std::uint8_t>(net::IpProto::udp));
-  out.u64(img.src_sock_key);
-  const std::size_t flags_at = out.mark();
-  out.u8(0);  // SectionFlags, patched below once known
-
-  Entry& e = entries_[img.src_sock_key];
-  const bool keep_all = force_all || !e.have;
-  SectionFlags flags = SectionFlags::none;
-
-  const auto section = [&](const auto& serialize, std::uint64_t& stored_hash,
-                           SectionFlags bit) {
-    const std::size_t at = out.mark();
-    serialize();
-    const std::uint64_t h = fnv1a(out.span_from(at));
-    if (keep_all || h != stored_hash) {
-      flags = flags | bit;
-    } else {
-      out.truncate_to(at);
-    }
-    stored_hash = h;
-  };
-  section([&] { img.serialize_static(out); }, e.stat_hash, SectionFlags::stat);
-  section([&] { img.serialize_queues(out); }, e.queues_hash, SectionFlags::queues);
-  e.have = true;
-
-  if (flags == SectionFlags::none) {
-    out.truncate_to(record_at);
-    return flags;
-  }
-  out.patch_u8(static_cast<std::uint8_t>(flags), flags_at);
-  return flags;
+  return emit(net::IpProto::tcp, img.src_sock_key, out, force_all,
+              [&](const auto& section) {
+                section([&] { img.serialize_static(out); }, SectionFlags::stat);
+                section([&] { img.serialize_dynamic(out); }, SectionFlags::dyn);
+                section([&] { img.serialize_queues(out); }, SectionFlags::queues);
+              });
 }
 
-void SocketDeltaTracker::drop(std::uint64_t key) { entries_.erase(key); }
+SectionFlags SocketDeltaTracker::emit_udp(const UdpImage& img, BinaryWriter& out,
+                                          bool force_all) {
+  return emit(net::IpProto::udp, img.src_sock_key, out, force_all,
+              [&](const auto& section) {
+                section([&] { img.serialize_static(out); }, SectionFlags::stat);
+                section([&] { img.serialize_queues(out); }, SectionFlags::queues);
+              });
+}
 
 void read_socket_record(BinaryReader& r, SocketStaging& staging) {
   const auto proto = static_cast<net::IpProto>(r.u8());

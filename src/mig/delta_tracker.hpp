@@ -6,6 +6,7 @@
 // collapses the freeze-phase byte count in Fig. 5c.
 #pragma once
 
+#include <array>
 #include <unordered_map>
 
 #include "src/mig/socket_image.hpp"
@@ -20,18 +21,17 @@ class SocketDeltaTracker {
   SectionFlags emit_tcp(const TcpImage& img, BinaryWriter& out, bool force_all);
   SectionFlags emit_udp(const UdpImage& img, BinaryWriter& out, bool force_all);
 
-  /// Forget a socket (closed mid-precopy).
-  void drop(std::uint64_t key);
-
-  std::size_t tracked() const { return entries_.size(); }
-
  private:
   struct Entry {
     bool have{false};
-    std::uint64_t stat_hash{0};
-    std::uint64_t dyn_hash{0};
-    std::uint64_t queues_hash{0};
+    std::array<std::uint64_t, 3> hash{};  // per section, by SectionFlags bit
   };
+
+  /// The record both protocols share. `sections(section)` must call
+  /// `section(serialize, bit)` once per section of the protocol, in wire order.
+  template <class Sections>
+  SectionFlags emit(net::IpProto proto, std::uint64_t key, BinaryWriter& out,
+                    bool force_all, const Sections& sections);
 
   std::unordered_map<std::uint64_t, Entry> entries_;
 };

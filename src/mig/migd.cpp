@@ -180,6 +180,19 @@ void enable_socket(stack::NetStack& st,
   }
 }
 
+/// Point a socket at another remote endpoint without rehashing it: the
+/// freeze retargets disabled sockets whose peer moved, and a failed migration
+/// points them back.
+void set_remote(stack::Socket& sock, net::Endpoint remote) {
+  if (sock.type() == stack::SocketType::tcp) {
+    auto& tcp = static_cast<stack::TcpSocket&>(sock);
+    tcp.set_endpoints(tcp.local(), remote);
+  } else {
+    auto& udp = static_cast<stack::UdpSocket&>(sock);
+    udp.set_endpoints(udp.local(), remote, udp.cb().bound, udp.cb().connected);
+  }
+}
+
 /// A TCP socket is skippable in a precopy round if the user currently holds it
 /// (Section V-C1: "the socket tracking mechanism during the precopy phase simply
 /// omits sockets that are locked or being used for fast-path receiving").
@@ -222,8 +235,8 @@ class ShardedCost {
   std::int64_t elapsed_ns_{0};
 };
 
-/// What both session roles share: the owning daemon, its node, and the
-/// continuations that pay for kernel work.
+/// What both session roles share: the owning daemon, its node, the
+/// continuations that pay for kernel work, and span-handle closing.
 template <class Self>
 class Session : public std::enable_shared_from_this<Self> {
  protected:
@@ -248,6 +261,12 @@ class Session : public std::enable_shared_from_this<Self> {
                               (void)self;
                               fn();
                             });
+  }
+
+  /// End a span handle if it is still open; zero the handle either way.
+  static void close_span(obs::SpanId& id) {
+    if (id != 0) tracer().end(id);
+    id = 0;
   }
 
   Migd* owner_;
@@ -289,7 +308,6 @@ void Transd::on_readable() {
           node_->cpu().account(kKernelPid,
                                SimTime::nanoseconds(cm_.translation_install_ns));
           translation_->install(rule, fix_dst_cache_);
-          served_ += 1;
           BinaryWriter ack;
           ack.u64(req_id);
           sock_->send_to(requester, ack.take());
@@ -393,12 +411,6 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
     });
   }
 
-  /// End a span handle if it is still open; zero the handle either way.
-  void close_span(obs::SpanId& id) {
-    if (id != 0) tracer().end(id);
-    id = 0;
-  }
-
   /// Close the transport (sending mig_abort first if `abort`) and count its
   /// stripe traffic.
   void close_transport(bool abort) {
@@ -422,14 +434,7 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
     for (const MigSocket& ms : sockets_) {
       if (ms.sock->migration_disabled() &&
           ms.effective_remote != ms.orig_remote) {
-        if (ms.sock->type() == stack::SocketType::tcp) {
-          auto& tcp = static_cast<stack::TcpSocket&>(*ms.sock);
-          tcp.set_endpoints(tcp.local(), ms.orig_remote);
-        } else {
-          auto& udp = static_cast<stack::UdpSocket&>(*ms.sock);
-          udp.set_endpoints(udp.local(), ms.orig_remote, udp.cb().bound,
-                            udp.cb().connected);
-        }
+        set_remote(*ms.sock, ms.orig_remote);
       }
       enable_socket(node_->stack(), ms.sock);
     }
@@ -764,14 +769,7 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
   void disable_for_migration(const MigSocket& ms) {
     disable_socket(node_->stack(), *ms.sock);
     if (ms.effective_remote != ms.orig_remote) {
-      if (ms.sock->type() == stack::SocketType::tcp) {
-        static_cast<stack::TcpSocket&>(*ms.sock)
-            .set_endpoints(ms.sock->local(), ms.effective_remote);
-      } else {
-        auto& udp = static_cast<stack::UdpSocket&>(*ms.sock);
-        udp.set_endpoints(udp.local(), ms.effective_remote, udp.cb().bound,
-                          udp.cb().connected);
-      }
+      set_remote(*ms.sock, ms.effective_remote);
     }
   }
 
@@ -1010,6 +1008,15 @@ class Migd::DestSession : public Session<Migd::DestSession> {
   DestSession(Migd& owner, stack::TcpSocket::Ptr conn)
       : Session(owner), sock_(std::move(conn)) {}
 
+  /// One accepted connection's lifecycle, mirrored by the mig.receive span
+  /// (mig.restore nested inside) on this node's migd.dst track:
+  ///   open -> receiving (mig_begin) -> restoring (process_image)
+  ///        -> resumed (process adopted, resume_done sent) -> retired,
+  /// and any phase -> retired on failure. A stripe feeder goes straight from
+  /// open to retired. Every write sits next to the span operation that
+  /// covers the same instant (tools/lint_dvemig.py enforces the pairing).
+  enum class Phase : std::uint8_t { open, receiving, restoring, resumed, retired };
+
   void begin() {
     channel_ = std::make_unique<FrameChannel>(sock_);
     channel_->set_on_frame(
@@ -1028,7 +1035,10 @@ class Migd::DestSession : public Session<Migd::DestSession> {
     sock_->set_on_reset([self = shared_from_this()] {
       self->teardown("source connection reset", /*notify_peer=*/false);
     });
+    // After resume the source's FIN is the normal end of the connection:
+    // answer it at once, then retire.
     sock_->set_on_peer_closed([self = shared_from_this()] {
+      if (self->phase_ == Phase::resumed) self->sock_->close();
       self->teardown("source closed before restore", /*notify_peer=*/false);
     });
   }
@@ -1049,53 +1059,24 @@ class Migd::DestSession : public Session<Migd::DestSession> {
   }
 
  private:
-  /// Common failure teardown: drop armed capture filters, optionally tell the
-  /// peer, close and retire the session. Idempotent — the abort, reset and
-  /// peer-closed paths can all fire for the same dead migration. The release
-  /// is deferred one event because this runs inside channel/socket callbacks.
-  void teardown(const char* why, bool notify_peer) {
-    if (tearing_down_) return;
-    if (is_feeder_) {
-      // A stripe feeder owns no capture session or staged state; retire
-      // quietly. But a feeder dying mid-migration (channel error, reset) dooms
-      // the main session's transfer — propagate before retiring. After the
-      // main session resumed (or already died) this is the normal close path.
-      tearing_down_ = true;
-      DVEMIG_DEBUG("migd", "stripe feeder %u on %s retired: %s",
-                   static_cast<unsigned>(stripe_index_), node_->name().c_str(),
-                   why);
-      if (auto main = owner_->find_dest_main(mig_id_)) {
-        main->teardown("stripe channel lost", notify_peer);
-      }
-      engine().schedule_after(SimTime::zero(), [self = shared_from_this()] {
-        self->sock_->close();
-        self->detach_callbacks();
-        self->owner_->release_dest_session(self.get());
-      });
-      return;
-    }
-    if (resumed_) {
-      // The migration is already committed on this side — the process is
-      // adopted and running, captured packets reinjected. A channel error now
-      // (source crash after resume_done, or this daemon's own send failing)
-      // only means the graceful peer-closed handshake will never happen, so
-      // retire the session quietly instead of aborting anything.
-      tearing_down_ = true;
-      engine().schedule_after(SimTime::zero(), [self = shared_from_this()] {
-        self->sock_->close();
-        self->detach_callbacks();
-        self->owner_->release_dest_session(self.get());
-      });
-      return;
-    }
-    tearing_down_ = true;
-    DVEMIG_WARN("migd", "dest session on %s torn down: %s",
-                node_->name().c_str(), why);
-    if (notify_peer && (sock_->state() == stack::TcpState::established ||
-                        sock_->state() == stack::TcpState::close_wait)) {
-      channel_->send(MsgType::mig_abort, Buffer{});
-    }
+  /// The migration is over on this side, committed or not: frames still in
+  /// flight belong to a migration that no longer exists.
+  bool ended() const { return phase_ == Phase::resumed || phase_ == Phase::retired; }
+
+  /// The one way out of a session. Closes the spans (recording `error` on
+  /// mig.receive first), retires, optionally answers mig_abort, and releases
+  /// the session on a fresh event, since this runs inside channel and socket
+  /// callbacks. The phase changes before the send because a fault-injected
+  /// kill inside it re-enters teardown() synchronously.
+  void retire(const char* error = nullptr, bool send_abort = false) {
+    if (error != nullptr) tracer().attr(span_receive_, "error", error);
+    close_span(span_restore_);
+    close_span(span_receive_);
+    phase_ = Phase::retired;
+    if (send_abort) channel_->send(MsgType::mig_abort, Buffer{});
     engine().schedule_after(SimTime::zero(), [self = shared_from_this()] {
+      // A no-op for feeders (capture session ids start at 1) and for
+      // committed sessions (finish_session already erased theirs).
       self->owner_->capture_.abort_session(self->capture_session_);
       self->sock_->close();
       self->detach_callbacks();
@@ -1103,15 +1084,40 @@ class Migd::DestSession : public Session<Migd::DestSession> {
     });
   }
 
+  /// Every failure and every end of the connection lands here. Idempotent:
+  /// the abort, reset and peer-closed paths can all fire for one migration.
+  void teardown(const char* why, bool notify_peer) {
+    if (phase_ == Phase::retired) return;
+    if (is_feeder_) {
+      // A feeder owns no capture session or staged state, but its death
+      // mid-migration (channel error, reset) dooms the main session's
+      // transfer, so the main goes first. After the main resumed this is the
+      // normal close path and the main retires quietly.
+      DVEMIG_DEBUG("migd", "stripe feeder %u on %s retired: %s",
+                   static_cast<unsigned>(stripe_index_), node_->name().c_str(),
+                   why);
+      if (auto main = owner_->find_dest_main(mig_id_)) {
+        main->teardown("stripe channel lost", notify_peer);
+      }
+      return retire();
+    }
+    // Committed on this side (process adopted and running, captured packets
+    // reinjected): a channel error or the source's close only ends the
+    // connection; there is nothing to abort.
+    if (phase_ == Phase::resumed) return retire();
+    DVEMIG_WARN("migd", "dest session on %s torn down: %s",
+                node_->name().c_str(), why);
+    retire(why, notify_peer && (sock_->state() == stack::TcpState::established ||
+                                sock_->state() == stack::TcpState::close_wait));
+  }
+
   void on_frame(MsgType type, BinaryReader& r) {
-    // A retired (or retiring) session can still see frames already in flight;
-    // they belong to a migration that no longer exists.
-    if (tearing_down_ || resumed_) return;
+    if (ended()) return;
     if (is_feeder_) return on_feeder_frame(type, r);
     if (type == MsgType::stripe_hello) {
       // A stripe channel's opening frame turns this session into a feeder: it
       // owns no migration state and forwards segments to the main session.
-      if (begun_) {
+      if (phase_ != Phase::open) {
         teardown("stripe_hello on main channel", /*notify_peer=*/true);
         return;
       }
@@ -1134,8 +1140,8 @@ class Migd::DestSession : public Session<Migd::DestSession> {
   /// Segments from any channel of this migration (the primary's arrive via
   /// on_frame, the feeders' are forwarded) meet in the reassembler.
   void on_stripe_segment(BinaryReader& r) {
-    if (tearing_down_ || resumed_) return;
-    if (!begun_ || !reasm_) {
+    if (ended()) return;
+    if (phase_ == Phase::open || !reasm_) {
       teardown("unexpected stripe segment", /*notify_peer=*/true);
       return;
     }
@@ -1169,22 +1175,32 @@ class Migd::DestSession : public Session<Migd::DestSession> {
     for (const Buffer& seg : parked_segments_) {
       BinaryReader r({seg.data(), seg.size()});
       main.on_stripe_segment(r);
-      if (main.tearing_down_) break;
+      if (main.ended()) break;
     }
     parked_segments_.clear();
   }
 
   void on_logical_frame(MsgType type, BinaryReader& r) {
-    if (tearing_down_ || resumed_) return;
+    if (ended()) return;
+    // mig_begin opens the migration and mig_abort may end it at any point;
+    // every other frame needs the session mig_begin sets up.
+    if (phase_ == Phase::open && type != MsgType::mig_begin &&
+        type != MsgType::mig_abort) {
+      const std::string why = std::string(msg_type_name(type)) + " before mig_begin";
+      teardown(why.c_str(), /*notify_peer=*/true);
+      return;
+    }
     switch (type) {
       case MsgType::mig_begin: {
-        if (begun_) {
+        if (phase_ != Phase::open) {
           // A duplicated mig_begin must not re-arm: begin_session() again
           // would orphan the first capture session and every spec in it.
           teardown("duplicate mig_begin", /*notify_peer=*/true);
           return;
         }
-        begun_ = true;
+        obs_track_ = tracer().track(node_->name() + "/migd.dst");
+        span_receive_ = tracer().begin(obs_track_, "mig.receive");
+        phase_ = Phase::receiving;
         pid_ = Pid{r.u32()};
         (void)r.str();  // process name
         (void)r.u8();   // socket strategy
@@ -1193,6 +1209,7 @@ class Migd::DestSession : public Session<Migd::DestSession> {
           mig_id_ = r.u64();
           stripe_count_ = std::max<int>(1, r.u8());
         }
+        tracer().attr(span_receive_, "pid", std::to_string(pid_.value));
         // The capture session must exist before any parked stripe segment is
         // replayed below — a parked capture_request would otherwise arm
         // against session 0.
@@ -1200,7 +1217,7 @@ class Migd::DestSession : public Session<Migd::DestSession> {
         if (stripe_count_ > 1) {
           reasm_ = std::make_unique<StripeReassembler>(
               [this](MsgType t, BinaryReader& rr) {
-                if (tearing_down_ || resumed_) return;
+                if (ended()) return;
                 // Re-report the reassembled logical frame so the protocol
                 // checker sees the same inbound stream as at degree 1.
                 FrameChannel::notify_frame(*channel_, /*outbound=*/false, t,
@@ -1220,10 +1237,6 @@ class Migd::DestSession : public Session<Migd::DestSession> {
         return;
       }
       case MsgType::capture_request: {
-        if (!begun_) {
-          teardown("capture_request before mig_begin", /*notify_peer=*/true);
-          return;
-        }
         const std::uint32_t n = r.u32();
         DVEMIG_EXPECTS(n <= r.remaining());  // each spec consumes >= 1 byte
         std::vector<CaptureSpec> specs;
@@ -1237,7 +1250,7 @@ class Migd::DestSession : public Session<Migd::DestSession> {
               [this, specs = std::move(specs)] {
                 // An abort can land while the filters are being installed;
                 // arming against the already-dropped session would crash.
-                if (tearing_down_) return;
+                if (phase_ == Phase::retired) return;
                 if (mutation() != ProtocolMutation::skip_capture_arm) {
                   for (const CaptureSpec& s : specs) {
                     owner_->capture_.add_spec(capture_session_, s);
@@ -1248,10 +1261,6 @@ class Migd::DestSession : public Session<Migd::DestSession> {
         return;
       }
       case MsgType::socket_state: {
-        if (!begun_) {
-          teardown("socket_state before mig_begin", /*notify_peer=*/true);
-          return;
-        }
         socket_bytes_ += r.remaining() + 1;
         const std::uint32_t n = r.u32();
         (void)n;
@@ -1262,25 +1271,18 @@ class Migd::DestSession : public Session<Migd::DestSession> {
         return;
       }
       case MsgType::memory_delta: {
-        if (!begun_) {
-          teardown("memory_delta before mig_begin", /*notify_peer=*/true);
-          return;
-        }
         const ckpt::MemoryDelta delta = ckpt::MemoryDelta::deserialize(r);
         pages_received_ += delta.dirty_pages.size();
         return;
       }
       case MsgType::process_image: {
-        if (!begun_ || restore_pending_) {
-          teardown(restore_pending_ ? "duplicate process_image"
-                                    : "process_image before mig_begin",
-                   /*notify_peer=*/true);
+        if (phase_ == Phase::restoring) {
+          teardown("duplicate process_image", /*notify_peer=*/true);
           return;
         }
-        restore_pending_ = true;
+        span_restore_ = tracer().begin(obs_track_, "mig.restore");
+        phase_ = Phase::restoring;
         img_ = ckpt::ProcessImage::deserialize(r);
-        span_restore_ = tracer().begin(
-            tracer().track(node_->name() + "/migd.dst"), "mig.restore");
         tracer().attr(span_restore_, "pid", std::to_string(img_.pid.value));
         // Restore workers mirror the source's pool: socket reconstruction
         // shards across stripe_count_ workers, metadata stays serial.
@@ -1311,7 +1313,7 @@ class Migd::DestSession : public Session<Migd::DestSession> {
     // The session can be torn down (abort, source crash) while the restore
     // cost was being paid; restoring from a dropped capture session would
     // resurrect a migration both sides consider dead.
-    if (tearing_down_) return;
+    if (phase_ == Phase::retired) return;
     DVEMIG_DEBUG("migd", "pid %u restore on %s: %zu staged sockets, %llu socket "
                  "bytes, %llu pages",
                  img_.pid.value, node_->name().c_str(), staging_.size(),
@@ -1366,11 +1368,13 @@ class Migd::DestSession : public Session<Migd::DestSession> {
 
     tracer().attr(span_restore_, "sockets", std::to_string(staging_.size()));
     tracer().attr(span_restore_, "reinjected", std::to_string(reinjected));
-    tracer().end(span_restore_);
-    span_restore_ = 0;
+    close_span(span_restore_);
+    close_span(span_receive_);
+    phase_ = Phase::resumed;
     MigMetrics::get().restores.add(1);
-    resumed_ = true;
 
+    // The source closes the connection once it has this, and the peer-closed
+    // handler installed in begin() retires the session.
     BinaryWriter w;
     w.i64(engine().now().ns);
     w.u64(captured);
@@ -1380,36 +1384,22 @@ class Migd::DestSession : public Session<Migd::DestSession> {
     if (mutation() == ProtocolMutation::double_resume_done) {
       channel_->send(MsgType::resume_done, done_payload);
     }
-
-    // Let the peer close first; drop our reference afterwards. The detach is
-    // deferred one event because this handler is itself one of the callbacks
-    // detach_callbacks() clears.
-    sock_->set_on_peer_closed([self = shared_from_this()] {
-      if (self->tearing_down_) return;
-      self->tearing_down_ = true;
-      self->sock_->close();
-      self->engine().schedule_after(SimTime::zero(), [self] {
-        self->detach_callbacks();
-        self->owner_->release_dest_session(self.get());
-      });
-    });
   }
 
   stack::TcpSocket::Ptr sock_;
   std::unique_ptr<FrameChannel> channel_;
 
+  Phase phase_{Phase::open};
   Pid pid_{};
   net::Ipv4Addr src_local_{};
   std::uint64_t capture_session_{0};
-  bool begun_{false};           // mig_begin received
-  bool restore_pending_{false};  // process_image received, restore scheduled
-  bool resumed_{false};          // restore complete, resume_done sent
-  bool tearing_down_{false};     // failure teardown scheduled
 
   SocketStaging staging_;
   std::uint64_t socket_bytes_{0};
   std::uint64_t pages_received_{0};
   ckpt::ProcessImage img_;
+  std::uint32_t obs_track_{0};
+  obs::SpanId span_receive_{0};
   obs::SpanId span_restore_{0};
 
   // --- striped transfer (a parallel source) ---
@@ -1467,8 +1457,9 @@ void Migd::release_dest_session(DestSession* session) {
 std::shared_ptr<Migd::DestSession> Migd::find_dest_main(std::uint64_t mig_id) {
   if (mig_id == 0) return nullptr;
   for (const auto& s : dst_sessions_) {
-    if (!s->is_feeder_ && s->begun_ && s->mig_id_ == mig_id &&
-        !s->tearing_down_) {
+    if (!s->is_feeder_ && s->mig_id_ == mig_id &&
+        s->phase_ != DestSession::Phase::open &&
+        s->phase_ != DestSession::Phase::retired) {
       return s;
     }
   }
@@ -1481,7 +1472,8 @@ void Migd::for_each_feeder(std::uint64_t mig_id,
   // Copy first: fn may mutate dst_sessions_ (e.g. by tearing a feeder down).
   std::vector<std::shared_ptr<DestSession>> feeders;
   for (const auto& s : dst_sessions_) {
-    if (s->is_feeder_ && s->mig_id_ == mig_id && !s->tearing_down_) {
+    if (s->is_feeder_ && s->mig_id_ == mig_id &&
+        s->phase_ != DestSession::Phase::retired) {
       feeders.push_back(s);
     }
   }

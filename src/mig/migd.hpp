@@ -106,8 +106,6 @@ class Transd {
   /// peer socket's destination-cache entry (reproduces the Section V-D bug).
   void set_fix_dst_cache(bool v) { fix_dst_cache_ = v; }
 
-  std::uint64_t requests_served() const { return served_; }
-
  private:
   void on_readable();
 
@@ -116,7 +114,6 @@ class Transd {
   CostModel cm_;
   std::shared_ptr<stack::UdpSocket> sock_;
   bool fix_dst_cache_{true};
-  std::uint64_t served_{0};
 };
 
 class Migd {

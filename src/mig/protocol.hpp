@@ -130,7 +130,6 @@ class FrameChannel {
   void send(MsgType type, BinaryWriter&& payload) { send(type, payload.buffer()); }
 
   stack::TcpSocket& socket() { return *sock_; }
-  const stack::TcpSocket::Ptr& socket_ptr() const { return sock_; }
 
   std::uint64_t bytes_sent() const { return bytes_sent_; }
   /// True once malformed input poisoned the receive side.

@@ -153,18 +153,6 @@ struct UdpImage {
   void deserialize_queues(BinaryReader& r);
 };
 
-/// A socket image of either protocol, as stored by the destination's staging area.
-struct SocketImage {
-  net::IpProto proto{net::IpProto::tcp};
-  TcpImage tcp;
-  UdpImage udp;
-
-  Fd fd() const { return proto == net::IpProto::tcp ? tcp.fd : udp.fd; }
-  std::uint64_t key() const {
-    return proto == net::IpProto::tcp ? tcp.src_sock_key : udp.src_sock_key;
-  }
-};
-
 // ---------------------------------------------------------------- extraction
 
 /// Snapshot a TCP socket (including nested accept-queue children for listeners).

@@ -100,7 +100,8 @@ class SerializerSymmetry(unittest.TestCase):
 
 
 class PhaseSpanMultiline(unittest.TestCase):
-    """The phase-span rule must see assignments that wrap across lines."""
+    """The phase-span rule must see assignments that wrap across lines, and
+    only real span operations may satisfy it."""
 
     def lint_snippet(self, body: str) -> str:
         with tempfile.TemporaryDirectory() as tmp:
@@ -130,6 +131,41 @@ class PhaseSpanMultiline(unittest.TestCase):
             "}\n"
         )
         self.assertNotIn("[phase-span]", out)
+
+    def test_comment_mentioning_span_is_not_a_span_op(self) -> None:
+        out = self.lint_snippet(
+            "void f() {\n"
+            "  /* the receive span closes with this phase */\n"
+            "  phase_ = Phase::retired;\n"
+            "}\n"
+        )
+        self.assertIn("[phase-span]", out)
+
+    def test_unrelated_span_call_is_not_a_span_op(self) -> None:
+        out = self.lint_snippet(
+            "void f(BinaryReader& r) {\n"
+            "  const auto rest = r.span(r.remaining());\n"
+            "  phase_ = Phase::receiving;\n"
+            "}\n"
+        )
+        self.assertIn("[phase-span]", out)
+
+    def test_each_real_span_op_passes(self) -> None:
+        for op in (
+            'OBS_SPAN("mig.x");',
+            'span_x_ = tracer().begin(track, "mig.x");',
+            "tracer().begin_at(track, name, t);",
+            "tracer().end(span_x_);",
+            "tracer().end_at(span_x_, t);",
+            'tracer().attr(span_x_, "k", "v");',
+            "close_span(span_x_);",
+            "span_x_ = 0;",
+        ):
+            with self.subTest(op=op):
+                out = self.lint_snippet(
+                    "void f() {\n  " + op + "\n  phase_ = Phase::done;\n}\n"
+                )
+                self.assertNotIn("[phase-span]", out)
 
 
 class NoLinearFilterScan(unittest.TestCase):

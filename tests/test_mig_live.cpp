@@ -507,7 +507,8 @@ TEST_F(LiveMigrationFixture, FreezeSpanMatchesStatsAndTraceExports) {
 
   // The whole phase tree completed, on both the source and destination tracks.
   for (const char* name : {"mig.total", "mig.precopy", "mig.precopy_round",
-                           "mig.capture_arm", "mig.final_transfer", "mig.restore"}) {
+                           "mig.capture_arm", "mig.final_transfer", "mig.receive",
+                           "mig.restore"}) {
     EXPECT_NE(tracer.last_completed(name), nullptr) << name;
   }
   EXPECT_EQ(tracer.open_count(), 0u);

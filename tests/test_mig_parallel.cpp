@@ -5,10 +5,13 @@
 //  - stripe frames on the wire only at parallelism > 1;
 //  - the headline equivalence property: parallelism in {1, 2, 8} produces
 //    byte-identical process and socket images on the destination and identical
-//    MigrationStats byte counts, for both stop-and-copy and live precopy.
+//    MigrationStats byte counts, for both stop-and-copy and live precopy;
+//  - the destination lifecycle of a striped migration: main and feeder
+//    sessions all released, success or failure, with the mig.receive span.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "src/mig/migd.hpp"
 #include "src/mig/protocol.hpp"
 #include "src/mig/socket_image.hpp"
+#include "src/obs/span.hpp"
 
 namespace dvemig {
 namespace {
@@ -337,55 +341,81 @@ struct DegreeRun {
   Buffer sockets;
 };
 
+/// Two nodes with 4-rail cluster links, a zone server on node 0 and one idle
+/// client. The workload is deliberately static (a zone tick that never fires,
+/// an idle client): every state difference at a fixed sample instant is caused
+/// by the data path itself.
+struct StaticZone {
+  dve::Testbed bed{config()};
+  Pid pid{};
+  std::optional<dve::TcpDveClient> client;
+
+  StaticZone() {
+    dve::ZoneServerConfig zs;
+    zs.zone = 1;
+    zs.tick = SimTime::seconds(100);  // never fires within the run
+    zs.use_db = false;
+    zs.heap_bytes = 1ull << 20;
+    zs.code_bytes = 128ull << 10;
+    zs.libs_bytes = 128ull << 10;
+    zs.stack_bytes = 32ull << 10;
+    pid = dve::ZoneServerApp::launch(bed.node(0).node, zs)->pid();
+    client.emplace(bed.make_client_host(), bed.public_ip());
+    client->connect_to_zone(1);
+    bed.run_for(SimTime::milliseconds(200));
+  }
+
+  static dve::TestbedConfig config() {
+    dve::TestbedConfig cfg;
+    cfg.dve_nodes = 2;
+    cfg.with_db = false;
+    cfg.start_conductors = false;
+    cfg.cluster_link.rails = 4;
+    return cfg;
+  }
+
+  /// Migrate node 0 -> node 1 at `degree` and run to the 2 s mark.
+  std::optional<mig::MigrationStats> migrate(int degree, bool live) {
+    mig::MigrateOptions opts;
+    opts.strategy = mig::SocketMigStrategy::incremental_collective;
+    opts.live = live;
+    opts.config.parallelism = degree;
+    std::optional<mig::MigrationStats> out;
+    EXPECT_TRUE(bed.node(0).migd.migrate(
+        pid, bed.node(1).node.local_addr(), opts,
+        [&](const mig::MigrationStats& s) { out = s; }));
+    bed.run_until(SimTime::seconds(2));
+    return out;
+  }
+
+  /// No migration state left on either daemon: no source session, no
+  /// destination session (main or stripe feeder), no armed capture session.
+  void expect_quiescent() {
+    for (std::size_t i = 0; i < 2; ++i) {
+      mig::Migd& migd = bed.node(i).migd;
+      EXPECT_EQ(migd.src_phase(), -1) << "node " << i;
+      EXPECT_EQ(migd.dest_session_count(), 0u) << "node " << i;
+      EXPECT_EQ(migd.capture().active_sessions(), 0u) << "node " << i;
+    }
+  }
+};
+
 /// One migration at `degree`, sampled at the same absolute sim time for every
-/// degree. The workload is deliberately static (a zone tick that never fires,
-/// an idle client): every state difference at the fixed sample instant would
-/// be caused by the data path itself, which must not leak into the image.
+/// degree.
 DegreeRun run_degree(int degree, bool live) {
-  dve::TestbedConfig cfg;
-  cfg.dve_nodes = 2;
-  cfg.with_db = false;
-  cfg.start_conductors = false;
-  cfg.cluster_link.rails = 4;
-  dve::Testbed bed(cfg);
+  StaticZone z;
   // Restore-time jiffies adjustment depends on when the restore runs — which
   // is exactly what varies across degrees. Disable it so the images compare.
-  bed.node(1).migd.set_adjust_timestamps(false);
-
-  dve::ZoneServerConfig zs;
-  zs.zone = 1;
-  zs.tick = SimTime::seconds(100);  // never fires within the run
-  zs.use_db = false;
-  zs.heap_bytes = 1ull << 20;
-  zs.code_bytes = 128ull << 10;
-  zs.libs_bytes = 128ull << 10;
-  zs.stack_bytes = 32ull << 10;
-  auto proc = dve::ZoneServerApp::launch(bed.node(0).node, zs);
-  const Pid pid = proc->pid();
-
-  dve::TcpDveClient client(bed.make_client_host(), bed.public_ip());
-  client.connect_to_zone(1);
-  bed.run_for(SimTime::milliseconds(200));
-
-  mig::MigrateOptions opts;
-  opts.strategy = mig::SocketMigStrategy::incremental_collective;
-  opts.live = live;
-  opts.config.parallelism = degree;
+  z.bed.node(1).migd.set_adjust_timestamps(false);
 
   DegreeRun out;
-  bool done = false;
-  EXPECT_TRUE(bed.node(0).migd.migrate(
-      pid, bed.node(1).node.local_addr(), opts,
-      [&](const mig::MigrationStats& s) {
-        out.stats = s;
-        done = true;
-      }));
-  bed.run_until(SimTime::seconds(2));
-  EXPECT_TRUE(done) << "degree " << degree;
+  const auto stats = z.migrate(degree, live);
+  EXPECT_TRUE(stats.has_value()) << "degree " << degree;
+  if (stats) out.stats = *stats;
   EXPECT_TRUE(out.stats.success) << "degree " << degree;
   EXPECT_EQ(out.stats.parallelism, degree);
 
-  auto moved = bed.node(1).node.find(pid);
+  auto moved = z.bed.node(1).node.find(z.pid);
   EXPECT_NE(moved, nullptr);
   if (moved != nullptr) {
     out.image = normalized_image(*moved);
@@ -484,6 +514,91 @@ TEST(ParallelWire, StripeFramesAppearOnlyAboveDegreeOne) {
     EXPECT_EQ(tap.hellos_out, 7);  // one per secondary channel
     EXPECT_GT(tap.segs_out, 0u);
   }
+}
+
+// ================================================ destination session lifecycle
+
+bool has_attr(const obs::Span& s, const std::string& key) {
+  return std::any_of(s.attrs.begin(), s.attrs.end(),
+                     [&](const auto& kv) { return kv.first == key; });
+}
+
+/// The destination track carries mig.receive with mig.restore nested inside.
+void expect_restore_inside_receive(const obs::Tracer& tracer) {
+  const obs::Span* receive = tracer.last_completed("mig.receive");
+  const obs::Span* restore = tracer.last_completed("mig.restore");
+  ASSERT_NE(receive, nullptr);
+  ASSERT_NE(restore, nullptr);
+  EXPECT_NE(tracer.track_names().at(receive->track).find("/migd.dst"),
+            std::string::npos);
+  EXPECT_EQ(restore->track, receive->track);
+  EXPECT_EQ(restore->depth, receive->depth + 1);
+  EXPECT_GE(restore->t_begin_ns, receive->t_begin_ns);
+  EXPECT_LE(restore->t_end_ns, receive->t_end_ns);
+}
+
+TEST(ParallelLifecycle, StripedMigrationLeavesBothDaemonsQuiescent) {
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.clear();
+  StaticZone z;
+  const auto stats = z.migrate(4, /*live=*/true);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_TRUE(stats->success);
+  // The main session and its three stripe feeders are all released, whichever
+  // of their connections the source closed first.
+  z.expect_quiescent();
+
+  expect_restore_inside_receive(tracer);
+  const obs::Span* receive = tracer.last_completed("mig.receive");
+  ASSERT_NE(receive, nullptr);
+  EXPECT_FALSE(has_attr(*receive, "error"));
+  EXPECT_EQ(tracer.open_count(), 0u);
+  tracer.clear();
+}
+
+/// Kills the first stripe channel (one that opened with stripe_hello) to send
+/// a stripe_seg: the source daemon "crashes" on that connection mid-transfer.
+struct KillFirstStripeSeg : FrameChannel::FaultHook {
+  std::vector<const FrameChannel*> stripes;
+  int kills{0};
+
+  FrameChannel::FaultAction on_send(const FrameChannel& ch, MsgType type,
+                                    std::size_t /*payload_len*/) override {
+    if (type == MsgType::stripe_hello) stripes.push_back(&ch);
+    if (type != MsgType::stripe_seg || kills > 0 ||
+        std::find(stripes.begin(), stripes.end(), &ch) == stripes.end()) {
+      return FrameChannel::FaultAction::pass;
+    }
+    kills += 1;
+    return FrameChannel::FaultAction::kill;
+  }
+};
+
+TEST(ParallelLifecycle, KilledStripeChannelFailsCleanly) {
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.clear();
+  StaticZone z;
+  KillFirstStripeSeg hook;
+  FrameChannel::set_fault_hook(&hook);
+  const auto stats = z.migrate(4, /*live=*/true);
+  FrameChannel::set_fault_hook(nullptr);
+  EXPECT_EQ(hook.kills, 1);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_FALSE(stats->success);
+
+  // The process runs on the source only.
+  const auto src = z.bed.node(0).node.find(z.pid);
+  ASSERT_NE(src, nullptr);
+  EXPECT_FALSE(src->frozen());
+  EXPECT_EQ(z.bed.node(1).node.find(z.pid), nullptr);
+  z.expect_quiescent();
+
+  // The destination's receive span ends with the failure recorded on it.
+  const obs::Span* receive = tracer.last_completed("mig.receive");
+  ASSERT_NE(receive, nullptr);
+  EXPECT_TRUE(has_attr(*receive, "error"));
+  EXPECT_EQ(tracer.open_count(), 0u);
+  tracer.clear();
 }
 
 }  // namespace

@@ -4,9 +4,12 @@
 // mig_abort at the migd layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "src/check/verifier.hpp"
+#include "src/common/log.hpp"
 #include "src/dve/testbed.hpp"
 #include "src/mig/protocol.hpp"
 #include "src/net/switch.hpp"
@@ -260,32 +263,141 @@ TEST(MalformedFrame, DuplicateCaptureEnabledTripsProtocolChecker) {
   EXPECT_EQ(verify.violations().front().rule, "protocol.capture-enabled-unrequested");
 }
 
-// The migd layer's reaction to a poisoned inbound stream: answer mig_abort so
-// the source fails fast instead of hanging on a dead destination.
-TEST(MalformedFrame, MigdAnswersGarbageWithMigAbort) {
-  dve::TestbedConfig cfg;
-  cfg.dve_nodes = 2;
-  cfg.with_db = false;
-  cfg.start_conductors = false;
-  dve::Testbed bed{cfg};
+// One well-formed frame as it appears on the wire: length, type, payload.
+void put_frame(BinaryWriter& w, MsgType type, const Buffer& payload) {
+  w.u32(static_cast<std::uint32_t>(payload.size() + 1));
+  w.u8(static_cast<std::uint8_t>(type));
+  w.bytes(payload);
+}
 
-  auto raw = bed.node(1).node.stack().make_tcp();
-  raw->bind(bed.node(1).node.local_addr(), 0);
-  raw->connect(net::Endpoint{bed.node(0).node.local_addr(), kMigdPort});
-  bed.run_for(SimTime::milliseconds(50));
-  ASSERT_EQ(raw->state(), stack::TcpState::established);
+Buffer mig_begin_payload() {
+  BinaryWriter w;
+  w.u32(4242);  // pid
+  w.str("zone_x");
+  w.u8(static_cast<std::uint8_t>(2));  // socket strategy
+  w.u32(kAddrA.value);                 // source cluster address
+  w.u64(7);                            // mig id
+  w.u8(1);                             // stripe count
+  return w.take();
+}
+
+/// A raw TCP connection from node 1 to node 0's migd, for feeding it bytes.
+struct RawMigdConn {
+  dve::Testbed bed{config()};
+  stack::TcpSocket::Ptr raw = bed.node(1).node.stack().make_tcp();
+
+  RawMigdConn() {
+    raw->bind(bed.node(1).node.local_addr(), 0);
+    raw->connect(net::Endpoint{bed.node(0).node.local_addr(), kMigdPort});
+    bed.run_for(SimTime::milliseconds(50));
+  }
+
+  Migd& migd() { return bed.node(0).migd; }
+
+  static dve::TestbedConfig config() {
+    dve::TestbedConfig cfg;
+    cfg.dve_nodes = 2;
+    cfg.with_db = false;
+    cfg.start_conductors = false;
+    return cfg;
+  }
+};
+
+// The migd layer's reaction to a poisoned inbound stream, or to well-framed
+// frames in an order the protocol forbids: answer mig_abort so the source
+// fails fast instead of hanging on a dead destination, and retire the
+// session together with any capture session it armed.
+TEST(MalformedFrame, MigdAnswersGarbageWithMigAbort) {
+  BinaryWriter garbage;
+  garbage.u32(1);
+  garbage.u8(0xEE);  // unknown type: dest migd's channel poisons itself
+
+  BinaryWriter state_first;
+  BinaryWriter sockets;
+  sockets.u32(0);
+  put_frame(state_first, MsgType::socket_state, sockets.take());
+
+  BinaryWriter seg_first;
+  BinaryWriter seg;
+  seg.u64(0);
+  seg.u8(static_cast<std::uint8_t>(MsgType::memory_delta));
+  seg.u32(0);
+  seg.u32(0);
+  put_frame(seg_first, MsgType::stripe_seg, seg.take());
+
+  BinaryWriter hello_after_begin;
+  BinaryWriter hello;
+  hello.u64(7);
+  hello.u8(1);
+  put_frame(hello_after_begin, MsgType::mig_begin, mig_begin_payload());
+  put_frame(hello_after_begin, MsgType::stripe_hello, hello.take());
+
+  BinaryWriter double_begin;
+  put_frame(double_begin, MsgType::mig_begin, mig_begin_payload());
+  put_frame(double_begin, MsgType::mig_begin, mig_begin_payload());
+
+  const std::pair<const char*, Buffer> rows[] = {
+      {"garbage", garbage.take()},
+      {"socket_state first", state_first.take()},
+      {"stripe_seg first", seg_first.take()},
+      {"stripe_hello after mig_begin", hello_after_begin.take()},
+      {"duplicate mig_begin", double_begin.take()},
+  };
+  for (const auto& [name, bytes] : rows) {
+    SCOPED_TRACE(name);
+    RawMigdConn c;
+    ASSERT_EQ(c.raw->state(), stack::TcpState::established);
+    EXPECT_EQ(c.migd().dest_session_count(), 1u);
+
+    c.raw->send(bytes);
+    c.bed.run_for(SimTime::milliseconds(100));
+
+    Buffer reply = c.raw->read();
+    ASSERT_GE(reply.size(), 5u);
+    BinaryReader r(reply);
+    EXPECT_EQ(r.u32(), 1u);
+    EXPECT_EQ(r.u8(), static_cast<std::uint8_t>(MsgType::mig_abort));
+    EXPECT_EQ(c.migd().dest_session_count(), 0u);
+    EXPECT_EQ(c.migd().capture().active_sessions(), 0u);
+  }
+}
+
+// A kill fault inside the destination's own mig_abort send re-enters the
+// session's teardown through the channel's error callback. The session must
+// already be retired by then, so it is torn down exactly once.
+TEST(MalformedFrame, KillDuringMigAbortTearsDownOnce) {
+  struct KillMigAbort : FrameChannel::FaultHook {
+    int kills{0};
+    FrameChannel::FaultAction on_send(const FrameChannel& /*ch*/, MsgType type,
+                                      std::size_t /*payload_len*/) override {
+      if (type != MsgType::mig_abort) return FrameChannel::FaultAction::pass;
+      kills += 1;
+      return FrameChannel::FaultAction::kill;
+    }
+  };
+  RawMigdConn c;
+  ASSERT_EQ(c.raw->state(), stack::TcpState::established);
+  KillMigAbort hook;
+  std::vector<std::string> lines;
+  Log::set_sink([&](const std::string& line) { lines.push_back(line); });
+  FrameChannel::set_fault_hook(&hook);
 
   BinaryWriter w;
   w.u32(1);
-  w.u8(0xEE);  // unknown type: dest migd's channel poisons itself
-  raw->send(w.take());
-  bed.run_for(SimTime::milliseconds(100));
+  w.u8(0xEE);  // unknown type: the destination answers with mig_abort
+  c.raw->send(w.take());
+  c.bed.run_for(SimTime::milliseconds(100));
+  FrameChannel::set_fault_hook(nullptr);
+  Log::set_sink(nullptr);
 
-  Buffer reply = raw->read();
-  ASSERT_GE(reply.size(), 5u);
-  BinaryReader r(reply);
-  EXPECT_EQ(r.u32(), 1u);
-  EXPECT_EQ(r.u8(), static_cast<std::uint8_t>(MsgType::mig_abort));
+  EXPECT_EQ(hook.kills, 1);
+  EXPECT_EQ(std::count_if(lines.begin(), lines.end(),
+                          [](const std::string& l) {
+                            return l.find("torn down") != std::string::npos;
+                          }),
+            1);
+  EXPECT_EQ(c.migd().dest_session_count(), 0u);
+  EXPECT_EQ(c.migd().capture().active_sessions(), 0u);
 }
 
 // ---------------------------------------------------------- netfilter edges

@@ -31,8 +31,10 @@ hash-pairing
 
 phase-span
     In ``src/mig/``, every write to a migration phase enum (``phase_ =
-    Phase::...``) must sit within 3 lines of a span operation (``OBS_SPAN``, a
-    ``Tracer::begin``/``end`` via ``tracer()``, or a stored ``span*`` handle).
+    Phase::...``) must sit within 3 lines of a real span operation:
+    ``OBS_SPAN``, ``tracer().begin/begin_at/end/end_at/attr(...)``,
+    ``close_span(...)``, or a store to a ``span_*`` handle. Comments and other
+    calls that merely mention "span" (``r.span(n)``) do not count.
     The phase enum and the span tree are two views of the same state machine;
     a phase transition without the matching trace span silently disappears
     from the Chrome-trace/Perfetto timeline the benches and CI archive.
@@ -114,7 +116,14 @@ RE_PAIRS = [("ehash_insert", "ehash_remove"), ("bhash_insert", "bhash_remove")]
 # wraps, e.g. `phase_ =\n    Phase::freeze;`, and a per-line scan silently
 # missed those transitions.
 RE_PHASE_WRITE = re.compile(r"\bphase_?\s*=\s*(?:\w+::)*Phase::\w+")
-RE_SPAN_OP = re.compile(r"OBS_SPAN|[Ss]pan|tracer\s*\(\)|obs::")
+# Real span operations only: a comment or an unrelated `.span(` call near a
+# phase write does not keep the trace in step with it.
+RE_SPAN_OP = re.compile(
+    r"\bOBS_SPAN\b"
+    r"|\btracer\s*\(\s*\)\s*\.\s*(?:begin|begin_at|end|end_at|attr)\s*\("
+    r"|\bclose_span\s*\("
+    r"|\bspan_\w*\s*=(?!=)"
+)
 
 # no-linear-filter-scan: a range-for whose range names a filter container in
 # member style. Bare locals (`: specs)`) intentionally do not match.
