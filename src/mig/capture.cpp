@@ -7,17 +7,6 @@
 
 namespace dvemig::mig {
 
-namespace {
-
-// Process-wide matching-mode switch (see set_reference_mode). Not a member so
-// flipping it needs no CaptureManager handle in bench harnesses.
-bool g_reference_mode = false;
-
-}  // namespace
-
-void CaptureManager::set_reference_mode(bool on) { g_reference_mode = on; }
-bool CaptureManager::reference_mode() { return g_reference_mode; }
-
 std::uint64_t CaptureManager::begin_session() {
   const std::uint64_t id = ++next_session_;
   sessions_.emplace(id, Session{});
@@ -148,7 +137,6 @@ stack::Verdict CaptureManager::steal(Session& session, const net::Packet& p) {
 }
 
 stack::Verdict CaptureManager::on_local_in(net::Packet& p) {
-  if (g_reference_mode) return on_local_in_reference(p);
   // Exact tier first: an exact spec is strictly more specific than any
   // wildcard on the same port, and both can only coexist within one session
   // (a migrating listener plus its accepted children), where the choice is
@@ -185,28 +173,6 @@ stack::Verdict CaptureManager::on_local_in(net::Packet& p) {
     }
   }
   return steal(sit->second, p);
-}
-
-stack::Verdict CaptureManager::on_local_in_reference(net::Packet& p) {
-  // Pre-index behavior, kept verbatim as the equivalence oracle: scan every
-  // session's spec list, dedup TCP via the session-level tuple set.
-  for (auto& [id, session] : sessions_) {
-    for (const SpecState& state : session.specs) {
-      if (!state.spec.matches(p)) continue;
-      if (p.proto == net::IpProto::tcp &&
-          mutation() != ProtocolMutation::skip_capture_dedup) {
-        const auto key =
-            std::make_tuple(p.src.value, p.tcp.sport, p.tcp.dport, p.tcp.seq);
-        if (!session.seen_tcp.insert(key).second) {
-          total_deduplicated_ += 1;
-          metrics_.dedup_hits.get().add(1);
-          return stack::Verdict::stolen;  // duplicate stored only once
-        }
-      }
-      return steal(session, p);
-    }
-  }
-  return stack::Verdict::accept;
 }
 
 }  // namespace dvemig::mig

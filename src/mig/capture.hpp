@@ -17,12 +17,12 @@
 // reproduces the pre-index scan's outcome for every overlap pattern the
 // protocol can produce (a session's wildcard and exact specs share one queue
 // and one logical dedup domain, so which of them matches is unobservable).
+// That scan lives on as the property-test oracle in tests/filter_oracles.hpp.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -63,19 +63,12 @@ class CaptureManager {
   std::uint64_t total_captured() const { return total_captured_; }
   std::uint64_t total_deduplicated() const { return total_deduplicated_; }
 
-  /// Bench/test seam: route matching through the pre-index linear scan (with
-  /// the historical session-level dedup set) instead of the hash index. The
-  /// connection_scale bench uses it to prove the index changes nothing
-  /// sim-visible, and the property test uses it as the oracle. Process-wide.
-  static void set_reference_mode(bool on);
-  static bool reference_mode();
-
  private:
   struct SpecState {
     CaptureSpec spec;
-    // Per-spec TCP dedup (indexed mode). An exact spec pins the whole match
-    // tuple, so its key shrinks to the sequence number alone; a wildcard spec
-    // still sees many peers and keys by packed (remote addr, remote port).
+    // Per-spec TCP dedup. An exact spec pins the whole match tuple, so its
+    // key shrinks to the sequence number alone; a wildcard spec still sees
+    // many peers and keys by packed (remote addr, remote port).
     std::unordered_set<std::uint32_t> seen_seq;
     std::unordered_map<std::uint64_t, std::unordered_set<std::uint32_t>> seen_by_peer;
   };
@@ -88,10 +81,6 @@ class CaptureManager {
     // delay each captured packet suffered (the `capture.packet_delay_us`
     // histogram — Figure 4's per-packet measurement rather than a bound).
     std::vector<std::int64_t> arrival_ns;
-    // Reference-mode TCP dedup only (session-scoped, as before the index):
-    // (remote addr, remote port, local port, seq) seen so far.
-    std::set<std::tuple<std::uint32_t, std::uint16_t, std::uint16_t, std::uint32_t>>
-        seen_tcp;
   };
 
   struct IndexEntry {
@@ -112,7 +101,6 @@ class CaptureManager {
   }
 
   stack::Verdict on_local_in(net::Packet& p);
-  stack::Verdict on_local_in_reference(net::Packet& p);
   stack::Verdict steal(Session& session, const net::Packet& p);
   void drop_from_index(std::uint64_t session, Session& s);
   void update_hook();

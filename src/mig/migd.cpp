@@ -1,6 +1,7 @@
 #include "src/mig/migd.hpp"
 
 #include <algorithm>
+#include <unordered_set>
 #include <utility>
 
 #include "src/common/log.hpp"
@@ -20,6 +21,12 @@ constexpr Pid kKernelPid{1};
 /// dump (struct pads dominate: ~2.9 KB TCP + queues; generous is fine, the
 /// buffer is recycled).
 constexpr std::size_t kFullDumpReserveBytes = 4096;
+
+/// migd -> transd request: u64 request id, then the rule. transd -> migd ack:
+/// the u64 request id alone.
+constexpr std::size_t kTransdRequestBytes =
+    sizeof(std::uint64_t) + TranslationRule::kWireBytes;
+constexpr std::size_t kTransdAckBytes = sizeof(std::uint64_t);
 
 /// The unified socket_state buffer, cut into self-contained frames at record
 /// boundaries. Each chunk opens with its own record-count prefix (back-patched
@@ -297,9 +304,22 @@ void Transd::start() {
 
 void Transd::on_readable() {
   while (auto dgram = sock_->recv()) {
+    // Anything on this port that is not a well-formed request (a stray or
+    // truncated datagram, an unknown protocol) is dropped unanswered.
+    if (dgram->data.size() != kTransdRequestBytes) {
+      DVEMIG_WARN("transd", "%s dropped %zu-byte datagram", node_->name().c_str(),
+                  dgram->data.size());
+      continue;
+    }
     BinaryReader r(dgram->data);
     const std::uint64_t req_id = r.u64();
     TranslationRule rule = TranslationRule::deserialize(r);
+    if (rule.proto != net::IpProto::tcp && rule.proto != net::IpProto::udp) {
+      DVEMIG_WARN("transd", "%s dropped request %llu for protocol %u",
+                  node_->name().c_str(), static_cast<unsigned long long>(req_id),
+                  static_cast<unsigned>(rule.proto));
+      continue;
+    }
     const net::Endpoint requester = dgram->from;
     // Installing the filter takes kernel work; the ack follows it.
     node_->engine().schedule_after(
@@ -691,14 +711,7 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
     }
     stats_.socket_count = sockets_.size();
 
-    after(SimTime::nanoseconds(cm().signal_roundtrip_ns), [this] {
-      if (stats_.strategy == SocketMigStrategy::iterative) {
-        iter_idx_ = 0;
-        iterative_next();
-      } else {
-        collective_capture();
-      }
-    });
+    after(SimTime::nanoseconds(cm().signal_roundtrip_ns), [this] { freeze_batch(0); });
   }
 
   std::vector<CaptureSpec> specs_for(const MigSocket& ms) const {
@@ -736,30 +749,31 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
   /// socket goes down (Section III-C ordering). The filter is installed on the
   /// peer's *current* host (effective remote), which may itself be the result
   /// of an earlier migration.
-  void request_translations(const std::vector<const MigSocket*>& socks,
+  void request_translations(std::size_t begin, std::size_t end,
                             std::function<void()> then) {
-    DVEMIG_ASSERT(pending_trans_ == 0);
+    DVEMIG_ASSERT(pending_trans_.empty());
     span_stage_ = tracer().begin(obs_track_, "mig.translate");
     on_trans_done_ = [this, then = std::move(then)] {
       close_span(span_stage_);
       then();
     };
-    for (const MigSocket* ms : socks) {
-      if (!ms->translatable) continue;
+    for (std::size_t i = begin; i < end; ++i) {
+      const MigSocket& ms = sockets_[i];
+      if (!ms.translatable) continue;
       TranslationRule rule;
-      rule.proto = ms->sock->type() == stack::SocketType::tcp ? net::IpProto::tcp
-                                                              : net::IpProto::udp;
-      rule.peer_local = ms->effective_remote;
-      rule.mig_old = ms->sock->local();
+      rule.proto = ms.sock->type() == stack::SocketType::tcp ? net::IpProto::tcp
+                                                             : net::IpProto::udp;
+      rule.peer_local = ms.effective_remote;
+      rule.mig_old = ms.sock->local();
       rule.mig_new_addr = dest_;
       BinaryWriter w;
       const std::uint64_t req = ++next_trans_req_;
       w.u64(req);
       rule.serialize(w);
-      pending_trans_ += 1;
-      ctrl_->send_to(net::Endpoint{ms->effective_remote.addr, kTransdPort}, w.take());
+      pending_trans_.insert(req);
+      ctrl_->send_to(net::Endpoint{ms.effective_remote.addr, kTransdPort}, w.take());
     }
-    if (pending_trans_ == 0 && on_trans_done_) {
+    if (pending_trans_.empty() && on_trans_done_) {
       std::exchange(on_trans_done_, nullptr)();
     }
   }
@@ -773,70 +787,60 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
     }
   }
 
+  /// transd acks: one u64 request id each. Anything else reaching this port
+  /// (a stray or truncated datagram, a duplicate or unknown ack) is dropped.
   void on_ctrl_readable() {
     while (auto dgram = ctrl_->recv()) {
+      if (dgram->data.size() != kTransdAckBytes) {
+        DVEMIG_WARN("migd", "pid %u dropped %zu-byte datagram on the translation "
+                    "ack port", stats_.pid.value, dgram->data.size());
+        continue;
+      }
       BinaryReader r(dgram->data);
-      (void)r.u64();  // req id; acks are counted, not matched individually
-      DVEMIG_ASSERT(pending_trans_ > 0);
-      pending_trans_ -= 1;
-      if (pending_trans_ == 0 && on_trans_done_) {
+      const std::uint64_t req = r.u64();
+      if (pending_trans_.erase(req) == 0) {
+        DVEMIG_WARN("migd", "pid %u dropped unexpected translation ack %llu",
+                    stats_.pid.value, static_cast<unsigned long long>(req));
+        continue;
+      }
+      if (pending_trans_.empty() && on_trans_done_) {
         std::exchange(on_trans_done_, nullptr)();
       }
     }
   }
 
-  // Iterative: capture / translate / disable / subtract / dump / ack, one socket
-  // at a time — the repeated computation/transmission interleaving the paper
-  // identifies as the bottleneck.
-  void iterative_next() {
-    if (iter_idx_ == sockets_.size()) {
+  // The freeze pipeline, one batch of fd-ordered sockets at a time: capture
+  // request -> translation requests -> disable -> subtract into one unified
+  // buffer -> send. Collective and incremental (Section III-C three-phase) run
+  // one batch holding every socket: one capture request, one buffer, one
+  // transfer. Iterative runs one socket per batch and waits for its
+  // socket_ack before the next — the repeated computation/transmission
+  // interleaving the paper identifies as the bottleneck.
+  bool per_socket() const { return stats_.strategy == SocketMigStrategy::iterative; }
+
+  void freeze_batch(std::size_t begin) {
+    if (per_socket() && begin == sockets_.size()) {
       final_transfer();
       return;
     }
-    const std::size_t idx = iter_idx_;
-    send_capture_request(specs_for(sockets_[idx]), [this, idx] {
-      request_translations({&sockets_[idx]}, [this, idx] {
-        const MigSocket& ms = sockets_[idx];
-        disable_for_migration(ms);
-        span_stage_ = tracer().begin(obs_track_, "mig.subtract");
-        SockStateChunks chunks = open_dump();
-        emit_socket(ms.fd, *ms.sock, chunks, /*force_all=*/true);
-        after(cm().subtract_cost(1, chunks.record_bytes()),
-              [this, chunks = std::move(chunks)]() mutable {
-          close_span(span_stage_);
-          on_socket_ack_ = [this] {
-            iter_idx_ += 1;
-            iterative_next();
-          };
-          send_dump(chunks, stats_.freeze_socket_bytes);
-        });
-      });
-    });
-  }
-
-  // Collective (Section III-C three-phase): one capture request for everything,
-  // one unified state buffer, one transfer.
-  void collective_capture() {
-    std::vector<CaptureSpec> all;
-    for (const MigSocket& ms : sockets_) {
-      for (CaptureSpec& s : specs_for(ms)) all.push_back(s);
+    const std::size_t end = per_socket() ? begin + 1 : sockets_.size();
+    std::vector<CaptureSpec> specs;
+    for (std::size_t i = begin; i < end; ++i) {
+      for (const CaptureSpec& s : specs_for(sockets_[i])) specs.push_back(s);
     }
-    DVEMIG_DEBUG("migd", "pid %u collective capture: %zu specs for %zu sockets",
-                 stats_.pid.value, all.size(), sockets_.size());
-    send_capture_request(all, [this] {
-      std::vector<const MigSocket*> socks;
-      for (const MigSocket& ms : sockets_) socks.push_back(&ms);
-      DVEMIG_DEBUG("migd", "pid %u capture enabled; requesting translations",
-                   stats_.pid.value);
-      request_translations(socks, [this] { collective_subtract(); });
+    DVEMIG_DEBUG("migd", "pid %u capture: %zu specs for sockets [%zu, %zu)",
+                 stats_.pid.value, specs.size(), begin, end);
+    send_capture_request(specs, [this, begin, end] {
+      request_translations(begin, end, [this, begin, end] { subtract(begin, end); });
     });
   }
 
-  void collective_subtract() {
+  void subtract(std::size_t begin, std::size_t end) {
     span_stage_ = tracer().begin(obs_track_, "mig.subtract");
-    for (const MigSocket& ms : sockets_) disable_for_migration(ms);
+    for (std::size_t i = begin; i < end; ++i) disable_for_migration(sockets_[i]);
 
-    const bool force = stats_.strategy == SocketMigStrategy::collective;
+    const bool incremental =
+        stats_.strategy == SocketMigStrategy::incremental_collective;
     // The unified transfer buffer — the paper's "one buffer, one transfer"
     // collective design, literally: every socket serializes straight into it
     // (no per-socket intermediates), behind a record-count prefix that is
@@ -844,18 +848,17 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
     // rounds, and full dumps pre-reserve so a 10^5-socket freeze never
     // reallocates mid-serialization.
     SockStateChunks chunks = open_dump();
-    if (force) {
-      chunks.reserve(sizeof(std::uint32_t) +
-                     sockets_.size() * kFullDumpReserveBytes);
+    if (!incremental) {
+      chunks.reserve(sizeof(std::uint32_t) + (end - begin) * kFullDumpReserveBytes);
     }
     // Per-socket record sizes, kept to price each worker's batch. The emit
     // itself stays serial in fd order — the unified buffer is byte-identical
     // at every degree; workers merely partition it.
     std::vector<std::size_t> record_bytes;
-    record_bytes.reserve(sockets_.size());
-    for (const MigSocket& ms : sockets_) {
+    record_bytes.reserve(end - begin);
+    for (std::size_t i = begin; i < end; ++i) {
       const std::size_t before = chunks.record_bytes();
-      emit_socket(ms.fd, *ms.sock, chunks, force);
+      emit_socket(sockets_[i].fd, *sockets_[i].sock, chunks, !incremental);
       record_bytes.push_back(chunks.record_bytes() - before);
     }
     const std::uint32_t records = chunks.total_records();
@@ -864,18 +867,23 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
     const auto batch_cost = [&](std::size_t n_socks, std::size_t n_bytes) {
       // Incremental tracking already paid the per-socket walk during precopy;
       // the freeze-phase check is a cheap hash compare per socket.
-      return force ? cm().subtract_cost(n_socks, n_bytes)
-                   : SimTime::nanoseconds(
-                         static_cast<std::int64_t>(n_socks) *
-                             cm().socket_delta_check_ns +
-                         static_cast<std::int64_t>(static_cast<double>(n_bytes) *
-                                                   cm().per_byte_subtract_ns));
+      if (incremental) {
+        return SimTime::nanoseconds(
+            static_cast<std::int64_t>(n_socks) * cm().socket_delta_check_ns +
+            static_cast<std::int64_t>(static_cast<double>(n_bytes) *
+                                      cm().per_byte_subtract_ns));
+      }
+      // Iterative is charged the per-socket term only: a known pricing
+      // defect that Fig. 5b/5c and the connection_scale pins were taken
+      // with (DESIGN.md §12.5).
+      return cm().subtract_cost(n_socks, per_socket() ? 0 : n_bytes);
     };
-    // Workers subtract contiguous fd-order batches; the merge into the
-    // unified buffer preserves that order. Elapsed = slowest batch.
+    // Workers subtract contiguous fd-order shards; the merge into the unified
+    // buffer preserves that order. Elapsed = slowest shard. A one-socket
+    // batch is one shard at any degree, i.e. the serial cost.
     SimDuration elapsed = SimTime::zero();
     for (const auto& shard : ckpt::DirtyTracker::shard_ranges(
-             sockets_.size(), static_cast<std::size_t>(config_.parallelism))) {
+             end - begin, static_cast<std::size_t>(config_.parallelism))) {
       std::size_t shard_bytes = 0;
       for (std::size_t i = shard.begin; i < shard.end; ++i) {
         shard_bytes += record_bytes[i];
@@ -887,11 +895,12 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
                  records, subtract_bytes);
     tracer().attr(span_stage_, "records", std::to_string(records));
     tracer().attr(span_stage_, "bytes", std::to_string(subtract_bytes));
-    after_parallel(batch_cost(sockets_.size(), subtract_bytes), elapsed,
-                   [this, chunks = std::move(chunks)]() mutable {
+    after_parallel(batch_cost(end - begin, subtract_bytes), elapsed,
+                   [this, end, chunks = std::move(chunks)]() mutable {
       close_span(span_stage_);
+      if (per_socket()) on_socket_ack_ = [this, end] { freeze_batch(end); };
       send_dump(chunks, stats_.freeze_socket_bytes);
-      final_transfer();
+      if (!per_socket()) final_transfer();
     });
   }
 
@@ -984,8 +993,7 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
   std::int64_t loop_timeout_ns_{0};
 
   std::vector<MigSocket> sockets_;
-  std::size_t iter_idx_{0};
-  int pending_trans_{0};
+  std::unordered_set<std::uint64_t> pending_trans_;  // unacked transd request ids
   std::uint64_t next_trans_req_{0};
 
   std::function<void()> on_capture_enabled_;

@@ -6,15 +6,6 @@
 
 namespace dvemig::mig {
 
-namespace {
-
-bool g_reference_mode = false;
-
-}  // namespace
-
-void TranslationManager::set_reference_mode(bool on) { g_reference_mode = on; }
-bool TranslationManager::reference_mode() { return g_reference_mode; }
-
 void TranslationRule::serialize(BinaryWriter& w) const {
   w.u8(static_cast<std::uint8_t>(proto));
   w.u32(peer_local.addr.value);
@@ -178,7 +169,6 @@ void TranslationManager::rewrite_in(const TranslationRule& rule, net::Packet& p)
 }
 
 stack::Verdict TranslationManager::on_local_out(net::Packet& p) {
-  if (g_reference_mode) return on_local_out_reference(p);
   const auto it = out_index_.find(
       keyed(p.proto, net::Endpoint{p.src, p.sport()}, net::Endpoint{p.dst, p.dport()}));
   if (it != out_index_.end() && !it->second.empty()) {
@@ -188,34 +178,10 @@ stack::Verdict TranslationManager::on_local_out(net::Packet& p) {
 }
 
 stack::Verdict TranslationManager::on_local_in(net::Packet& p) {
-  if (g_reference_mode) return on_local_in_reference(p);
   const auto it = in_index_.find(
       keyed(p.proto, net::Endpoint{p.dst, p.dport()}, net::Endpoint{p.src, p.sport()}));
   if (it != in_index_.end() && !it->second.empty()) {
     rewrite_in(rules_.find(it->second.front())->second, p);
-  }
-  return stack::Verdict::accept;
-}
-
-stack::Verdict TranslationManager::on_local_out_reference(net::Packet& p) {
-  // Pre-index behavior, kept as the equivalence oracle: walk every rule.
-  for (const auto& [id, rule] : rules_) {
-    if (p.proto != rule.proto) continue;
-    if (p.src != rule.peer_local.addr || p.sport() != rule.peer_local.port) continue;
-    if (p.dst != rule.mig_old.addr || p.dport() != rule.mig_old.port) continue;
-    rewrite_out(rule, p);
-    break;
-  }
-  return stack::Verdict::accept;
-}
-
-stack::Verdict TranslationManager::on_local_in_reference(net::Packet& p) {
-  for (const auto& [id, rule] : rules_) {
-    if (p.proto != rule.proto) continue;
-    if (p.dst != rule.peer_local.addr || p.dport() != rule.peer_local.port) continue;
-    if (p.src != rule.mig_new_addr || p.sport() != rule.mig_old.port) continue;
-    rewrite_in(rule, p);
-    break;
   }
   return stack::Verdict::accept;
 }

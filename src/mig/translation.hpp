@@ -30,6 +30,10 @@ struct TranslationRule {
   net::Endpoint mig_old{};      // migrated socket's original endpoint (IP1:portA)
   net::Ipv4Addr mig_new_addr{}; // migration destination (IP2)
 
+  /// Serialized size: u8 proto, peer_local and mig_old as u32 + u16 each,
+  /// u32 mig_new_addr.
+  static constexpr std::size_t kWireBytes = 17;
+
   void serialize(BinaryWriter& w) const;
   static TranslationRule deserialize(BinaryReader& r);
 };
@@ -56,17 +60,12 @@ class TranslationManager {
   std::uint64_t out_rewritten() const { return out_rewritten_; }
   std::uint64_t in_rewritten() const { return in_rewritten_; }
 
-  /// Bench/test seam: route the two per-packet hooks through the pre-index
-  /// full-map walk instead of the tuple-hash index (equivalence oracle for
-  /// the connection_scale byte-identical gate). Process-wide.
-  static void set_reference_mode(bool on);
-  static bool reference_mode();
-
  private:
   // Rules are matched by exact tuples, so each hot path is one hash probe
   // (DESIGN.md §12). Keys pack (proto, endpoint, endpoint) into two words;
   // bucket values are rule ids kept in ascending order, so the oldest rule
-  // wins — a deterministic refinement of the old first-in-map-order walk.
+  // wins — a deterministic refinement of the old first-in-map-order walk,
+  // which survives as the property-test oracle in tests/filter_oracles.hpp.
   using Key2 = std::pair<std::uint64_t, std::uint64_t>;
   struct Key2Hash {
     std::size_t operator()(const Key2& k) const {
@@ -87,8 +86,6 @@ class TranslationManager {
 
   stack::Verdict on_local_out(net::Packet& p);
   stack::Verdict on_local_in(net::Packet& p);
-  stack::Verdict on_local_out_reference(net::Packet& p);
-  stack::Verdict on_local_in_reference(net::Packet& p);
   void rewrite_out(const TranslationRule& rule, net::Packet& p);
   void rewrite_in(const TranslationRule& rule, net::Packet& p);
   void link_rule(std::uint64_t id, const TranslationRule& rule);

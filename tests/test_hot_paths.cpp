@@ -1,14 +1,18 @@
 // Connection-scale hot paths (DESIGN.md §12): the capture/translation filter
 // indexes, the netfilter lazy prune, copy-on-write packet payloads, the
 // in-place serialization writer primitives, and the registry-reset-safe
-// metric handles. Each index change also carries an equivalence test against
-// the pre-index reference implementation.
+// metric handles. Each index also carries a property test against the
+// pre-index linear-scan semantics, modelled in filter_oracles.hpp.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <random>
+#include <set>
 #include <tuple>
 #include <vector>
 
+#include "filter_oracles.hpp"
 #include "src/dve/testbed.hpp"
 #include "src/dve/zone_server.hpp"
 #include "src/mig/capture.hpp"
@@ -389,71 +393,153 @@ TEST(CaptureIndexTest, DedupMetricsCountersPinned) {
   cap.abort_session(s);
 }
 
-// Property test: on a random packet stream, the indexed matcher makes exactly
-// the decisions the pre-index linear scan made — same stolen set, same queue
-// order, same dedup count.
-struct StreamResult {
-  std::vector<std::tuple<std::uint32_t, std::uint16_t, std::uint16_t, std::uint8_t,
-                         std::uint32_t>>
-      queued;
-  std::uint64_t captured{0};
-  std::uint64_t deduplicated{0};
-};
+// Property test: on a random operation sequence, the indexed matcher makes
+// exactly the decisions of the pre-index linear scan (oracle::CaptureOracle):
+// same verdict per packet, same queue contents and order per session, same
+// captured and dedup counts. Sessions own disjoint local ports, as migrating
+// processes do; specs arrive between packets, wildcard and exact mixed, the
+// way the iterative strategy arms a listener before its accepted children;
+// sessions finish or abort mid-stream.
+using QueuedKey = std::tuple<std::uint32_t, std::uint16_t, std::uint16_t, std::uint8_t,
+                             std::uint32_t, std::uint8_t>;
 
-StreamResult run_capture_stream(bool reference, std::uint32_t seed) {
-  CaptureManager::set_reference_mode(reference);
-  TwoHosts h;
-  CaptureManager cap(h.b);
-  const std::uint64_t s = cap.begin_session();
-  // Overlapping specs: exact + wildcard on one port, wildcard-only on another,
-  // exact-only on a third, plus UDP.
-  cap.add_spec(s, CaptureSpec{net::IpProto::tcp, true, net::Endpoint{kAddrA, 1111}, 9000});
-  cap.add_spec(s, CaptureSpec{net::IpProto::tcp, false, {}, 9000});
-  cap.add_spec(s, CaptureSpec{net::IpProto::tcp, false, {}, 9001});
-  cap.add_spec(s, CaptureSpec{net::IpProto::tcp, true, net::Endpoint{kAddrC, 3333}, 9002});
-  cap.add_spec(s, CaptureSpec{net::IpProto::udp, false, {}, 5000});
+QueuedKey queued_key(const net::Packet& p) {
+  return {p.src.value,
+          p.sport(),
+          p.dport(),
+          static_cast<std::uint8_t>(p.proto),
+          p.proto == net::IpProto::tcp ? p.tcp.seq : 0,
+          p.payload[0]};
+}
 
-  std::mt19937 rng(seed);
-  const net::Ipv4Addr srcs[] = {kAddrA, kAddrC, kAddrD};
-  const std::uint16_t sports[] = {1111, 2222, 3333};
-  const std::uint16_t dports[] = {9000, 9001, 9002, 9003, 5000};
-  for (int i = 0; i < 400; ++i) {
-    const net::Ipv4Addr src = srcs[rng() % 3];
-    const std::uint16_t sport = sports[rng() % 3];
-    const std::uint16_t dport = dports[rng() % 5];
-    if (rng() % 4 == 0) {
-      h.b.rx(net::make_udp({src, sport}, {kAddrB, dport}, Buffer{1}));
-    } else {
-      net::TcpHeader hdr;
-      hdr.flags = net::tcp_flags::ack;
-      hdr.seq = rng() % 8;  // small seq space: plenty of dedup hits
-      h.b.rx(net::make_tcp({src, sport}, {kAddrB, dport}, hdr, Buffer{2}));
-    }
-  }
+std::vector<QueuedKey> queued_keys(const std::vector<net::Packet>& queue) {
+  std::vector<QueuedKey> keys;
+  for (const net::Packet& p : queue) keys.push_back(queued_key(p));
+  return keys;
+}
 
-  StreamResult out;
-  cap.for_each_queued([&](std::uint64_t, const net::Packet& p) {
-    out.queued.emplace_back(p.src.value, p.sport(), p.dport(),
-                            static_cast<std::uint8_t>(p.proto),
-                            p.proto == net::IpProto::tcp ? p.tcp.seq : 0);
+std::map<std::uint64_t, std::vector<QueuedKey>> queued_by_session(
+    const CaptureManager& cap) {
+  std::map<std::uint64_t, std::vector<QueuedKey>> out;
+  cap.for_each_queued([&](std::uint64_t session, const net::Packet& p) {
+    out[session].push_back(queued_key(p));
   });
-  out.captured = cap.total_captured();
-  out.deduplicated = cap.total_deduplicated();
-  cap.abort_session(s);
-  CaptureManager::set_reference_mode(false);
   return out;
 }
 
 TEST(CaptureIndexTest, PropertyIndexedEqualsLinearScan) {
-  for (const std::uint32_t seed : {1u, 7u, 42u}) {
-    const StreamResult ref = run_capture_stream(/*reference=*/true, seed);
-    const StreamResult idx = run_capture_stream(/*reference=*/false, seed);
-    EXPECT_GT(ref.captured, 0u);
-    EXPECT_GT(ref.deduplicated, 0u);  // the stream must exercise dedup
-    EXPECT_EQ(idx.queued, ref.queued) << "seed " << seed;
-    EXPECT_EQ(idx.captured, ref.captured) << "seed " << seed;
-    EXPECT_EQ(idx.deduplicated, ref.deduplicated) << "seed " << seed;
+  const net::Ipv4Addr remotes[] = {kAddrA, kAddrC, kAddrD};
+  const std::uint16_t rports[] = {1111, 2222};
+  std::uint64_t deduplicated = 0;
+  // Retransmits suppressed by an exact spec although the original segment
+  // was captured before that spec existed: the wildcard-to-exact dedup seed.
+  std::uint64_t seeded_dedups = 0;
+  int ended = 0;
+  for (std::uint32_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TwoHosts h;
+    CaptureManager cap(h.b);
+    oracle::CaptureOracle model;
+    std::mt19937 rng(seed);
+    auto pick_proto = [&] {
+      return rng() % 4 == 0 ? net::IpProto::udp : net::IpProto::tcp;
+    };
+    auto pick_remote = [&] {
+      return net::Endpoint{remotes[rng() % 3], rports[rng() % 2]};
+    };
+
+    struct Live {
+      std::uint64_t id;
+      std::uint16_t base_port;
+    };
+    std::vector<Live> live;
+    const int sessions = 2 + static_cast<int>(rng() % 2);
+    for (int k = 0; k < sessions; ++k) {
+      const std::uint64_t id = cap.begin_session();
+      model.begin_session(id);
+      live.push_back({id, static_cast<std::uint16_t>(9000 + 2 * k)});
+    }
+    // TCP connections (peer, local port) with an exact spec, and TCP segments
+    // (peer, local port, seq) first captured before their connection had one.
+    std::set<std::tuple<std::uint32_t, std::uint16_t, std::uint16_t>> exact_armed;
+    std::set<std::tuple<std::uint32_t, std::uint16_t, std::uint16_t, std::uint32_t>>
+        before_exact;
+
+    for (int step = 0; step < 600 && !live.empty(); ++step) {
+      const auto op = rng() % 100;
+      const std::size_t li = rng() % live.size();
+      const std::uint16_t lport =
+          static_cast<std::uint16_t>(live[li].base_port + rng() % 2);
+      if (op < 6) {
+        const CaptureSpec spec{pick_proto(), false, {}, lport};
+        cap.add_spec(live[li].id, spec);
+        model.add_spec(live[li].id, spec);
+      } else if (op < 16) {
+        const CaptureSpec spec{pick_proto(), true, pick_remote(), lport};
+        cap.add_spec(live[li].id, spec);
+        model.add_spec(live[li].id, spec);
+        if (spec.proto == net::IpProto::tcp) {
+          exact_armed.emplace(spec.remote.addr.value, spec.remote.port, lport);
+        }
+      } else if (op < 18) {
+        const std::uint64_t id = live[li].id;
+        ASSERT_EQ(queued_by_session(cap)[id], queued_keys(model.queue(id)));
+        const std::size_t expected = model.end_session(id).size();
+        if (rng() % 2 == 0) {
+          EXPECT_EQ(cap.finish_session(id), expected);
+        } else {
+          cap.abort_session(id);
+        }
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(li));
+        ended += 1;
+      } else {
+        // Any session's ports, or one nobody captures.
+        const std::uint16_t dport =
+            rng() % 8 == 0 ? std::uint16_t{9999}
+                           : static_cast<std::uint16_t>(9000 + rng() % 6);
+        const net::Endpoint from = pick_remote();
+        const auto payload = Buffer{static_cast<std::uint8_t>(step)};
+        net::Packet p;
+        if (pick_proto() == net::IpProto::udp) {
+          p = net::make_udp(from, {kAddrB, dport}, payload);
+        } else {
+          net::TcpHeader hdr;
+          hdr.flags = net::tcp_flags::ack;
+          // Small seq space: plenty of retransmits.
+          hdr.seq = static_cast<std::uint32_t>(rng() % 6);
+          p = net::make_tcp(from, {kAddrB, dport}, hdr, payload);
+        }
+        const std::uint64_t dedup_before = model.deduplicated();
+        const bool stolen = model.offer(p);
+        ASSERT_EQ(h.b.netfilter().run(stack::Hook::local_in, p) ==
+                      stack::Verdict::stolen,
+                  stolen)
+            << "step " << step;
+        if (p.proto == net::IpProto::tcp) {
+          const bool armed = exact_armed.count({from.addr.value, from.port, dport}) != 0;
+          const auto segment =
+              std::make_tuple(from.addr.value, from.port, dport, p.tcp.seq);
+          if (model.deduplicated() > dedup_before) {
+            if (armed && before_exact.count(segment) != 0) seeded_dedups += 1;
+          } else if (stolen && !armed) {
+            before_exact.insert(segment);
+          }
+        }
+        ASSERT_EQ(cap.total_captured(), model.captured()) << "step " << step;
+        ASSERT_EQ(cap.total_deduplicated(), model.deduplicated()) << "step " << step;
+      }
+    }
+    auto queues = queued_by_session(cap);
+    for (const Live& s : live) {
+      EXPECT_EQ(queues[s.id], queued_keys(model.queue(s.id)));
+      cap.abort_session(s.id);
+    }
+    deduplicated += model.deduplicated();
   }
+  // The sequences must exercise what the index has to get right.
+  EXPECT_GT(deduplicated, 0u);
+  EXPECT_GT(seeded_dedups, 0u);
+  EXPECT_GT(ended, 0);
 }
 
 // ---------------------------------------------------------- translation index
@@ -506,31 +592,121 @@ TEST(TranslationIndexTest, OldestRuleWinsOnDuplicateTuple) {
                    .has_value());
 }
 
+// Property test: random install, chained install (X -> Y -> Z and back home)
+// and remove_matching sequences. After every operation the index holds the
+// same rules as the oldest-rule-first walk (oracle::TranslationOracle), and
+// every packet through either hook gets the walk's rewrite with a checksum
+// that still verifies.
 TEST(TranslationIndexTest, IndexedRewriteEqualsReferenceWalk) {
-  for (const bool reference : {true, false}) {
-    TranslationManager::set_reference_mode(reference);
+  const net::Ipv4Addr hosts[] = {kAddrA, kAddrC, kAddrD,
+                                 net::Ipv4Addr::octets(10, 0, 0, 5)};
+  const net::Endpoint peers[] = {{kAddrB, 3306}, {kAddrB, 3307}};
+  const std::uint16_t ports[] = {45000, 45001};
+  int chained = 0, homed = 0, rewrites = 0;
+  for (std::uint32_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
     TwoHosts h;
     TranslationManager trans(h.b);
-    trans.install(TranslationRule{net::IpProto::tcp, net::Endpoint{kAddrB, 3306},
-                                  net::Endpoint{kAddrA, 45000}, kAddrC});
-    net::Packet seen{};
-    bool got = false;
-    stack::HookHandle probe = h.b.netfilter().register_hook(
-        stack::Hook::local_in, 50, [&](net::Packet& p) {
-          seen = p;
-          got = true;
-          return stack::Verdict::stolen;
-        });
-    net::TcpHeader hdr;
-    hdr.flags = net::tcp_flags::ack;
-    h.b.rx(net::make_tcp({kAddrC, 45000}, {kAddrB, 3306}, hdr, Buffer(16, 3)));
-    ASSERT_TRUE(got) << "reference=" << reference;
-    EXPECT_EQ(seen.src, kAddrA) << "reference=" << reference;
-    EXPECT_TRUE(net::checksum_ok(seen)) << "reference=" << reference;
-    EXPECT_EQ(trans.in_rewritten(), 1u);
-    probe.release();
-    TranslationManager::set_reference_mode(false);
+    oracle::TranslationOracle model;
+    std::mt19937 rng(seed);
+    auto pick_proto = [&] {
+      return rng() % 3 == 0 ? net::IpProto::udp : net::IpProto::tcp;
+    };
+    auto pick_host = [&] { return hosts[rng() % 4]; };
+    auto pick_endpoint = [&] { return net::Endpoint{pick_host(), ports[rng() % 2]}; };
+    // A rule of the model, picked at random (nullptr when there is none).
+    auto pick_rule = [&]() -> const TranslationRule* {
+      if (model.rules().empty()) return nullptr;
+      auto it = model.rules().begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng() % model.rules().size()));
+      return &it->second;
+    };
+    std::uint64_t out_expected = 0, in_expected = 0;
+
+    for (int step = 0; step < 400; ++step) {
+      const auto op = rng() % 100;
+      if (op < 15) {  // a fresh migration of some connection
+        TranslationRule rule{pick_proto(), peers[rng() % 2], pick_endpoint(), {}};
+        do rule.mig_new_addr = pick_host();
+        while (rule.mig_new_addr == rule.mig_old.addr);
+        trans.install(rule);
+        model.install(rule);
+      } else if (op < 30) {  // the migrated process moves on, maybe home
+        const TranslationRule* r = pick_rule();
+        if (r == nullptr) continue;
+        const std::size_t before = model.rules().size();
+        TranslationRule hop{r->proto, r->peer_local,
+                            net::Endpoint{r->mig_new_addr, r->mig_old.port}, {}};
+        do hop.mig_new_addr = rng() % 2 == 0 ? r->mig_old.addr : pick_host();
+        while (hop.mig_new_addr == hop.mig_old.addr);
+        trans.install(hop);
+        model.install(hop);
+        chained += 1;
+        if (model.rules().size() < before) homed += 1;
+      } else if (op < 36) {
+        const TranslationRule* r = pick_rule();
+        const net::Endpoint peer = r != nullptr ? r->peer_local : peers[rng() % 2];
+        const net::Endpoint old = r != nullptr ? r->mig_old : pick_endpoint();
+        trans.remove_matching(peer, old);
+        model.remove_matching(peer, old);
+      } else {
+        // A packet through one hook: either the tuple of some rule (maybe
+        // with the other protocol) or a random one.
+        const bool outgoing = rng() % 2 == 0;
+        const TranslationRule* r = rng() % 4 != 0 ? pick_rule() : nullptr;
+        net::Endpoint local = r != nullptr ? r->peer_local : peers[rng() % 2];
+        net::Endpoint remote =
+            r == nullptr  ? pick_endpoint()
+            : outgoing    ? r->mig_old
+                          : net::Endpoint{r->mig_new_addr, r->mig_old.port};
+        const net::IpProto proto =
+            r != nullptr && rng() % 4 != 0 ? r->proto : pick_proto();
+        const Buffer payload(1 + rng() % 24, static_cast<std::uint8_t>(step));
+        const net::Endpoint src = outgoing ? local : remote;
+        const net::Endpoint dst = outgoing ? remote : local;
+        net::Packet p;
+        if (proto == net::IpProto::udp) {
+          p = net::make_udp(src, dst, payload);
+        } else {
+          net::TcpHeader hdr;
+          hdr.flags = net::tcp_flags::ack;
+          hdr.seq = static_cast<std::uint32_t>(rng());
+          p = net::make_tcp(src, dst, hdr, payload);
+        }
+        const net::Packet sent = p;
+        if (outgoing) {
+          const net::Ipv4Addr want = model.local_out_dst(p);
+          h.b.netfilter().run(stack::Hook::local_out, p);
+          ASSERT_EQ(p.dst, want) << "step " << step;
+          ASSERT_EQ(p.src, sent.src) << "step " << step;
+          out_expected += want != sent.dst ? 1 : 0;
+        } else {
+          const net::Ipv4Addr want = model.local_in_src(p);
+          h.b.netfilter().run(stack::Hook::local_in, p);
+          ASSERT_EQ(p.src, want) << "step " << step;
+          ASSERT_EQ(p.dst, sent.dst) << "step " << step;
+          in_expected += want != sent.src ? 1 : 0;
+        }
+        ASSERT_TRUE(net::checksum_ok(p)) << "step " << step;
+      }
+      ASSERT_EQ(trans.active_rules(), model.rules().size()) << "step " << step;
+      const net::Endpoint probe_peer = peers[rng() % 2];
+      const net::Endpoint probe_old = pick_endpoint();
+      const auto got = trans.find_rule(probe_peer, probe_old);
+      const auto want = model.find_rule(probe_peer, probe_old);
+      ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+      if (want) {
+        EXPECT_EQ(got->proto, want->proto);
+        EXPECT_EQ(got->mig_new_addr, want->mig_new_addr);
+      }
+    }
+    EXPECT_EQ(trans.out_rewritten(), out_expected);
+    EXPECT_EQ(trans.in_rewritten(), in_expected);
+    rewrites += static_cast<int>(out_expected + in_expected);
   }
+  EXPECT_GT(chained, 0);
+  EXPECT_GT(homed, 0);
+  EXPECT_GT(rewrites, 0);
 }
 
 TEST(TranslationIndexTest, NonMatchingPacketUntouchedByIndex) {

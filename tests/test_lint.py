@@ -202,9 +202,18 @@ class NoLinearFilterScan(unittest.TestCase):
         self.assertIn("[no-linear-filter-scan]", out)
 
     def test_same_scan_in_index_implementation_passes(self) -> None:
-        # Identical text, but in the exempt index implementation file.
-        _, out = self.lint_snippet("src/mig/translation.cpp", self.SCAN)
+        # Identical text, but in the exempt capture index implementation
+        # (its session-teardown loop walks a session's specs).
+        _, out = self.lint_snippet("src/mig/capture.cpp", self.SCAN)
         self.assertNotIn("[no-linear-filter-scan]", out)
+
+    def test_same_scan_in_translation_is_flagged(self) -> None:
+        # translation.cpp has no scan over rules_ left, so it is no longer
+        # exempt: a per-packet rule walk there must be caught.
+        code, out = self.lint_snippet("src/mig/translation.cpp", self.SCAN)
+        self.assertNotEqual(code, 0)
+        self.assertIn("[no-linear-filter-scan]", out)
+        self.assertIn("src/mig/translation.cpp:2", out)
 
     def test_call_and_local_ranges_are_not_matches(self) -> None:
         # `specs_for(...)` is a call, and `specs` a plain local — neither is a

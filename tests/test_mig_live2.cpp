@@ -1,6 +1,6 @@
 // Second live-migration batch: the stop-and-copy baseline, failure paths,
 // connections arriving mid-freeze, un-accepted listener children, and mixed
-// UDP+TCP fd tables under the iterative strategy.
+// UDP+TCP fd tables under the iterative strategy, and the socketless freeze.
 #include <gtest/gtest.h>
 
 #include "src/dve/client.hpp"
@@ -249,6 +249,41 @@ TEST_F(Live2Fixture, IterativeWithMixedUdpAndTcpSockets) {
   tcp_client->send(Buffer(100, 0x44));
   bed->run_for(SimTime::milliseconds(100));
   EXPECT_EQ(moved_tcp.read().size(), 100u);
+}
+
+// All strategies share one freeze pipeline, batch by batch. A process with
+// no sockets gives the iterative strategy no batch at all, so it sends no
+// capture_request; collective and incremental still run their one (empty)
+// batch, so the destination arms an empty capture request first.
+TEST_F(Live2Fixture, SocketlessProcessFreezesPerStrategy) {
+  struct CaptureRequests : mig::FrameChannel::Observer {
+    int sent = 0;
+    void on_channel_frame(const mig::FrameChannel&, bool outbound, mig::MsgType type,
+                          std::size_t) override {
+      if (outbound && type == mig::MsgType::capture_request) sent += 1;
+    }
+  };
+  const std::pair<SocketMigStrategy, int> cases[] = {
+      {SocketMigStrategy::iterative, 0},
+      {SocketMigStrategy::collective, 1},
+      {SocketMigStrategy::incremental_collective, 1},
+  };
+  for (const auto& [strategy, requests] : cases) {
+    SCOPED_TRACE(mig::strategy_name(strategy));
+    auto proc = bed->node(0).node.spawn("socketless");
+    proc->mem().mmap(1 << 20, proc::prot_read | proc::prot_write, "[heap]");
+    CaptureRequests counter;
+    mig::FrameChannel::set_observer(&counter);
+    MigrateOptions options;
+    options.strategy = strategy;
+    const MigrationStats stats = migrate_opts(proc->pid(), 0, 1, options);
+    mig::FrameChannel::set_observer(nullptr);
+    EXPECT_TRUE(stats.success);
+    EXPECT_EQ(stats.socket_count, 0u);
+    EXPECT_EQ(stats.freeze_socket_bytes, 0u);
+    EXPECT_EQ(counter.sent, requests);
+    EXPECT_NE(bed->node(1).node.find(proc->pid()), nullptr);
+  }
 }
 
 TEST_F(Live2Fixture, BackToBackMigrationsReuseMigd) {

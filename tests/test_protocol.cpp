@@ -1,17 +1,21 @@
 // FrameChannel (the migd wire protocol) and netfilter chain edge cases, plus
 // the malformed-frame corpus: hostile byte streams pushed through a real TCP
 // socket must poison the channel (never the deserializers) and surface as
-// mig_abort at the migd layer.
+// mig_abort at the migd layer; stray datagrams on the transd ports are
+// dropped.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/check/verifier.hpp"
 #include "src/common/log.hpp"
 #include "src/dve/testbed.hpp"
+#include "src/dve/zone_server.hpp"
 #include "src/mig/protocol.hpp"
+#include "src/mig/translation.hpp"
 #include "src/net/switch.hpp"
 
 namespace dvemig::mig {
@@ -398,6 +402,108 @@ TEST(MalformedFrame, KillDuringMigAbortTearsDownOnce) {
             1);
   EXPECT_EQ(c.migd().dest_session_count(), 0u);
   EXPECT_EQ(c.migd().capture().active_sessions(), 0u);
+}
+
+// transd requests and their acks travel as fixed-size UDP datagrams: a u64
+// request id plus a 17-byte TranslationRule, and the u64 id back. Anything
+// else reaching either port during a migration — a truncated datagram, an
+// unknown protocol byte, an ack for a request nobody sent, a replayed ack —
+// is dropped with a warning instead of being parsed (a short read aborts the
+// simulator), and the migration it lands in still succeeds.
+TEST(MalformedDatagram, StrayControlDatagramsLeaveMigrationIntact) {
+  dve::TestbedConfig cfg;
+  cfg.dve_nodes = 2;
+  cfg.start_conductors = false;
+  dve::Testbed bed(cfg);
+  dve::ZoneServerConfig zs;
+  zs.zone = 3;
+  zs.db_addr = bed.db_node()->local_addr();
+  auto proc = dve::ZoneServerApp::launch(bed.node(0).node, zs);
+  bed.run_for(SimTime::seconds(1));
+
+  stack::NetStack& db = bed.db_node()->stack();
+  auto stray = db.make_udp();
+  stray->bind(bed.db_node()->local_addr(), 0);
+  const net::Endpoint transd{bed.db_node()->local_addr(), kTransdPort};
+  auto datagram = [](std::size_t n) { return Buffer(n, 0xAB); };
+
+  // The first translation request reaching the DB's transd names the
+  // source's ack port; the garbage follows it at once, ahead of the real ack.
+  std::optional<net::Endpoint> ack_port;
+  stack::HookHandle on_request = db.netfilter().register_hook(
+      stack::Hook::local_in, 100, [&](net::Packet& p) {
+        if (ack_port || p.proto != net::IpProto::udp || p.dport() != kTransdPort) {
+          return stack::Verdict::accept;
+        }
+        ack_port = net::Endpoint{p.src, p.sport()};
+        bed.engine().schedule_after(SimTime::zero(), [&] {
+          stray->send_to(transd, datagram(3));
+          BinaryWriter bad_proto;
+          bad_proto.u64(77);
+          TranslationRule{static_cast<net::IpProto>(99), transd, transd, transd.addr}
+              .serialize(bad_proto);
+          stray->send_to(transd, bad_proto.take());
+          stray->send_to(*ack_port, datagram(3));
+          BinaryWriter unknown;
+          unknown.u64(999'999);
+          stray->send_to(*ack_port, unknown.take());
+        });
+        return stack::Verdict::accept;
+      });
+  // transd's genuine ack is replayed shortly after it went out.
+  std::optional<std::uint64_t> acked;
+  stack::HookHandle on_ack = db.netfilter().register_hook(
+      stack::Hook::local_out, 100, [&](net::Packet& p) {
+        if (acked || p.proto != net::IpProto::udp || p.sport() != kTransdPort) {
+          return stack::Verdict::accept;
+        }
+        Buffer copy = p.payload.copy();
+        BinaryReader r(copy);
+        acked = r.u64();
+        bed.engine().schedule_after(SimTime::microseconds(100), [&, copy] {
+          stray->send_to(*ack_port, copy);
+        });
+        return stack::Verdict::accept;
+      });
+
+  std::vector<std::string> lines;
+  Log::set_sink([&](const std::string& line) { lines.push_back(line); });
+  MigrationStats stats;
+  bool done = false;
+  bed.node(0).migd.migrate(proc->pid(), bed.node(1).node.local_addr(),
+                           SocketMigStrategy::collective,
+                           [&](const MigrationStats& s) {
+                             stats = s;
+                             done = true;
+                           });
+  bed.run_for(SimTime::seconds(3));
+  Log::set_sink(nullptr);
+  on_request.release();
+  on_ack.release();
+
+  ASSERT_TRUE(ack_port.has_value());
+  ASSERT_TRUE(acked.has_value());
+  const auto logged = [&](const std::string& needle) {
+    return std::count_if(lines.begin(), lines.end(), [&](const std::string& l) {
+      return l.find(needle) != std::string::npos;
+    });
+  };
+  EXPECT_EQ(logged("dropped 3-byte datagram"), 2);  // once per port
+  EXPECT_EQ(logged("for protocol 99"), 1);
+  EXPECT_EQ(logged("unexpected translation ack 999999"), 1);
+  EXPECT_EQ(logged("unexpected translation ack " + std::to_string(*acked)), 1);
+
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(stats.success);
+  EXPECT_EQ(bed.node(0).node.find(stats.pid), nullptr);
+  auto moved = bed.node(1).node.find(stats.pid);
+  ASSERT_NE(moved, nullptr);
+  // Only the genuine request installed a rule, and the DB session runs on.
+  EXPECT_EQ(bed.db_translation().active_rules(), 1u);
+  const auto* app = static_cast<const dve::ZoneServerApp*>(moved->app().get());
+  const std::uint64_t db_before = app->db_responses();
+  bed.run_for(SimTime::seconds(2));
+  EXPECT_GT(app->db_responses(), db_before);
 }
 
 // ---------------------------------------------------------- netfilter edges

@@ -44,13 +44,16 @@ phase-span
 no-linear-filter-scan
     Range-for loops over the capture-spec / translation-rule containers
     (``rules_``, ``specs_``, ``.specs``/``->specs`` members) are forbidden
-    outside the two index implementations (src/mig/capture.cpp,
-    src/mig/translation.cpp). Per-packet matching is O(1) through the tuple
-    hash indexes of DESIGN.md §12; a new linear scan over those containers
-    quietly reintroduces the O(n·m) hot path the index removed. Loops over
-    plain locals (e.g. a deserialized ``specs`` vector) or calls such as
-    ``specs_for(...)`` are not matches — the rule anchors on member-style
-    container names.
+    everywhere under src/ except src/mig/capture.cpp, and there only for the
+    session-teardown loop in ``CaptureManager::drop_from_index``, which walks
+    one ending session's specs to unlink them from the index — never per
+    packet. Per-packet matching is O(1) through the tuple hash indexes of
+    DESIGN.md §12; a new linear scan over those containers quietly
+    reintroduces the O(n·m) hot path the index removed. The linear-scan
+    semantics live on only as test oracles (tests/filter_oracles.hpp).
+    Loops over plain locals (e.g. a deserialized ``specs`` vector) or calls
+    such as ``specs_for(...)`` are not matches — the rule anchors on
+    member-style container names.
 
 serializer-symmetry
     Every serialize/deserialize pair (``serialize*``/``deserialize*`` methods,
@@ -130,7 +133,8 @@ RE_SPAN_OP = re.compile(
 RE_LINEAR_FILTER_SCAN = re.compile(
     r"\bfor\s*\([^;)]*:\s*[^)]*(?:\brules_\b|\bspecs_\b|(?:\.|->)specs\b)"
 )
-LINEAR_SCAN_ALLOWED = {"src/mig/capture.cpp", "src/mig/translation.cpp"}
+# capture.cpp: drop_from_index's per-session teardown loop only (see above).
+LINEAR_SCAN_ALLOWED = {"src/mig/capture.cpp"}
 
 # serializer-symmetry: function definitions taking a BinaryWriter&/BinaryReader&
 # whose name marks them as one half of a wire-format pair.
@@ -303,8 +307,8 @@ def lint_file(
                 f"{rel}:{line_of(m.start())}: [no-linear-filter-scan] "
                 "range-for over a packet-filter container — per-packet "
                 "matching must go through the tuple-hash indexes "
-                "(DESIGN.md §12); scans live only in src/mig/capture.cpp "
-                "and src/mig/translation.cpp"
+                "(DESIGN.md §12); the only exempt loop is capture.cpp's "
+                "session teardown"
             )
 
     # --- serializer-symmetry ---
