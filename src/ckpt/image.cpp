@@ -4,112 +4,6 @@
 
 namespace dvemig::ckpt {
 
-namespace {
-
-void write_area(BinaryWriter& w, const VmAreaImage& a) {
-  w.u64(a.start);
-  w.u64(a.length);
-  w.u32(a.prot);
-  w.u8(a.file_backed ? 1 : 0);
-  w.str(a.name);
-}
-
-VmAreaImage read_area(BinaryReader& r) {
-  VmAreaImage a;
-  a.start = r.u64();
-  a.length = r.u64();
-  a.prot = r.u32();
-  a.file_backed = r.u8() != 0;
-  a.name = r.str();
-  return a;
-}
-
-void write_thread(BinaryWriter& w, const ThreadImage& t) {
-  w.u32(t.tid);
-  for (const std::uint64_t reg : t.gp_regs) w.u64(reg);
-  w.u64(t.pc);
-  w.u64(t.sp);
-  w.u64(t.signal_mask);
-}
-
-ThreadImage read_thread(BinaryReader& r) {
-  ThreadImage t;
-  t.tid = r.u32();
-  for (std::uint64_t& reg : t.gp_regs) reg = r.u64();
-  t.pc = r.u64();
-  t.sp = r.u64();
-  t.signal_mask = r.u64();
-  return t;
-}
-
-}  // namespace
-
-void ProcessImage::serialize(BinaryWriter& w) const {
-  w.u32(pid.value);
-  w.str(name);
-  w.u32(static_cast<std::uint32_t>(areas.size()));
-  for (const auto& a : areas) write_area(w, a);
-  w.u32(static_cast<std::uint32_t>(threads.size()));
-  for (const auto& t : threads) write_thread(w, t);
-  w.u32(static_cast<std::uint32_t>(signal_handlers.size()));
-  for (const auto& [sig, handler] : signal_handlers) {
-    w.i32(sig);
-    w.u64(handler);
-  }
-  w.u32(static_cast<std::uint32_t>(regular_files.size()));
-  for (const auto& f : regular_files) {
-    w.i32(f.fd);
-    w.str(f.path);
-    w.u64(f.offset);
-    w.u32(f.flags);
-  }
-  w.u32(static_cast<std::uint32_t>(socket_fds.size()));
-  for (const Fd fd : socket_fds) w.i32(fd);
-  w.str(app_kind);
-  w.blob(app_blob);
-  w.i64(src_jiffies);
-  w.i64(src_local_now_ns);
-}
-
-ProcessImage ProcessImage::deserialize(BinaryReader& r) {
-  ProcessImage img;
-  img.pid = Pid{r.u32()};
-  img.name = r.str();
-  const std::uint32_t na = r.u32();
-  DVEMIG_EXPECTS(na <= r.remaining());  // each area consumes >= 1 byte
-  img.areas.reserve(na);
-  for (std::uint32_t i = 0; i < na; ++i) img.areas.push_back(read_area(r));
-  const std::uint32_t nt = r.u32();
-  DVEMIG_EXPECTS(nt <= r.remaining());
-  img.threads.reserve(nt);
-  for (std::uint32_t i = 0; i < nt; ++i) img.threads.push_back(read_thread(r));
-  const std::uint32_t ns = r.u32();
-  for (std::uint32_t i = 0; i < ns; ++i) {
-    const int sig = r.i32();
-    img.signal_handlers[sig] = r.u64();
-  }
-  const std::uint32_t nf = r.u32();
-  DVEMIG_EXPECTS(nf <= r.remaining());
-  img.regular_files.reserve(nf);
-  for (std::uint32_t i = 0; i < nf; ++i) {
-    FileImage f;
-    f.fd = r.i32();
-    f.path = r.str();
-    f.offset = r.u64();
-    f.flags = r.u32();
-    img.regular_files.push_back(std::move(f));
-  }
-  const std::uint32_t nsock = r.u32();
-  DVEMIG_EXPECTS(nsock <= r.remaining());
-  img.socket_fds.reserve(nsock);
-  for (std::uint32_t i = 0; i < nsock; ++i) img.socket_fds.push_back(r.i32());
-  img.app_kind = r.str();
-  img.app_blob = r.blob();
-  img.src_jiffies = r.i64();
-  img.src_local_now_ns = r.i64();
-  return img;
-}
-
 ProcessImage snapshot_process(const proc::Process& proc) {
   ProcessImage img;
   img.pid = proc.pid();
@@ -142,47 +36,6 @@ ProcessImage snapshot_process(const proc::Process& proc) {
   img.src_jiffies = stk.jiffies();
   img.src_local_now_ns = stk.local_now_ns();
   return img;
-}
-
-std::size_t MemoryDelta::transfer_bytes() const {
-  BinaryWriter w;
-  serialize(w);
-  return w.size();
-}
-
-void MemoryDelta::serialize(BinaryWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(added_areas.size()));
-  for (const auto& a : added_areas) write_area(w, a);
-  w.u32(static_cast<std::uint32_t>(removed_areas.size()));
-  for (const std::uint64_t s : removed_areas) w.u64(s);
-  w.u32(static_cast<std::uint32_t>(modified_areas.size()));
-  for (const auto& a : modified_areas) write_area(w, a);
-  w.u32(static_cast<std::uint32_t>(dirty_pages.size()));
-  // Page payloads: the simulator stores no page contents, so a zero-filled
-  // page-sized payload per dirty page keeps the transfer size honest.
-  static const Buffer zero_page(proc::kPageSize, 0);
-  for (const std::uint64_t page : dirty_pages) {
-    w.u64(page);
-    w.bytes(zero_page);
-  }
-}
-
-MemoryDelta MemoryDelta::deserialize(BinaryReader& r) {
-  MemoryDelta d;
-  const std::uint32_t na = r.u32();
-  for (std::uint32_t i = 0; i < na; ++i) d.added_areas.push_back(read_area(r));
-  const std::uint32_t nr = r.u32();
-  for (std::uint32_t i = 0; i < nr; ++i) d.removed_areas.push_back(r.u64());
-  const std::uint32_t nm = r.u32();
-  for (std::uint32_t i = 0; i < nm; ++i) d.modified_areas.push_back(read_area(r));
-  const std::uint32_t np = r.u32();
-  DVEMIG_EXPECTS(np <= r.remaining());  // each page record is > 1 byte
-  d.dirty_pages.reserve(np);
-  for (std::uint32_t i = 0; i < np; ++i) {
-    d.dirty_pages.push_back(r.u64());
-    r.skip(proc::kPageSize);
-  }
-  return d;
 }
 
 }  // namespace dvemig::ckpt

@@ -32,6 +32,16 @@ struct VmAreaImage {
   bool same_extent(const VmAreaImage& o) const {
     return start == o.start && length == o.length && prot == o.prot;
   }
+
+  // Field lists (src/common/serial.hpp).
+  template <class Io, class Self>
+  static void fields(Io& io, Self& a) {
+    io.u64(a.start);
+    io.u64(a.length);
+    io.u32(a.prot);
+    io.boolean(a.file_backed);
+    io.str(a.name);
+  }
 };
 
 struct ThreadImage {
@@ -40,6 +50,15 @@ struct ThreadImage {
   std::uint64_t pc{0};
   std::uint64_t sp{0};
   std::uint64_t signal_mask{0};
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& t) {
+    io.u32(t.tid);
+    for (auto& reg : t.gp_regs) io.u64(reg);
+    io.u64(t.pc);
+    io.u64(t.sp);
+    io.u64(t.signal_mask);
+  }
 };
 
 struct FileImage {
@@ -47,6 +66,14 @@ struct FileImage {
   std::string path;
   std::uint64_t offset{0};
   std::uint32_t flags{0};
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& f) {
+    io.i32(f.fd);
+    io.str(f.path);
+    io.u64(f.offset);
+    io.u32(f.flags);
+  }
 };
 
 /// Freeze-phase process metadata (open file table, descriptors, thread relations,
@@ -64,8 +91,25 @@ struct ProcessImage {
   std::int64_t src_jiffies{0};       // source jiffies at checkpoint (Section V-C1)
   std::int64_t src_local_now_ns{0};  // source local clock at checkpoint
 
-  void serialize(BinaryWriter& w) const;
-  static ProcessImage deserialize(BinaryReader& r);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& img) {
+    io.u32(img.pid.value);
+    io.str(img.name);
+    io.seq(img.areas);
+    io.seq(img.threads);
+    io.seq(img.signal_handlers, [](Io& hio, auto& handler) {
+      hio.i32(handler.first);
+      hio.u64(handler.second);
+    });
+    io.seq(img.regular_files);
+    io.seq(img.socket_fds, [](Io& fio, auto& fd) { fio.i32(fd); });
+    io.str(img.app_kind);
+    io.blob(img.app_blob);
+    io.i64(img.src_jiffies);
+    io.i64(img.src_local_now_ns);
+  }
+  void serialize(BinaryWriter& w) const { put(w, *this); }
+  static ProcessImage deserialize(BinaryReader& r) { return get<ProcessImage>(r); }
 };
 
 /// Capture the freeze-phase metadata of a process (sockets listed, not dumped).
@@ -78,10 +122,20 @@ struct MemoryDelta {
   std::vector<VmAreaImage> modified_areas;     // extent/prot changed in place
   std::vector<std::uint64_t> dirty_pages;      // page numbers to (re)transfer
 
-  /// Serialized size: metadata plus one page-size payload per dirty page.
-  std::size_t transfer_bytes() const;
-  void serialize(BinaryWriter& w) const;
-  static MemoryDelta deserialize(BinaryReader& r);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& d) {
+    io.seq(d.added_areas);
+    io.seq(d.removed_areas, [](Io& rio, auto& start) { rio.u64(start); });
+    io.seq(d.modified_areas);
+    // Page payloads: the simulator stores no page contents, so a zero-filled
+    // page-sized payload per dirty page keeps the transfer size honest.
+    io.seq(d.dirty_pages, [](Io& pio, auto& page) {
+      pio.u64(page);
+      pio.pad(proc::kPageSize, 0);
+    });
+  }
+  void serialize(BinaryWriter& w) const { put(w, *this); }
+  static MemoryDelta deserialize(BinaryReader& r) { return get<MemoryDelta>(r); }
   bool empty() const {
     return added_areas.empty() && removed_areas.empty() && modified_areas.empty() &&
            dirty_pages.empty();

@@ -3,10 +3,14 @@
 namespace dvemig {
 
 // Out of line on purpose: inlined right after append_le's push_backs, the
-// range insert trips false GCC 12 -O3 -Warray-bounds / -Wstringop-overflow
-// reports about the freshly grown buffer.
+// range inserts of bytes() and fill() trip false GCC 12 -O3 -Warray-bounds /
+// -Wstringop-overflow reports about the freshly grown buffer.
 void BinaryWriter::bytes(std::span<const std::uint8_t> data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
+}
+
+void BinaryWriter::fill(std::size_t n, std::uint8_t v) {
+  buf_.insert(buf_.end(), n, v);
 }
 
 std::uint64_t fnv1a(std::span<const std::uint8_t> data) {

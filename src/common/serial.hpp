@@ -12,6 +12,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/assert.hpp"
@@ -39,6 +40,9 @@ class BinaryWriter {
   }
 
   void bytes(std::span<const std::uint8_t> data);
+
+  /// `n` copies of `v` (structure padding whose size, not content, is measured).
+  void fill(std::size_t n, std::uint8_t v);
 
   /// Length-prefixed byte blob.
   void blob(std::span<const std::uint8_t> data) {
@@ -135,20 +139,13 @@ class BinaryReader {
   }
 
   Buffer blob() {
-    const std::uint32_t n = u32();
-    DVEMIG_EXPECTS(pos_ + n <= data_.size());
-    Buffer out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-               data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return out;
+    const auto b = span(u32());
+    return Buffer(b.begin(), b.end());
   }
 
   std::string str() {
-    const std::uint32_t n = u32();
-    DVEMIG_EXPECTS(pos_ + n <= data_.size());
-    std::string out(reinterpret_cast<const char*>(data_.data() + pos_), n);
-    pos_ += n;
-    return out;
+    const auto b = span(u32());
+    return std::string(reinterpret_cast<const char*>(b.data()), b.size());
   }
 
   /// View of the next `n` bytes without copying; advances the cursor. The view
@@ -185,6 +182,174 @@ class BinaryReader {
   std::span<const std::uint8_t> data_;
   std::size_t pos_{0};
 };
+
+// ------------------------------------------------------------ field lists
+//
+// Every wire record states its format once, as a field list:
+//
+//   template <class Io, class Self>
+//   static void fields(Io& io, Self& s) {
+//     io.u32(s.id);
+//     io.str(s.name);
+//     io.seq(s.items);  // u32 count, then each item's own field list
+//   }
+//
+// Put runs the list over a `const Self&` and appends to a BinaryWriter; Get
+// runs it over a `Self&` and fills it from a BinaryReader. Both are plain
+// classes whose members inline to the BinaryWriter/BinaryReader calls a
+// hand-written writer/reader pair would make, so one record cannot be written
+// one way and read another. The encoding:
+//  - integers are fixed-width little-endian; a member of another integral or
+//    enum type (a size_t, an IpProto) converts with static_cast;
+//  - `boolean` is one byte, written 0/1 and read as != 0;
+//  - `pad(n, fill)` is n fill bytes on write and n skipped bytes on read;
+//  - `seq` is a u32 count, then the elements; a map's keys go out ascending
+//    and must come back strictly ascending.
+// Decoding and re-encoding an accepted input gives back the same bytes unless
+// a bool byte is not 0/1 or a pad byte is not its fill.
+
+class Put {
+ public:
+  explicit Put(BinaryWriter& w) : w_(w) {}
+
+  template <class T> void u8(const T& v) { w_.u8(static_cast<std::uint8_t>(v)); }
+  template <class T> void u16(const T& v) { w_.u16(static_cast<std::uint16_t>(v)); }
+  template <class T> void u32(const T& v) { w_.u32(static_cast<std::uint32_t>(v)); }
+  template <class T> void u64(const T& v) { w_.u64(static_cast<std::uint64_t>(v)); }
+  template <class T> void i32(const T& v) { w_.i32(static_cast<std::int32_t>(v)); }
+  template <class T> void i64(const T& v) { w_.i64(static_cast<std::int64_t>(v)); }
+  void f64(double v) { w_.f64(v); }
+  void boolean(bool v) { w_.u8(v ? 1 : 0); }
+  void str(const std::string& s) { w_.str(s); }
+  void blob(const Buffer& b) { w_.blob(b); }
+  void pad(std::size_t n, std::uint8_t fill) { w_.fill(n, fill); }
+
+  /// A nested record: its own field list, inline.
+  template <class R> void rec(const R& r) { R::fields(*this, r); }
+
+  template <class C, class Elem> void seq(const C& c, const Elem& elem) {
+    w_.u32(static_cast<std::uint32_t>(c.size()));
+    for (const auto& x : c) elem(*this, x);
+  }
+  template <class C> void seq(const C& c) {
+    seq(c, [](Put& io, const auto& x) { io.rec(x); });
+  }
+
+ private:
+  BinaryWriter& w_;
+};
+
+class Get {
+ public:
+  /// Reading past the data is a contract violation, as with BinaryReader: a
+  /// checkpoint image that underflows is corrupt.
+  explicit Get(BinaryReader& r) : r_(r) {}
+  /// For untrusted payloads: a shortfall, or map keys out of order, only
+  /// clears ok() and stops all further reads.
+  static Get checked(BinaryReader& r) {
+    Get io(r);
+    io.strict_ = false;
+    return io;
+  }
+
+  bool ok() const { return ok_; }
+
+  template <class T> void u8(T& v) { if (fits(1)) v = static_cast<T>(r_.u8()); }
+  template <class T> void u16(T& v) { if (fits(2)) v = static_cast<T>(r_.u16()); }
+  template <class T> void u32(T& v) { if (fits(4)) v = static_cast<T>(r_.u32()); }
+  template <class T> void u64(T& v) { if (fits(8)) v = static_cast<T>(r_.u64()); }
+  template <class T> void i32(T& v) { if (fits(4)) v = static_cast<T>(r_.i32()); }
+  template <class T> void i64(T& v) { if (fits(8)) v = static_cast<T>(r_.i64()); }
+  void f64(double& v) { if (fits(8)) v = r_.f64(); }
+  void boolean(bool& v) { if (fits(1)) v = r_.u8() != 0; }
+  void str(std::string& s) {
+    const auto b = sized();
+    s.assign(reinterpret_cast<const char*>(b.data()), b.size());
+  }
+  void blob(Buffer& b) {
+    const auto v = sized();
+    b.assign(v.begin(), v.end());
+  }
+  void pad(std::size_t n, std::uint8_t /*fill*/) { if (fits(n)) r_.skip(n); }
+
+  template <class R> void rec(R& r) { R::fields(*this, r); }
+
+  /// One bound check on the count (every element is at least one byte), so a
+  /// hostile count cannot size the reservation.
+  template <class C, class Elem> void seq(C& c, const Elem& elem) {
+    std::uint32_t n = 0;
+    u32(n);
+    c.clear();
+    if (n > r_.remaining()) return fail();
+    constexpr bool is_map = requires { typename C::mapped_type; };
+    if constexpr (!is_map) c.reserve(n);
+    for (std::uint32_t i = 0; i < n && ok_; ++i) {
+      if constexpr (is_map) {
+        std::pair<typename C::key_type, typename C::mapped_type> x{};
+        elem(*this, x);
+        if (!c.empty() && !(c.rbegin()->first < x.first)) return fail();
+        c.emplace_hint(c.end(), std::move(x));
+      } else {
+        typename C::value_type x{};
+        elem(*this, x);
+        c.push_back(std::move(x));
+      }
+    }
+  }
+  template <class C> void seq(C& c) {
+    seq(c, [](Get& io, auto& x) { io.rec(x); });
+  }
+
+ private:
+  bool fits(std::size_t n) {
+    if (ok_ && n <= r_.remaining()) return true;
+    fail();
+    return false;
+  }
+  void fail() {
+    DVEMIG_EXPECTS(!strict_);  // strict reads never run past their data
+    ok_ = false;
+  }
+  std::span<const std::uint8_t> sized() {
+    std::uint32_t n = 0;
+    u32(n);
+    return fits(n) ? r_.span(n) : std::span<const std::uint8_t>{};
+  }
+
+  BinaryReader& r_;
+  bool strict_{true};
+  bool ok_{true};
+};
+
+/// Append `rec`'s fields to `w`.
+template <class R>
+void put(BinaryWriter& w, const R& rec) {
+  Put io(w);
+  io.rec(rec);
+}
+
+/// Fill `rec` from `r`; reading past the data is a contract violation.
+template <class R>
+void get(BinaryReader& r, R& rec) {
+  Get io(r);
+  io.rec(rec);
+}
+template <class R>
+R get(BinaryReader& r) {
+  R rec;
+  get(r, rec);
+  return rec;
+}
+
+/// Decode an untrusted payload: `rec` from the rest of `r`, which must hold
+/// exactly its fields. False (with `rec` unspecified) on a short or overlong
+/// payload; never aborts.
+template <class R>
+bool get_payload(BinaryReader& r, R& rec) {
+  Get io = Get::checked(r);
+  io.rec(rec);
+  return io.ok() && r.at_end();
+}
 
 /// FNV-1a content hash, used by the incremental socket tracker to detect whether a
 /// serialized field block changed since the previous precopy round.

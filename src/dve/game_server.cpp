@@ -30,51 +30,11 @@ std::shared_ptr<proc::Process> GameServerApp::launch(proc::Node& node,
   return proc;
 }
 
-void GameServerApp::serialize(BinaryWriter& w) const {
-  w.u16(cfg_.port);
-  w.i64(cfg_.tick.ns);
-  w.u32(static_cast<std::uint32_t>(cfg_.snapshot_bytes));
-  w.f64(cfg_.base_cores);
-  w.f64(cfg_.per_client_cores);
-  w.u64(cfg_.pages_per_tick);
-  w.i64(cfg_.client_timeout.ns);
-  w.i32(sock_fd_);
-  w.u32(static_cast<std::uint32_t>(clients_.size()));
-  for (const ClientEntry& c : clients_) {
-    w.u32(c.endpoint.addr.value);
-    w.u16(c.endpoint.port);
-    w.i64(c.last_seen_ns);
-  }
-  w.u32(snapshot_seq_);
-  w.u64(snapshots_sent_);
-  w.i64(next_tick_at_ns_);
-}
+void GameServerApp::serialize(BinaryWriter& w) const { put(w, *this); }
 
 std::shared_ptr<proc::AppLogic> GameServerApp::deserialize(BinaryReader& r) {
-  GameServerConfig cfg;
-  cfg.port = r.u16();
-  cfg.tick = SimTime::nanoseconds(r.i64());
-  cfg.snapshot_bytes = r.u32();
-  cfg.base_cores = r.f64();
-  cfg.per_client_cores = r.f64();
-  cfg.pages_per_tick = r.u64();
-  cfg.client_timeout = SimTime::nanoseconds(r.i64());
-
-  auto app = std::make_shared<GameServerApp>(cfg);
-  app->sock_fd_ = r.i32();
-  const std::uint32_t n = r.u32();
-  DVEMIG_EXPECTS(n <= r.remaining());
-  app->clients_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ClientEntry c;
-    c.endpoint.addr.value = r.u32();
-    c.endpoint.port = r.u16();
-    c.last_seen_ns = r.i64();
-    app->clients_.push_back(c);
-  }
-  app->snapshot_seq_ = r.u32();
-  app->snapshots_sent_ = r.u64();
-  app->next_tick_at_ns_ = r.i64();
+  auto app = std::make_shared<GameServerApp>(GameServerConfig{});
+  get(r, *app);
   return app;
 }
 

@@ -42,6 +42,24 @@ class GameServerApp final : public proc::AppLogic {
   void start(proc::Process& proc) override;
   void stop() override;
 
+  // The checkpointed state (src/common/serial.hpp).
+  template <class Io, class Self>
+  static void fields(Io& io, Self& app) {
+    auto& cfg = app.cfg_;
+    io.u16(cfg.port);
+    io.i64(cfg.tick.ns);
+    io.u32(cfg.snapshot_bytes);
+    io.f64(cfg.base_cores);
+    io.f64(cfg.per_client_cores);
+    io.u64(cfg.pages_per_tick);
+    io.i64(cfg.client_timeout.ns);
+    io.i32(app.sock_fd_);
+    io.seq(app.clients_);
+    io.u32(app.snapshot_seq_);
+    io.u64(app.snapshots_sent_);
+    io.i64(app.next_tick_at_ns_);
+  }
+
   std::size_t client_count() const { return clients_.size(); }
   std::uint64_t snapshots_sent() const { return snapshots_sent_; }
   std::uint32_t snapshot_seq() const { return snapshot_seq_; }
@@ -50,6 +68,12 @@ class GameServerApp final : public proc::AppLogic {
   struct ClientEntry {
     net::Endpoint endpoint{};
     std::int64_t last_seen_ns{0};
+
+    template <class Io, class Self>
+    static void fields(Io& io, Self& c) {
+      io.rec(c.endpoint);
+      io.i64(c.last_seen_ns);
+    }
   };
 
   static std::shared_ptr<proc::AppLogic> deserialize(BinaryReader& r);

@@ -47,64 +47,11 @@ std::shared_ptr<proc::Process> ZoneServerApp::launch(proc::Node& node,
   return proc;
 }
 
-void ZoneServerApp::serialize(BinaryWriter& w) const {
-  w.u32(cfg_.zone);
-  w.i64(cfg_.tick.ns);
-  w.u32(static_cast<std::uint32_t>(cfg_.update_bytes));
-  w.f64(cfg_.base_cores);
-  w.f64(cfg_.per_client_cores);
-  w.u32(cfg_.worker_threads);
-  w.u8(cfg_.active_updates ? 1 : 0);
-  w.u64(cfg_.pages_per_tick);
-  w.u8(cfg_.use_db ? 1 : 0);
-  w.u32(cfg_.db_addr.value);
-  w.i64(cfg_.db_update_period.ns);
-  w.u32(static_cast<std::uint32_t>(cfg_.db_query_bytes));
-
-  w.i32(listener_fd_);
-  w.i32(db_fd_);
-  w.u32(static_cast<std::uint32_t>(client_fds_.size()));
-  for (const Fd fd : client_fds_) w.i32(fd);
-  w.u32(update_seq_);
-  w.u64(updates_sent_);
-  w.u64(db_queries_sent_);
-  w.u64(db_responses_);
-  w.u64(ticks_);
-  w.blob(db_rx_);
-  w.i64(next_tick_at_ns_);
-  w.i64(next_db_at_ns_);
-}
+void ZoneServerApp::serialize(BinaryWriter& w) const { put(w, *this); }
 
 std::shared_ptr<proc::AppLogic> ZoneServerApp::deserialize(BinaryReader& r) {
-  ZoneServerConfig cfg;
-  cfg.zone = r.u32();
-  cfg.tick = SimTime::nanoseconds(r.i64());
-  cfg.update_bytes = r.u32();
-  cfg.base_cores = r.f64();
-  cfg.per_client_cores = r.f64();
-  cfg.worker_threads = r.u32();
-  cfg.active_updates = r.u8() != 0;
-  cfg.pages_per_tick = r.u64();
-  cfg.use_db = r.u8() != 0;
-  cfg.db_addr.value = r.u32();
-  cfg.db_update_period = SimTime::nanoseconds(r.i64());
-  cfg.db_query_bytes = r.u32();
-
-  auto app = std::make_shared<ZoneServerApp>(cfg);
-  app->listener_fd_ = r.i32();
-  app->db_fd_ = r.i32();
-  const std::uint32_t n = r.u32();
-  DVEMIG_EXPECTS(n <= r.remaining());
-  app->client_fds_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) app->client_fds_.push_back(r.i32());
-  app->update_seq_ = r.u32();
-  app->updates_sent_ = r.u64();
-  app->db_queries_sent_ = r.u64();
-  app->db_responses_ = r.u64();
-  app->ticks_ = r.u64();
-  app->db_rx_ = r.blob();
-  app->next_tick_at_ns_ = r.i64();
-  app->next_db_at_ns_ = r.i64();
+  auto app = std::make_shared<ZoneServerApp>(ZoneServerConfig{});
+  get(r, *app);
   return app;
 }
 

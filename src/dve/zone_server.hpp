@@ -63,6 +63,35 @@ class ZoneServerApp final : public proc::AppLogic {
   void start(proc::Process& proc) override;
   void stop() override;
 
+  // The checkpointed state (src/common/serial.hpp); the ready list is not in it.
+  template <class Io, class Self>
+  static void fields(Io& io, Self& app) {
+    auto& cfg = app.cfg_;
+    io.u32(cfg.zone);
+    io.i64(cfg.tick.ns);
+    io.u32(cfg.update_bytes);
+    io.f64(cfg.base_cores);
+    io.f64(cfg.per_client_cores);
+    io.u32(cfg.worker_threads);
+    io.boolean(cfg.active_updates);
+    io.u64(cfg.pages_per_tick);
+    io.boolean(cfg.use_db);
+    io.u32(cfg.db_addr.value);
+    io.i64(cfg.db_update_period.ns);
+    io.u32(cfg.db_query_bytes);
+    io.i32(app.listener_fd_);
+    io.i32(app.db_fd_);
+    io.seq(app.client_fds_, [](Io& fio, auto& fd) { fio.i32(fd); });
+    io.u32(app.update_seq_);
+    io.u64(app.updates_sent_);
+    io.u64(app.db_queries_sent_);
+    io.u64(app.db_responses_);
+    io.u64(app.ticks_);
+    io.blob(app.db_rx_);
+    io.i64(app.next_tick_at_ns_);
+    io.i64(app.next_db_at_ns_);
+  }
+
   const ZoneServerConfig& config() const { return cfg_; }
   std::size_t client_count() const { return client_fds_.size(); }
   std::uint64_t updates_sent() const { return updates_sent_; }

@@ -74,9 +74,22 @@ void Conductor::heartbeat() {
 }
 
 void Conductor::on_readable() {
+  // Fixed layouts: the type byte, then a LoadInfo for load_info, or for every
+  // other type the u64 offer id and f64 value send_ctrl writes. Anything else
+  // on this port (an empty, truncated or unknown datagram) is dropped unparsed.
+  constexpr std::size_t kLoadInfoBytes = 1 + LoadInfo::kWireBytes;
+  constexpr std::size_t kCtrlBytes = 1 + sizeof(std::uint64_t) + sizeof(double);
   while (auto dgram = sock_->recv()) {
+    const std::size_t size = dgram->data.size();
+    const auto type = static_cast<MsgType>(size == 0 ? 0 : dgram->data[0]);
+    const bool known = type >= MsgType::load_info && type <= MsgType::mig_solicit;
+    if (!known || size != (type == MsgType::load_info ? kLoadInfoBytes : kCtrlBytes)) {
+      DVEMIG_WARN("conductor", "%s dropped %zu-byte datagram", node_->name().c_str(),
+                  size);
+      continue;
+    }
     BinaryReader r(dgram->data);
-    const auto type = static_cast<MsgType>(r.u8());
+    r.skip(1);  // the type byte
     switch (type) {
       case MsgType::load_info:
         handle_load_info(LoadInfo::deserialize(r));

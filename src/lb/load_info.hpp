@@ -19,8 +19,21 @@ struct LoadInfo {
   std::uint32_t process_count{0};
   std::int64_t sent_at_ns{0};
 
-  void serialize(BinaryWriter& w) const;
-  static LoadInfo deserialize(BinaryReader& r);
+  /// Serialized size: three u32, three f64 and one i64.
+  static constexpr std::size_t kWireBytes = 44;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& info) {
+    io.u32(info.node_local.value);
+    io.u32(info.node_key);
+    io.f64(info.utilization);
+    io.f64(info.demand);
+    io.f64(info.capacity_cores);
+    io.u32(info.process_count);
+    io.i64(info.sent_at_ns);
+  }
+  void serialize(BinaryWriter& w) const { put(w, *this); }
+  static LoadInfo deserialize(BinaryReader& r) { return get<LoadInfo>(r); }
 };
 
 struct ProcessLoad {

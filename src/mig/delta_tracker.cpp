@@ -1,6 +1,7 @@
 #include "src/mig/delta_tracker.hpp"
 
 #include <bit>
+#include <type_traits>
 
 namespace dvemig::mig {
 
@@ -11,24 +12,41 @@ namespace dvemig::mig {
 // hashed *in place*, and a section that turns out unchanged is rolled back
 // with truncate_to. No per-section scratch writers, no second copy.
 
-template <class Sections>
-SectionFlags SocketDeltaTracker::emit(net::IpProto proto, std::uint64_t key,
-                                      BinaryWriter& out, bool force_all,
-                                      const Sections& sections) {
-  const std::size_t record_at = out.mark();
-  out.u8(static_cast<std::uint8_t>(proto));
-  out.u64(key);
-  const std::size_t flags_at = out.mark();
-  out.u8(0);  // SectionFlags, patched below once known
+namespace {
 
-  Entry& e = entries_[key];
+/// proto | key | SectionFlags, ahead of the sections the flags name.
+struct RecordHeader {
+  net::IpProto proto{net::IpProto::tcp};
+  std::uint64_t key{0};
+  SectionFlags flags{SectionFlags::none};
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& h) {
+    io.u8(h.proto);
+    io.u64(h.key);
+    io.u8(h.flags);
+  }
+};
+
+}  // namespace
+
+template <class Image>
+SectionFlags SocketDeltaTracker::emit(net::IpProto proto, const Image& img,
+                                      BinaryWriter& out, bool force_all) {
+  const std::size_t record_at = out.mark();
+  // Flags go out as none and are patched below once known.
+  put(out, RecordHeader{proto, img.src_sock_key, SectionFlags::none});
+  const std::size_t flags_at = out.mark() - 1;
+
+  Entry& e = entries_[img.src_sock_key];
   const bool keep_all = force_all || !e.have;
   SectionFlags flags = SectionFlags::none;
-  sections([&](const auto& serialize, SectionFlags bit) {
+  Put io(out);
+  Image::sections([&](SectionFlags bit, const auto& fields) {
     std::uint64_t& stored_hash =
         e.hash[static_cast<std::size_t>(std::countr_zero(static_cast<unsigned>(bit)))];
     const std::size_t at = out.mark();
-    serialize();
+    fields(io, img);
     const std::uint64_t h = fnv1a(out.span_from(at));
     if (keep_all || h != stored_hash) {
       flags = flags | bit;
@@ -49,53 +67,34 @@ SectionFlags SocketDeltaTracker::emit(net::IpProto proto, std::uint64_t key,
 
 SectionFlags SocketDeltaTracker::emit_tcp(const TcpImage& img, BinaryWriter& out,
                                           bool force_all) {
-  return emit(net::IpProto::tcp, img.src_sock_key, out, force_all,
-              [&](const auto& section) {
-                section([&] { img.serialize_static(out); }, SectionFlags::stat);
-                section([&] { img.serialize_dynamic(out); }, SectionFlags::dyn);
-                section([&] { img.serialize_queues(out); }, SectionFlags::queues);
-              });
+  return emit(net::IpProto::tcp, img, out, force_all);
 }
 
 SectionFlags SocketDeltaTracker::emit_udp(const UdpImage& img, BinaryWriter& out,
                                           bool force_all) {
-  return emit(net::IpProto::udp, img.src_sock_key, out, force_all,
-              [&](const auto& section) {
-                section([&] { img.serialize_static(out); }, SectionFlags::stat);
-                section([&] { img.serialize_queues(out); }, SectionFlags::queues);
-              });
+  return emit(net::IpProto::udp, img, out, force_all);
 }
 
-void read_socket_record(BinaryReader& r, SocketStaging& staging) {
-  const auto proto = static_cast<net::IpProto>(r.u8());
-  const std::uint64_t key = r.u64();
-  const auto flags = static_cast<SectionFlags>(r.u8());
-
-  StagedSocket& staged = staging[key];
-  staged.proto = proto;
-  if (proto == net::IpProto::tcp) {
-    if (flags & SectionFlags::stat) {
-      staged.tcp.deserialize_static(r);
-      staged.have_static = true;
-    }
-    if (flags & SectionFlags::dyn) {
-      staged.tcp.deserialize_dynamic(r);
-      staged.have_dynamic = true;
-    }
-    if (flags & SectionFlags::queues) {
-      staged.tcp.deserialize_queues(r);
-      staged.have_queues = true;
-    }
-  } else {
-    if (flags & SectionFlags::stat) {
-      staged.udp.deserialize_static(r);
-      staged.have_static = true;
-    }
-    if (flags & SectionFlags::queues) {
-      staged.udp.deserialize_queues(r);
-      staged.have_queues = true;
-    }
+bool read_socket_record(BinaryReader& r, SocketStaging& staging) {
+  Get io = Get::checked(r);
+  RecordHeader h;
+  io.rec(h);
+  if (!io.ok() || (h.proto != net::IpProto::tcp && h.proto != net::IpProto::udp)) {
+    return false;
   }
+  StagedSocket& staged = staging[h.key];
+  staged.proto = h.proto;
+  auto merge = [&](auto& img) {
+    using Image = std::remove_reference_t<decltype(img)>;
+    if ((h.flags | kAllSections<Image>) != kAllSections<Image>) return false;
+    Image::sections([&](SectionFlags bit, const auto& fields) {
+      if (!(h.flags & bit)) return;
+      fields(io, img);
+      staged.have = staged.have | bit;
+    });
+    return io.ok();
+  };
+  return h.proto == net::IpProto::tcp ? merge(staged.tcp) : merge(staged.udp);
 }
 
 }  // namespace dvemig::mig

@@ -27,11 +27,10 @@ class SocketDeltaTracker {
     std::array<std::uint64_t, 3> hash{};  // per section, by SectionFlags bit
   };
 
-  /// The record both protocols share. `sections(section)` must call
-  /// `section(serialize, bit)` once per section of the protocol, in wire order.
-  template <class Sections>
-  SectionFlags emit(net::IpProto proto, std::uint64_t key, BinaryWriter& out,
-                    bool force_all, const Sections& sections);
+  /// The record both protocols share, walking `Image::sections`.
+  template <class Image>
+  SectionFlags emit(net::IpProto proto, const Image& img, BinaryWriter& out,
+                    bool force_all);
 
   std::unordered_map<std::uint64_t, Entry> entries_;
 };
@@ -42,20 +41,21 @@ struct StagedSocket {
   net::IpProto proto{net::IpProto::tcp};
   TcpImage tcp;
   UdpImage udp;
-  bool have_static{false};
-  bool have_dynamic{false};
-  bool have_queues{false};
+  SectionFlags have{SectionFlags::none};
 
   bool complete() const {
-    return proto == net::IpProto::tcp ? (have_static && have_dynamic && have_queues)
-                                      : (have_static && have_queues);
+    return have == (proto == net::IpProto::tcp ? kAllSections<TcpImage>
+                                               : kAllSections<UdpImage>);
   }
 };
 
 using SocketStaging = std::unordered_map<std::uint64_t, StagedSocket>;
 
 /// Parse one socket record (as written by SocketDeltaTracker::emit_*) and merge it
-/// into the staging area.
-void read_socket_record(BinaryReader& r, SocketStaging& staging);
+/// into the staging area. False if the record is malformed: an unknown proto
+/// byte, a section bit the protocol does not have, or a section that runs past
+/// the data. Never aborts; after a false return the reader and the staged
+/// socket are unspecified.
+bool read_socket_record(BinaryReader& r, SocketStaging& staging);
 
 }  // namespace dvemig::mig

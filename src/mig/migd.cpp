@@ -496,12 +496,12 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
         });
     mig_id_ = (std::uint64_t{node_->local_addr().value} << 20) | ++owner_->next_mig_id_;
     BinaryWriter w;
-    w.u32(stats_.pid.value);
-    w.str(proc_->name());
-    w.u8(static_cast<std::uint8_t>(stats_.strategy));
-    w.u32(node_->local_addr().value);
-    w.u64(mig_id_);
-    w.u8(static_cast<std::uint8_t>(config_.parallelism));
+    put(w, MigBegin{.pid = stats_.pid,
+                    .name = proc_->name(),
+                    .strategy = static_cast<std::uint8_t>(stats_.strategy),
+                    .src_local = node_->local_addr(),
+                    .mig_id = mig_id_,
+                    .stripe_count = static_cast<std::uint8_t>(config_.parallelism)});
     transport_->send(MsgType::mig_begin, w.take());
     connect_timer_.cancel();
     if (config_.parallelism > 1) {
@@ -731,13 +731,11 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
     return specs;
   }
 
-  void send_capture_request(const std::vector<CaptureSpec>& specs,
-                            std::function<void()> then) {
+  void send_capture_request(const CaptureRequest& req, std::function<void()> then) {
     span_stage_ = tracer().begin(obs_track_, "mig.capture_arm");
-    tracer().attr(span_stage_, "specs", std::to_string(specs.size()));
+    tracer().attr(span_stage_, "specs", std::to_string(req.specs.size()));
     BinaryWriter w;
-    w.u32(static_cast<std::uint32_t>(specs.size()));
-    for (const CaptureSpec& s : specs) s.serialize(w);
+    put(w, req);
     on_capture_enabled_ = [this, then = std::move(then)] {
       close_span(span_stage_);
       then();
@@ -824,13 +822,13 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
       return;
     }
     const std::size_t end = per_socket() ? begin + 1 : sockets_.size();
-    std::vector<CaptureSpec> specs;
+    CaptureRequest req;
     for (std::size_t i = begin; i < end; ++i) {
-      for (const CaptureSpec& s : specs_for(sockets_[i])) specs.push_back(s);
+      for (const CaptureSpec& s : specs_for(sockets_[i])) req.specs.push_back(s);
     }
     DVEMIG_DEBUG("migd", "pid %u capture: %zu specs for sockets [%zu, %zu)",
-                 stats_.pid.value, specs.size(), begin, end);
-    send_capture_request(specs, [this, begin, end] {
+                 stats_.pid.value, req.specs.size(), begin, end);
+    send_capture_request(req, [this, begin, end] {
       request_translations(begin, end, [this, begin, end] { subtract(begin, end); });
     });
   }
@@ -1206,17 +1204,18 @@ class Migd::DestSession : public Session<Migd::DestSession> {
           teardown("duplicate mig_begin", /*notify_peer=*/true);
           return;
         }
+        MigBegin begin;
+        if (!get_payload(r, begin)) {
+          teardown("malformed mig_begin", /*notify_peer=*/true);
+          return;
+        }
         obs_track_ = tracer().track(node_->name() + "/migd.dst");
         span_receive_ = tracer().begin(obs_track_, "mig.receive");
         phase_ = Phase::receiving;
-        pid_ = Pid{r.u32()};
-        (void)r.str();  // process name
-        (void)r.u8();   // socket strategy
-        src_local_.value = r.u32();
-        if (r.remaining() >= 9) {
-          mig_id_ = r.u64();
-          stripe_count_ = std::max<int>(1, r.u8());
-        }
+        pid_ = begin.pid;
+        src_local_ = begin.src_local;
+        mig_id_ = begin.mig_id;
+        stripe_count_ = std::max<int>(1, begin.stripe_count);
         tracer().attr(span_receive_, "pid", std::to_string(pid_.value));
         // The capture session must exist before any parked stripe segment is
         // replayed below — a parked capture_request would otherwise arm
@@ -1245,17 +1244,16 @@ class Migd::DestSession : public Session<Migd::DestSession> {
         return;
       }
       case MsgType::capture_request: {
-        const std::uint32_t n = r.u32();
-        DVEMIG_EXPECTS(n <= r.remaining());  // each spec consumes >= 1 byte
-        std::vector<CaptureSpec> specs;
-        specs.reserve(n);
-        for (std::uint32_t i = 0; i < n; ++i) {
-          specs.push_back(CaptureSpec::deserialize(r));
+        CaptureRequest req;
+        if (!get_payload(r, req)) {
+          teardown("malformed capture_request", /*notify_peer=*/true);
+          return;
         }
-        DVEMIG_DEBUG("migd", "pid %u dest: capture_request with %u specs", pid_.value, n);
+        const std::size_t n = req.specs.size();
+        DVEMIG_DEBUG("migd", "pid %u dest: capture_request with %zu specs", pid_.value, n);
         after(SimTime::nanoseconds(static_cast<std::int64_t>(n) *
                                    cm().capture_install_ns),
-              [this, specs = std::move(specs)] {
+              [this, specs = std::move(req.specs)] {
                 // An abort can land while the filters are being installed;
                 // arming against the already-dropped session would crash.
                 if (phase_ == Phase::retired) return;
@@ -1269,17 +1267,29 @@ class Migd::DestSession : public Session<Migd::DestSession> {
         return;
       }
       case MsgType::socket_state: {
+        // A u32 record count, then exactly that many records.
         socket_bytes_ += r.remaining() + 1;
-        const std::uint32_t n = r.u32();
-        (void)n;
-        while (!r.at_end()) read_socket_record(r, staging_);
+        std::uint32_t n = 0;
+        Get io = Get::checked(r);
+        io.u32(n);
+        bool ok = io.ok();
+        std::uint32_t records = 0;
+        for (; ok && !r.at_end(); ++records) ok = read_socket_record(r, staging_);
+        if (!ok || records != n) {
+          teardown("malformed socket_state", /*notify_peer=*/true);
+          return;
+        }
         BinaryWriter w;
         w.u32(n);
         channel_->send(MsgType::socket_ack, std::move(w));
         return;
       }
       case MsgType::memory_delta: {
-        const ckpt::MemoryDelta delta = ckpt::MemoryDelta::deserialize(r);
+        ckpt::MemoryDelta delta;
+        if (!get_payload(r, delta)) {
+          teardown("malformed memory_delta", /*notify_peer=*/true);
+          return;
+        }
         pages_received_ += delta.dirty_pages.size();
         return;
       }
@@ -1288,9 +1298,12 @@ class Migd::DestSession : public Session<Migd::DestSession> {
           teardown("duplicate process_image", /*notify_peer=*/true);
           return;
         }
+        if (!get_payload(r, img_)) {
+          teardown("malformed process_image", /*notify_peer=*/true);
+          return;
+        }
         span_restore_ = tracer().begin(obs_track_, "mig.restore");
         phase_ = Phase::restoring;
-        img_ = ckpt::ProcessImage::deserialize(r);
         tracer().attr(span_restore_, "pid", std::to_string(img_.pid.value));
         // Restore workers mirror the source's pool: socket reconstruction
         // shards across stripe_count_ workers, metadata stays serial.

@@ -13,9 +13,11 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/common/serial.hpp"
+#include "src/mig/socket_image.hpp"
 #include "src/stack/tcp_socket.hpp"
 
 namespace dvemig::mig {
@@ -52,6 +54,37 @@ inline constexpr std::uint8_t kMsgTypeMax = 11;
 inline bool msg_type_valid(std::uint8_t v) {
   return v >= kMsgTypeMin && v <= kMsgTypeMax;
 }
+
+/// mig_begin payload. Every field is mandatory: the destination rejects a
+/// payload that is shorter or longer than these fields.
+struct MigBegin {
+  Pid pid{};
+  std::string name;
+  std::uint8_t strategy{0};       // SocketMigStrategy
+  net::Ipv4Addr src_local{};      // source node's cluster-local address
+  std::uint64_t mig_id{0};
+  std::uint8_t stripe_count{1};   // source parallelism
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u32(m.pid.value);
+    io.str(m.name);
+    io.u8(m.strategy);
+    io.u32(m.src_local.value);
+    io.u64(m.mig_id);
+    io.u8(m.stripe_count);
+  }
+};
+
+/// capture_request payload: a u32 count, then 10 bytes per CaptureSpec.
+struct CaptureRequest {
+  std::vector<CaptureSpec> specs;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& req) {
+    io.seq(req.specs);
+  }
+};
 
 /// Largest frame length (type byte + payload) the receive side accepts. Frames
 /// carry at most one precopy round's memory delta; anything past this cap is a

@@ -1,6 +1,5 @@
 #include "src/mig/socket_image.hpp"
 
-#include "src/mig/cost_model.hpp"
 #include "src/mig/test_hooks.hpp"
 #include "src/obs/metrics.hpp"
 
@@ -13,232 +12,15 @@ obs::Counter& rehash_counter() {
   return c;
 }
 
-void write_endpoint(BinaryWriter& w, net::Endpoint e) {
-  w.u32(e.addr.value);
-  w.u16(e.port);
-}
-
-net::Endpoint read_endpoint(BinaryReader& r) {
-  net::Endpoint e;
-  e.addr.value = r.u32();
-  e.port = r.u16();
-  return e;
-}
-
-void write_struct_pad(BinaryWriter& w, std::size_t n) {
-  // Stands in for the rest of the kernel structure (field-for-field dump of
-  // struct tcp_sock / udp_sock); content is irrelevant, size is what is measured.
-  static const Buffer pad(4096, 0xA5);
-  DVEMIG_EXPECTS(n <= pad.size());
-  w.bytes({pad.data(), n});
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------- CaptureSpec
-
-void CaptureSpec::serialize(BinaryWriter& w) const {
-  w.u8(static_cast<std::uint8_t>(proto));
-  w.u8(match_remote ? 1 : 0);
-  write_endpoint(w, remote);
-  w.u16(local_port);
-}
-
-CaptureSpec CaptureSpec::deserialize(BinaryReader& r) {
-  CaptureSpec s;
-  s.proto = static_cast<net::IpProto>(r.u8());
-  s.match_remote = r.u8() != 0;
-  s.remote = read_endpoint(r);
-  s.local_port = r.u16();
-  return s;
-}
 
 bool CaptureSpec::matches(const net::Packet& p) const {
   if (p.proto != proto) return false;
   if (p.dport() != local_port) return false;
   if (match_remote && (p.src != remote.addr || p.sport() != remote.port)) return false;
   return true;
-}
-
-// ---------------------------------------------------------------- TCP sections
-
-void TcpImage::serialize_static(BinaryWriter& w) const {
-  w.u64(src_sock_key);
-  w.i32(fd);
-  write_endpoint(w, local);
-  write_endpoint(w, remote);
-  w.u8(listening ? 1 : 0);
-  w.u32(backlog_limit);
-  w.u32(iss);
-  w.u32(irs);
-  w.u32(rcv_wnd_max);
-  write_struct_pad(w, kTcpSockStructPad);
-  w.u32(static_cast<std::uint32_t>(accept_children.size()));
-  for (const TcpImage& child : accept_children) {
-    child.serialize_static(w);
-    child.serialize_dynamic(w);
-    child.serialize_queues(w);
-  }
-}
-
-void TcpImage::deserialize_static(BinaryReader& r) {
-  src_sock_key = r.u64();
-  fd = r.i32();
-  local = read_endpoint(r);
-  remote = read_endpoint(r);
-  listening = r.u8() != 0;
-  backlog_limit = r.u32();
-  iss = r.u32();
-  irs = r.u32();
-  rcv_wnd_max = r.u32();
-  r.skip(kTcpSockStructPad);
-  const std::uint32_t nchildren = r.u32();
-  DVEMIG_EXPECTS(nchildren <= r.remaining());  // each child image is > 1 byte
-  accept_children.resize(nchildren);
-  for (TcpImage& child : accept_children) {
-    child.deserialize_static(r);
-    child.deserialize_dynamic(r);
-    child.deserialize_queues(r);
-  }
-}
-
-void TcpImage::serialize_dynamic(BinaryWriter& w) const {
-  w.u8(state);
-  w.u32(snd_una);
-  w.u32(snd_nxt);
-  w.u32(snd_wnd);
-  w.u32(rcv_nxt);
-  w.i64(srtt_ns);
-  w.i64(rttvar_ns);
-  w.i64(rto_ns);
-  w.u32(cwnd);
-  w.u32(ssthresh);
-  w.u32(ts_recent);
-  w.i64(ts_offset);
-  w.u8(fin_queued ? 1 : 0);
-  w.u32(fin_seq);
-  w.u8(peer_fin_seen ? 1 : 0);
-}
-
-void TcpImage::deserialize_dynamic(BinaryReader& r) {
-  state = r.u8();
-  snd_una = r.u32();
-  snd_nxt = r.u32();
-  snd_wnd = r.u32();
-  rcv_nxt = r.u32();
-  srtt_ns = r.i64();
-  rttvar_ns = r.i64();
-  rto_ns = r.i64();
-  cwnd = r.u32();
-  ssthresh = r.u32();
-  ts_recent = r.u32();
-  ts_offset = r.i64();
-  fin_queued = r.u8() != 0;
-  fin_seq = r.u32();
-  peer_fin_seen = r.u8() != 0;
-}
-
-void TcpImage::serialize_queues(BinaryWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(write_queue.size()));
-  for (const auto& s : write_queue) {
-    w.u32(s.seq);
-    w.u8(s.flags);
-    w.u32(s.retrans);
-    w.i64(s.sent_at_local_ns);
-    w.u32(s.sent_tsval);
-    w.blob(s.data);
-    write_struct_pad(w, kSkbStructPad);
-  }
-  auto write_rx = [&w](const std::vector<TcpRxImage>& q) {
-    w.u32(static_cast<std::uint32_t>(q.size()));
-    for (const auto& s : q) {
-      w.u32(s.seq);
-      w.u8(s.fin ? 1 : 0);
-      w.blob(s.data);
-      write_struct_pad(w, kSkbStructPad);
-    }
-  };
-  write_rx(receive_queue);
-  write_rx(ooo_queue);
-}
-
-void TcpImage::deserialize_queues(BinaryReader& r) {
-  write_queue.clear();
-  receive_queue.clear();
-  ooo_queue.clear();
-  const std::uint32_t nw = r.u32();
-  DVEMIG_EXPECTS(nw <= r.remaining());
-  write_queue.reserve(nw);
-  for (std::uint32_t i = 0; i < nw; ++i) {
-    TcpSegmentImage s;
-    s.seq = r.u32();
-    s.flags = r.u8();
-    s.retrans = r.u32();
-    s.sent_at_local_ns = r.i64();
-    s.sent_tsval = r.u32();
-    s.data = r.blob();
-    r.skip(kSkbStructPad);
-    write_queue.push_back(std::move(s));
-  }
-  auto read_rx = [&r](std::vector<TcpRxImage>& q) {
-    const std::uint32_t n = r.u32();
-    DVEMIG_EXPECTS(n <= r.remaining());
-    q.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      TcpRxImage s;
-      s.seq = r.u32();
-      s.fin = r.u8() != 0;
-      s.data = r.blob();
-      r.skip(kSkbStructPad);
-      q.push_back(std::move(s));
-    }
-  };
-  read_rx(receive_queue);
-  read_rx(ooo_queue);
-}
-
-// ---------------------------------------------------------------- UDP sections
-
-void UdpImage::serialize_static(BinaryWriter& w) const {
-  w.u64(src_sock_key);
-  w.i32(fd);
-  write_endpoint(w, local);
-  write_endpoint(w, remote);
-  w.u8(bound ? 1 : 0);
-  w.u8(connected ? 1 : 0);
-  write_struct_pad(w, kUdpSockStructPad);
-}
-
-void UdpImage::deserialize_static(BinaryReader& r) {
-  src_sock_key = r.u64();
-  fd = r.i32();
-  local = read_endpoint(r);
-  remote = read_endpoint(r);
-  bound = r.u8() != 0;
-  connected = r.u8() != 0;
-  r.skip(kUdpSockStructPad);
-}
-
-void UdpImage::serialize_queues(BinaryWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(receive_queue.size()));
-  for (const auto& [from, data] : receive_queue) {
-    write_endpoint(w, from);
-    w.blob(data);
-    write_struct_pad(w, kSkbStructPad);
-  }
-}
-
-void UdpImage::deserialize_queues(BinaryReader& r) {
-  receive_queue.clear();
-  const std::uint32_t n = r.u32();
-  DVEMIG_EXPECTS(n <= r.remaining());
-  receive_queue.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const net::Endpoint from = read_endpoint(r);
-    Buffer data = r.blob();
-    r.skip(kSkbStructPad);
-    receive_queue.emplace_back(from, std::move(data));
-  }
 }
 
 // ---------------------------------------------------------------- extraction

@@ -16,6 +16,7 @@
 
 #include "src/common/serial.hpp"
 #include "src/common/types.hpp"
+#include "src/mig/cost_model.hpp"
 #include "src/stack/tcp_socket.hpp"
 #include "src/stack/udp_socket.hpp"
 
@@ -29,8 +30,15 @@ struct CaptureSpec {
   net::Endpoint remote{};
   net::Port local_port{0};
 
-  void serialize(BinaryWriter& w) const;
-  static CaptureSpec deserialize(BinaryReader& r);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& s) {
+    io.u8(s.proto);
+    io.boolean(s.match_remote);
+    io.rec(s.remote);
+    io.u16(s.local_port);
+  }
+  void serialize(BinaryWriter& w) const { put(w, *this); }
+  static CaptureSpec deserialize(BinaryReader& r) { return get<CaptureSpec>(r); }
   bool matches(const net::Packet& p) const;
 
   // --- hash-index keys (DESIGN.md §12) -------------------------------------
@@ -67,15 +75,18 @@ enum class SectionFlags : std::uint8_t {
   stat = 1,      // static section
   dyn = 2,       // dynamic section
   queues = 4,
-  all = 7,
 };
-inline std::uint8_t operator&(SectionFlags a, SectionFlags b) {
+constexpr std::uint8_t operator&(SectionFlags a, SectionFlags b) {
   return static_cast<std::uint8_t>(a) & static_cast<std::uint8_t>(b);
 }
-inline SectionFlags operator|(SectionFlags a, SectionFlags b) {
+constexpr SectionFlags operator|(SectionFlags a, SectionFlags b) {
   return static_cast<SectionFlags>(static_cast<std::uint8_t>(a) |
                                    static_cast<std::uint8_t>(b));
 }
+
+/// Stands in for the rest of a kernel structure (a field-for-field dump of
+/// struct tcp_sock / udp_sock / sk_buff): the size is what is measured.
+inline constexpr std::uint8_t kStructPadFill = 0xA5;
 
 struct TcpSegmentImage {
   std::uint32_t seq{0};
@@ -84,12 +95,31 @@ struct TcpSegmentImage {
   std::int64_t sent_at_local_ns{-1};
   std::uint32_t sent_tsval{0};
   Buffer data;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& s) {
+    io.u32(s.seq);
+    io.u8(s.flags);
+    io.u32(s.retrans);
+    io.i64(s.sent_at_local_ns);
+    io.u32(s.sent_tsval);
+    io.blob(s.data);
+    io.pad(kSkbStructPad, kStructPadFill);
+  }
 };
 
 struct TcpRxImage {
   std::uint32_t seq{0};
   bool fin{false};
   Buffer data;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& s) {
+    io.u32(s.seq);
+    io.boolean(s.fin);
+    io.blob(s.data);
+    io.pad(kSkbStructPad, kStructPadFill);
+  }
 };
 
 struct TcpImage {
@@ -130,12 +160,67 @@ struct TcpImage {
   // with the listening socket's image as nested full images.
   std::vector<TcpImage> accept_children;
 
-  void serialize_static(BinaryWriter& w) const;
-  void serialize_dynamic(BinaryWriter& w) const;
-  void serialize_queues(BinaryWriter& w) const;
-  void deserialize_static(BinaryReader& r);
-  void deserialize_dynamic(BinaryReader& r);
-  void deserialize_queues(BinaryReader& r);
+  // One field list per section (src/common/serial.hpp).
+  template <class Io, class Self>
+  static void static_fields(Io& io, Self& s) {
+    io.u64(s.src_sock_key);
+    io.i32(s.fd);
+    io.rec(s.local);
+    io.rec(s.remote);
+    io.boolean(s.listening);
+    io.u32(s.backlog_limit);
+    io.u32(s.iss);
+    io.u32(s.irs);
+    io.u32(s.rcv_wnd_max);
+    io.pad(kTcpSockStructPad, kStructPadFill);
+    io.seq(s.accept_children, [](Io& cio, auto& child) {
+      static_fields(cio, child);
+      dynamic_fields(cio, child);
+      queue_fields(cio, child);
+    });
+  }
+
+  template <class Io, class Self>
+  static void dynamic_fields(Io& io, Self& s) {
+    io.u8(s.state);
+    io.u32(s.snd_una);
+    io.u32(s.snd_nxt);
+    io.u32(s.snd_wnd);
+    io.u32(s.rcv_nxt);
+    io.i64(s.srtt_ns);
+    io.i64(s.rttvar_ns);
+    io.i64(s.rto_ns);
+    io.u32(s.cwnd);
+    io.u32(s.ssthresh);
+    io.u32(s.ts_recent);
+    io.i64(s.ts_offset);
+    io.boolean(s.fin_queued);
+    io.u32(s.fin_seq);
+    io.boolean(s.peer_fin_seen);
+  }
+
+  template <class Io, class Self>
+  static void queue_fields(Io& io, Self& s) {
+    io.seq(s.write_queue);
+    io.seq(s.receive_queue);
+    io.seq(s.ooo_queue);
+  }
+
+  /// A socket record's sections in wire order: `section(bit, fields)` once
+  /// each, where `fields(io, img)` runs that section's field list.
+  template <class Section>
+  static constexpr void sections(const Section& section) {
+    section(SectionFlags::stat, [](auto& io, auto& s) { static_fields(io, s); });
+    section(SectionFlags::dyn, [](auto& io, auto& s) { dynamic_fields(io, s); });
+    section(SectionFlags::queues, [](auto& io, auto& s) { queue_fields(io, s); });
+  }
+
+  void serialize_static(BinaryWriter& w) const { Put io(w); static_fields(io, *this); }
+  void serialize_dynamic(BinaryWriter& w) const { Put io(w); dynamic_fields(io, *this); }
+  void serialize_queues(BinaryWriter& w) const { Put io(w); queue_fields(io, *this); }
+  void deserialize_static(BinaryReader& r) { Get io(r); static_fields(io, *this); }
+  void deserialize_dynamic(BinaryReader& r) { Get io(r); dynamic_fields(io, *this); }
+  void deserialize_queues(BinaryReader& r) { Get io(r); queue_fields(io, *this); }
 };
 
 struct UdpImage {
@@ -147,11 +232,46 @@ struct UdpImage {
   bool connected{false};
   std::vector<std::pair<net::Endpoint, Buffer>> receive_queue;
 
-  void serialize_static(BinaryWriter& w) const;
-  void serialize_queues(BinaryWriter& w) const;  // UDP has no dynamic section
-  void deserialize_static(BinaryReader& r);
-  void deserialize_queues(BinaryReader& r);
+  template <class Io, class Self>
+  static void static_fields(Io& io, Self& s) {
+    io.u64(s.src_sock_key);
+    io.i32(s.fd);
+    io.rec(s.local);
+    io.rec(s.remote);
+    io.boolean(s.bound);
+    io.boolean(s.connected);
+    io.pad(kUdpSockStructPad, kStructPadFill);
+  }
+
+  template <class Io, class Self>
+  static void queue_fields(Io& io, Self& s) {
+    io.seq(s.receive_queue, [](Io& qio, auto& dgram) {
+      qio.rec(dgram.first);
+      qio.blob(dgram.second);
+      qio.pad(kSkbStructPad, kStructPadFill);
+    });
+  }
+
+  /// As TcpImage::sections; UDP has no dynamic section.
+  template <class Section>
+  static constexpr void sections(const Section& section) {
+    section(SectionFlags::stat, [](auto& io, auto& s) { static_fields(io, s); });
+    section(SectionFlags::queues, [](auto& io, auto& s) { queue_fields(io, s); });
+  }
+
+  void serialize_static(BinaryWriter& w) const { Put io(w); static_fields(io, *this); }
+  void serialize_queues(BinaryWriter& w) const { Put io(w); queue_fields(io, *this); }
+  void deserialize_static(BinaryReader& r) { Get io(r); static_fields(io, *this); }
+  void deserialize_queues(BinaryReader& r) { Get io(r); queue_fields(io, *this); }
 };
+
+/// The union of an image type's SectionFlags: what a complete record carries.
+template <class Image>
+inline constexpr SectionFlags kAllSections = [] {
+  SectionFlags all = SectionFlags::none;
+  Image::sections([&](SectionFlags bit, const auto&) { all = all | bit; });
+  return all;
+}();
 
 // ---------------------------------------------------------------- extraction
 

@@ -6,26 +6,6 @@
 
 namespace dvemig::mig {
 
-void TranslationRule::serialize(BinaryWriter& w) const {
-  w.u8(static_cast<std::uint8_t>(proto));
-  w.u32(peer_local.addr.value);
-  w.u16(peer_local.port);
-  w.u32(mig_old.addr.value);
-  w.u16(mig_old.port);
-  w.u32(mig_new_addr.value);
-}
-
-TranslationRule TranslationRule::deserialize(BinaryReader& r) {
-  TranslationRule rule;
-  rule.proto = static_cast<net::IpProto>(r.u8());
-  rule.peer_local.addr.value = r.u32();
-  rule.peer_local.port = r.u16();
-  rule.mig_old.addr.value = r.u32();
-  rule.mig_old.port = r.u16();
-  rule.mig_new_addr.value = r.u32();
-  return rule;
-}
-
 namespace {
 
 void index_add(std::vector<std::uint64_t>& bucket, std::uint64_t id) {

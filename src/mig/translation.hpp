@@ -34,8 +34,15 @@ struct TranslationRule {
   /// u32 mig_new_addr.
   static constexpr std::size_t kWireBytes = 17;
 
-  void serialize(BinaryWriter& w) const;
-  static TranslationRule deserialize(BinaryReader& r);
+  template <class Io, class Self>
+  static void fields(Io& io, Self& rule) {
+    io.u8(rule.proto);
+    io.rec(rule.peer_local);
+    io.rec(rule.mig_old);
+    io.u32(rule.mig_new_addr.value);
+  }
+  void serialize(BinaryWriter& w) const { put(w, *this); }
+  static TranslationRule deserialize(BinaryReader& r) { return get<TranslationRule>(r); }
 };
 
 class TranslationManager {

@@ -39,6 +39,13 @@ struct Endpoint {
 
   std::string to_string() const { return addr.to_string() + ":" + std::to_string(port); }
   constexpr auto operator<=>(const Endpoint&) const = default;
+
+  /// Wire form (src/common/serial.hpp): u32 address, u16 port.
+  template <class Io, class Self>
+  static void fields(Io& io, Self& e) {
+    io.u32(e.addr.value);
+    io.u16(e.port);
+  }
 };
 
 }  // namespace dvemig::net

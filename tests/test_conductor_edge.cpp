@@ -1,7 +1,11 @@
 // Conductor edge cases: contention for a single receiver, node churn, offer
-// timeouts, and thread preservation across policy-driven migrations.
+// timeouts, thread preservation across policy-driven migrations, and stray
+// datagrams on the conductor port.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/common/log.hpp"
 #include "src/dve/testbed.hpp"
 #include "src/dve/zone_server.hpp"
 
@@ -128,6 +132,64 @@ TEST(ConductorChurn, DepartedNodeLoadExcludedFromAverage) {
   bed.run_for(SimTime::seconds(8));  // past the peer timeout
   const double avg_without = bed.node(0).conductor.cluster_average();
   EXPECT_GT(avg_with, avg_without + 0.1);
+}
+
+// Conductor datagrams have fixed layouts: the type byte, then a LoadInfo for
+// load_info, or the u64 offer id and f64 value for every other type. An empty,
+// truncated, overlong or unknown datagram is dropped with one warning (a short
+// read used to abort the simulator), and the next valid load_info still lands.
+TEST(ConductorMalformed, StrayDatagramsAreDroppedOnce) {
+  dve::TestbedConfig cfg;
+  cfg.dve_nodes = 2;
+  cfg.start_conductors = false;
+  dve::Testbed bed(cfg);
+  Conductor& cond = bed.node(0).conductor;
+  cond.start();
+  proc::Node& peer = bed.node(1).node;
+  auto sock = peer.stack().make_udp();
+  sock->bind(peer.local_addr(), 0);
+  const net::Endpoint to{bed.node(0).node.local_addr(), kCondPort};
+
+  LoadInfo info;
+  info.node_local = peer.local_addr();
+  info.node_key = 1;
+  info.utilization = 0.5;
+  BinaryWriter w;
+  w.u8(1);  // load_info
+  info.serialize(w);
+  const Buffer load_info = w.take();
+  auto typed = [](std::uint8_t type, std::size_t n) {
+    Buffer b(n, 0);
+    b[0] = type;
+    return b;
+  };
+  const Buffer strays[] = {
+      Buffer{},                                         // empty
+      Buffer(load_info.begin(), load_info.end() - 1),  // truncated load_info
+      typed(2, 9),                                      // mig_offer without its value
+      typed(3, 5),                                      // truncated mig_accept
+      typed(4, 18),                                     // overlong mig_reject
+      typed(5, 1),                                      // mig_release, type byte only
+      typed(6, 16),                                     // truncated mig_solicit
+      typed(99, 17),                                    // unknown type
+  };
+
+  std::vector<std::string> lines;
+  Log::set_sink([&](const std::string& line) { lines.push_back(line); });
+  for (const Buffer& b : strays) sock->send_to(to, b);
+  bed.run_for(SimTime::milliseconds(5));
+  const std::size_t known_after_strays = cond.known_peers();
+  sock->send_to(to, load_info);
+  bed.run_for(SimTime::milliseconds(5));
+  Log::set_sink(nullptr);
+
+  EXPECT_EQ(std::count_if(lines.begin(), lines.end(),
+                          [](const std::string& l) {
+                            return l.find("-byte datagram") != std::string::npos;
+                          }),
+            static_cast<std::ptrdiff_t>(std::size(strays)));
+  EXPECT_EQ(known_after_strays, 0u);
+  EXPECT_EQ(cond.known_peers(), 1u);
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
 """Self-tests for tools/lint_dvemig.py, run under ctest.
 
-The serializer-symmetry rule is itself part of the checking story (ISSUE PR 3:
-wire-format bugs the model checker cannot reach because both sides of the
-simulator share the same build), so it gets the same treatment as the model
-checker: plant real wire-format bugs in copies of the real serializers and
-prove the rule catches every one — and stays quiet on the untouched sources.
+Each rule gets the same treatment as the model checker: plant the bug it
+exists for in a scratch tree and prove the rule catches it — and stays quiet
+on the real sources.
 """
 from __future__ import annotations
 
@@ -29,19 +27,13 @@ def run_lint(root: pathlib.Path) -> tuple[int, str]:
     return proc.returncode, proc.stdout + proc.stderr
 
 
-def lint_mutated(src_rel: str, old: str, new: str) -> tuple[int, str]:
-    """Copy one real source file into a scratch tree, mutate it, lint it.
-
-    Only the mutated file is present, so unrelated module-level rules
-    (hash-pairing) may fire too; callers assert on specific rule tags.
-    """
-    src = REPO / src_rel
-    text = src.read_text()
-    assert old in text, f"mutation anchor not found in {src_rel}: {old!r}"
+def lint_tree(files: dict[str, str]) -> tuple[int, str]:
+    """Lint a scratch tree holding only `files` (repo-relative path -> text)."""
     with tempfile.TemporaryDirectory() as tmp:
-        tgt = pathlib.Path(tmp) / src_rel
-        tgt.parent.mkdir(parents=True)
-        tgt.write_text(text.replace(old, new, 1))
+        for rel, text in files.items():
+            tgt = pathlib.Path(tmp) / rel
+            tgt.parent.mkdir(parents=True, exist_ok=True)
+            tgt.write_text(text)
         return run_lint(pathlib.Path(tmp))
 
 
@@ -51,52 +43,83 @@ class RepoIsClean(unittest.TestCase):
         self.assertEqual(code, 0, out)
 
 
-class SerializerSymmetry(unittest.TestCase):
-    """Each planted wire-format bug must be caught; the original must pass."""
+class OneFieldList(unittest.TestCase):
+    """A writer/reader pair that spells out its wire format by hand is flagged,
+    so none of the format bugs such a pair can hold survives; a pair that
+    delegates to one field list passes."""
 
-    def test_untouched_serializers_pass(self) -> None:
-        _, out = lint_mutated("src/mig/socket_image.cpp", "w.u32(iss);", "w.u32(iss);")
-        self.assertNotIn("[serializer-symmetry]", out)
-        _, out = lint_mutated("src/ckpt/image.cpp", "w.str(name);", "w.str(name);")
-        self.assertNotIn("[serializer-symmetry]", out)
+    # A hand-written pair in the style every record used before field lists.
+    HAND_WRITTEN = (
+        "void write_area(BinaryWriter& w, const VmAreaImage& a) {\n"
+        "  w.u64(a.start);\n"
+        "  w.u32(a.prot);\n"
+        "  w.bytes(pad);\n"
+        "  w.str(a.name);\n"
+        "}\n"
+        "\n"
+        "VmAreaImage read_area(BinaryReader& r) {\n"
+        "  VmAreaImage a;\n"
+        "  a.start = r.u64();\n"
+        "  a.prot = r.u32();\n"
+        "  r.skip(kPad);\n"
+        "  a.name = r.str();\n"
+        "  return a;\n"
+        "}\n"
+    )
+
+    DELEGATING = (
+        "void Area::serialize(BinaryWriter& w) const { put(w, *this); }\n"
+        "\n"
+        "Area Area::deserialize(BinaryReader& r) {\n"
+        "  Area a;\n"
+        "  get(r, a);\n"
+        "  return a;\n"
+        "}\n"
+    )
+
+    def lint_src(self, body: str) -> tuple[int, str]:
+        return lint_tree({"src/ckpt/synthetic.cpp": body})
+
+    def assert_flagged(self, body: str) -> None:
+        code, out = self.lint_src(body)
+        self.assertNotEqual(code, 0, out)
+        self.assertIn("[one-field-list]", out)
+        self.assertIn("write_area", out)
+
+    def plant(self, old: str, new: str) -> str:
+        self.assertIn(old, self.HAND_WRITTEN)
+        return self.HAND_WRITTEN.replace(old, new, 1)
 
     def test_catches_width_change_on_read_side(self) -> None:
-        # TcpImage::deserialize_dynamic reads snd_una as the wrong width.
-        code, out = lint_mutated(
-            "src/mig/socket_image.cpp", "snd_una = r.u32();", "snd_una = r.u64();"
-        )
-        self.assertNotEqual(code, 0)
-        self.assertIn("[serializer-symmetry]", out)
-        self.assertIn("serialize_dynamic", out)
+        self.assert_flagged(self.plant("a.start = r.u64();", "a.start = r.u32();"))
 
     def test_catches_dropped_pad_skip(self) -> None:
-        # UdpImage::deserialize_static forgets to skip the struct pad.
-        code, out = lint_mutated(
-            "src/mig/socket_image.cpp", "r.skip(kUdpSockStructPad);", ""
-        )
-        self.assertNotEqual(code, 0)
-        self.assertIn("[serializer-symmetry]", out)
+        self.assert_flagged(self.plant("  r.skip(kPad);\n", ""))
 
     def test_catches_reordered_fields(self) -> None:
-        # ProcessImage::deserialize reads a FileImage's flags before its offset.
-        code, out = lint_mutated(
-            "src/ckpt/image.cpp",
-            "f.offset = r.u64();\n    f.flags = r.u32();",
-            "f.flags = r.u32();\n    f.offset = r.u64();",
+        self.assert_flagged(
+            self.plant(
+                "a.start = r.u64();\n  a.prot = r.u32();",
+                "a.prot = r.u32();\n  a.start = r.u64();",
+            )
         )
-        self.assertNotEqual(code, 0)
-        self.assertIn("[serializer-symmetry]", out)
 
     def test_catches_write_only_field(self) -> None:
-        # A field appended to write_area with no matching read_area change.
-        code, out = lint_mutated(
-            "src/ckpt/image.cpp",
-            "w.str(a.name);",
-            "w.str(a.name);\n  w.u8(0);",
-        )
-        self.assertNotEqual(code, 0)
-        self.assertIn("[serializer-symmetry]", out)
-        self.assertIn("write_area", out)
+        self.assert_flagged(self.plant("w.str(a.name);", "w.str(a.name);\n  w.u8(0);"))
+
+    def test_delegating_pair_passes(self) -> None:
+        code, out = self.lint_src(self.DELEGATING)
+        self.assertEqual(code, 0, out)
+        self.assertNotIn("[one-field-list]", out)
+
+    def test_lone_writer_is_not_a_pair(self) -> None:
+        writer_only = self.HAND_WRITTEN[: self.HAND_WRITTEN.index("VmAreaImage read_area")]
+        _, out = self.lint_src(writer_only)
+        self.assertNotIn("[one-field-list]", out)
+
+    def test_real_tree_has_no_hand_written_pairs(self) -> None:
+        _, out = run_lint(REPO)
+        self.assertNotIn("[one-field-list]", out)
 
 
 class PhaseSpanMultiline(unittest.TestCase):
@@ -104,12 +127,7 @@ class PhaseSpanMultiline(unittest.TestCase):
     only real span operations may satisfy it."""
 
     def lint_snippet(self, body: str) -> str:
-        with tempfile.TemporaryDirectory() as tmp:
-            tgt = pathlib.Path(tmp) / "src" / "mig" / "synthetic.cpp"
-            tgt.parent.mkdir(parents=True)
-            tgt.write_text(body)
-            _, out = run_lint(pathlib.Path(tmp))
-            return out
+        return lint_tree({"src/mig/synthetic.cpp": body})[1]
 
     def test_multiline_phase_write_without_span_is_flagged(self) -> None:
         out = self.lint_snippet(
@@ -180,11 +198,7 @@ class NoLinearFilterScan(unittest.TestCase):
     )
 
     def lint_snippet(self, rel: str, body: str) -> tuple[int, str]:
-        with tempfile.TemporaryDirectory() as tmp:
-            tgt = pathlib.Path(tmp) / rel
-            tgt.parent.mkdir(parents=True)
-            tgt.write_text(body)
-            return run_lint(pathlib.Path(tmp))
+        return lint_tree({rel: body})
 
     def test_scan_outside_index_files_is_flagged(self) -> None:
         code, out = self.lint_snippet("src/mig/other.cpp", self.SCAN)

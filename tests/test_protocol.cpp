@@ -340,12 +340,42 @@ TEST(MalformedFrame, MigdAnswersGarbageWithMigAbort) {
   put_frame(double_begin, MsgType::mig_begin, mig_begin_payload());
   put_frame(double_begin, MsgType::mig_begin, mig_begin_payload());
 
+  // Well-framed frames whose payloads do not match their fields.
+  BinaryWriter short_begin;
+  const Buffer begin = mig_begin_payload();
+  put_frame(short_begin, MsgType::mig_begin, Buffer(begin.begin(), begin.begin() + 6));
+
+  BinaryWriter untailed_begin;
+  put_frame(untailed_begin, MsgType::mig_begin,
+            Buffer(begin.begin(), begin.end() - 9));  // no mig_id | stripe_count
+
+  BinaryWriter long_capture;
+  BinaryWriter capture;
+  capture.u32(5);  // five specs announced, one present
+  CaptureSpec{net::IpProto::tcp, true, {kAddrA, 4000}, 80}.serialize(capture);
+  put_frame(long_capture, MsgType::mig_begin, begin);
+  put_frame(long_capture, MsgType::capture_request, capture.take());
+
+  BinaryWriter bad_proto;
+  BinaryWriter record;
+  record.u32(1);   // one record
+  record.u8(99);   // neither TCP nor UDP
+  record.u64(1);   // socket key
+  record.u8(static_cast<std::uint8_t>(SectionFlags::stat));
+  record.bytes(Buffer(64, 0));
+  put_frame(bad_proto, MsgType::mig_begin, begin);
+  put_frame(bad_proto, MsgType::socket_state, record.take());
+
   const std::pair<const char*, Buffer> rows[] = {
       {"garbage", garbage.take()},
       {"socket_state first", state_first.take()},
       {"stripe_seg first", seg_first.take()},
       {"stripe_hello after mig_begin", hello_after_begin.take()},
       {"duplicate mig_begin", double_begin.take()},
+      {"truncated mig_begin", short_begin.take()},
+      {"mig_begin without stripe fields", untailed_begin.take()},
+      {"capture_request count past payload", long_capture.take()},
+      {"socket record with proto 99", bad_proto.take()},
   };
   for (const auto& [name, bytes] : rows) {
     SCOPED_TRACE(name);

@@ -55,18 +55,18 @@ no-linear-filter-scan
     such as ``specs_for(...)`` are not matches — the rule anchors on
     member-style container names.
 
-serializer-symmetry
-    Every serialize/deserialize pair (``serialize*``/``deserialize*`` methods,
-    ``write_X``/``read_X`` free helpers) defined in the same file must put and
-    get the *same sequence of wire fields*. The bodies are tokenized into
-    their BinaryWriter/BinaryReader operations — ``w.u32`` must line up with
-    ``r.u32``, ``w.blob`` with ``r.blob``, raw ``bytes``/``write_struct_pad``
-    with ``r.skip``, ``write_endpoint`` with ``read_endpoint``, and nested
-    ``serialize_X(w)`` calls with ``deserialize_X(r)`` — and any divergence is
-    a wire-format bug: the reader consumes garbage from that field onward.
-    This is how the checkpoint images (src/ckpt/image.cpp), socket images
-    (src/mig/socket_image.cpp) and protocol payloads stay decodable; a field
-    added to one side only corrupts every migration silently.
+one-field-list
+    In ``src/``, a serialize/deserialize pair (``serialize*``/``deserialize*``
+    methods, ``write_X``/``read_X`` free helpers taking a BinaryWriter& or
+    BinaryReader&) defined in one file must not spell out the wire format by
+    hand: neither half may call a primitive wire operation (``u8`` ...
+    ``f64``, ``str``, ``blob``, ``bytes``, ``skip``, ``span``, ``fill``) on its
+    writer/reader. A record states its fields once, as a ``fields(io, self)``
+    list run by the Put/Get adapters of src/common/serial.hpp, and both halves
+    delegate to it — so a field cannot be written one way and read another.
+    A lone writer or reader (the other half in another file, or none) is not
+    a pair. The golden-bytes test (tests/test_wire.cpp) catches a format
+    change made through the field list itself.
 
 design-inventory
     Every ``src/`` subdirectory that contains sources must be named in
@@ -136,13 +136,13 @@ RE_LINEAR_FILTER_SCAN = re.compile(
 # capture.cpp: drop_from_index's per-session teardown loop only (see above).
 LINEAR_SCAN_ALLOWED = {"src/mig/capture.cpp"}
 
-# serializer-symmetry: function definitions taking a BinaryWriter&/BinaryReader&
+# one-field-list: function definitions taking a BinaryWriter&/BinaryReader&
 # whose name marks them as one half of a wire-format pair.
 RE_SERIAL_FN = re.compile(
     r"\b((?:\w+::)*)(serialize\w*|deserialize\w*|write_\w+|read_\w+)"
     r"\s*\(\s*Binary(Writer|Reader)\s*&\s*(\w+)"
 )
-SERIAL_PRIMS = "u8|u16|u32|u64|i32|i64|f64|str|blob|bytes|skip"
+WIRE_PRIMS = "u8|u16|u32|u64|i32|i64|f64|str|blob|bytes|skip|span|fill"
 
 # How far (in lines) an allocation may sit from the length read it consumes.
 SCAN_WINDOW = 40
@@ -181,37 +181,6 @@ def normalize_serial_name(name: str) -> str:
     if name.startswith("read_"):
         return "write_" + name[len("read_") :]
     return name
-
-
-def wire_tokens(body: str, var: str) -> list[tuple[str, int]]:
-    """The ordered wire operations a serializer body performs through `var`.
-
-    Returns (token, offset) pairs. Tokens are normalized so a writer and its
-    reader produce identical streams when the formats agree:
-      w.u32(..)            <-> r.u32()             -> 'u32' (etc. for prims)
-      w.bytes(..) / pads   <-> r.skip(..)          -> 'raw'
-      write_endpoint(w,..) <-> read_endpoint(r)    -> 'endpoint'
-      x.serialize_foo(w)   <-> x.deserialize_foo(r)-> 'call:serialize_foo'
-    """
-    v = re.escape(var)
-    rx = re.compile(
-        rf"\b{v}\s*\.\s*(?P<prim>{SERIAL_PRIMS})\s*\("
-        rf"|\b(?:write|read)_(?P<helper>\w+)\s*\(\s*{v}\b"
-        rf"|\b(?P<call>(?:de)?serialize\w*)\s*\(\s*{v}\b"
-    )
-    tokens: list[tuple[str, int]] = []
-    for m in rx.finditer(body):
-        if m.group("prim"):
-            t = m.group("prim")
-            tokens.append(("raw" if t in ("bytes", "skip") else t, m.start()))
-        elif m.group("helper"):
-            h = m.group("helper")
-            tokens.append(("raw" if h == "struct_pad" else h, m.start()))
-        else:
-            tokens.append(
-                ("call:" + normalize_serial_name(m.group("call")), m.start())
-            )
-    return tokens
 
 
 def lint_file(
@@ -311,41 +280,36 @@ def lint_file(
                 "session teardown"
             )
 
-    # --- serializer-symmetry ---
-    serial_fns: dict[str, dict[str, tuple[list[tuple[str, int]], int]]] = {}
-    for m in RE_SERIAL_FN.finditer(text):
+    # --- one-field-list ---
+    # Per pair key: the halves present, and where a half first calls a
+    # primitive wire operation directly.
+    sides: dict[str, set[str]] = {}
+    prims: dict[str, int] = {}
+    serial_defs = RE_SERIAL_FN.finditer(text) if rel.startswith("src/") else ()
+    for m in serial_defs:
         # Definition, not declaration/call: an opening brace before the next
         # semicolon. (Calls never name the Binary* type, declarations end ';'.)
         brace = text.find("{", m.end())
         semi = text.find(";", m.end())
         if brace == -1 or (semi != -1 and semi < brace):
             continue
-        body = extract_body(text, brace)
-        side = "writer" if m.group(3) == "Writer" else "reader"
         key = m.group(1) + normalize_serial_name(m.group(2))
-        tokens = [(t, off + brace + 1) for t, off in wire_tokens(body, m.group(4))]
-        # First definition wins (a name reused across classes in one file is
-        # keyed by its qualifier, so collisions mean identical re-definitions).
-        serial_fns.setdefault(key, {}).setdefault(
-            side, (tokens, brace + 1)
+        sides.setdefault(key, set()).add(m.group(3))
+        prim = re.search(
+            rf"\b{re.escape(m.group(4))}\s*\.\s*(?:{WIRE_PRIMS})\s*\(",
+            extract_body(text, brace),
         )
-    for key, sides in sorted(serial_fns.items()):
-        if "writer" not in sides or "reader" not in sides:
-            continue  # the pair may live in another file (or not exist yet)
-        wtok, _ = sides["writer"]
-        rtok, rbody_off = sides["reader"]
-        for i in range(max(len(wtok), len(rtok))):
-            put = wtok[i][0] if i < len(wtok) else "<end>"
-            get = rtok[i][0] if i < len(rtok) else "<end>"
-            if put == get:
-                continue
-            at = line_of(rtok[i][1] if i < len(rtok) else rbody_off)
+        if prim and key not in prims:
+            prims[key] = brace + 1 + prim.start()
+    for key, at in sorted(prims.items()):
+        if len(sides[key]) == 2:
             problems.append(
-                f"{rel}:{at}: [serializer-symmetry] {key}: wire field #{i} is "
-                f"written as '{put}' but read as '{get}' — the decoder "
-                "consumes garbage from this field onward"
+                f"{rel}:{line_of(at)}: [one-field-list] {key}: the writer/"
+                "reader pair spells out the wire format by hand — state the "
+                "fields once as `template <class Io, class Self> static void "
+                "fields(Io&, Self&)` (src/common/serial.hpp) and make both "
+                "halves delegate to it"
             )
-            break
 
     # --- hash-pairing (collected per file, judged per module in main) ---
     if not rel.startswith("tests/"):
