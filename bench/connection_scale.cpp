@@ -259,9 +259,10 @@ struct PinnedStats {
   std::uint64_t reinjected;
 };
 constexpr PinnedStats kPinnedN1000[] = {
-    // iterative
-    {2'149'066'616, 2'338'137'740, 5, 14'840'330, 0, 3'167'460, 3'134'520, 1002, 969,
-     969},
+    // iterative (retaken when its one-socket subtraction began paying the
+    // per-byte term of subtract_cost; DESIGN.md §12.5)
+    {2'149'066'616, 2'339'235'090, 5, 14'840'330, 0, 3'167'757, 3'134'817, 1002, 979,
+     979},
     // collective
     {2'149'066'616, 2'199'396'245, 5, 14'840'330, 0, 3'116'772, 3'097'846, 1002, 250,
      250},

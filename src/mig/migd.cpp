@@ -129,86 +129,6 @@ struct MigMetrics {
   }
 };
 
-/// Disable a socket for migration: unhash from the lookup tables, clear timers,
-/// stop transmission (Section V-C: "unhashing it from both the ehash and bhash
-/// kernel hashtables and clearing the retransmission timer").
-void disable_socket(stack::NetStack& st, stack::Socket& sock) {
-  if (sock.type() == stack::SocketType::tcp) {
-    auto& tcp = static_cast<stack::TcpSocket&>(sock);
-    tcp.clear_timers();
-    if (tcp.hashed_established()) {
-      st.table().ehash_remove(stack::FourTuple{tcp.local(), tcp.remote()});
-      tcp.set_hashed_established(false);
-    }
-    if (tcp.hashed_bound()) {
-      st.table().bhash_remove(tcp, tcp.local().port);
-      tcp.set_hashed_bound(false);
-    }
-    for (const auto& child : tcp.accept_queue()) disable_socket(st, *child);
-  } else {
-    auto& udp = static_cast<stack::UdpSocket&>(sock);
-    if (udp.cb().bound && !udp.migration_disabled()) {
-      st.table().bhash_remove(udp, udp.local().port);
-      // cb().bound stays true: it is part of the state image.
-    }
-  }
-  sock.set_migration_disabled(true);
-  st.dst_cache_drop(sock.sock_id());
-}
-
-/// Roll back disable_socket after a failed migration: rehash the socket and
-/// re-arm its timers so the resumed process can keep using it. Without this
-/// the abort path wakes the process with its sockets unhashed and every send
-/// trips the migration_disabled precondition (found by dvemig-mc's crash
-/// preset: drop a freeze-phase frame, let the destination abort, resume).
-void enable_socket(stack::NetStack& st,
-                   const std::shared_ptr<stack::Socket>& sock) {
-  if (!sock->migration_disabled()) return;
-  sock->set_migration_disabled(false);
-  if (sock->type() == stack::SocketType::tcp) {
-    auto tcp = std::static_pointer_cast<stack::TcpSocket>(sock);
-    if (tcp->cb().state == stack::TcpState::listen) {
-      if (!tcp->hashed_bound()) {
-        st.table().bhash_insert(tcp, tcp->local().port);
-        tcp->set_hashed_bound(true);
-      }
-      for (const auto& child : tcp->accept_queue()) enable_socket(st, child);
-    } else {
-      if (!tcp->hashed_established()) {
-        st.table().ehash_insert(tcp,
-                                stack::FourTuple{tcp->local(), tcp->remote()});
-        tcp->set_hashed_established(true);
-      }
-      tcp->restart_timers_after_restore();
-    }
-  } else {
-    auto& udp = static_cast<stack::UdpSocket&>(*sock);
-    if (udp.cb().bound) st.table().bhash_insert(sock, udp.local().port);
-  }
-}
-
-/// Point a socket at another remote endpoint without rehashing it: the
-/// freeze retargets disabled sockets whose peer moved, and a failed migration
-/// points them back.
-void set_remote(stack::Socket& sock, net::Endpoint remote) {
-  if (sock.type() == stack::SocketType::tcp) {
-    auto& tcp = static_cast<stack::TcpSocket&>(sock);
-    tcp.set_endpoints(tcp.local(), remote);
-  } else {
-    auto& udp = static_cast<stack::UdpSocket&>(sock);
-    udp.set_endpoints(udp.local(), remote, udp.cb().bound, udp.cb().connected);
-  }
-}
-
-/// A TCP socket is skippable in a precopy round if the user currently holds it
-/// (Section V-C1: "the socket tracking mechanism during the precopy phase simply
-/// omits sockets that are locked or being used for fast-path receiving").
-bool tcp_busy(const stack::TcpSocket& tcp) {
-  const auto& cb = tcp.cb();
-  return cb.user_locked || cb.blocked_reader || !cb.backlog.empty() ||
-         !cb.prequeue.empty();
-}
-
 /// A stage's cost when its work shards across the migration's worker pool:
 /// `cpu()` is the serial total the CPU meter pays (parallelism spreads work,
 /// it does not shrink it), `elapsed()` the slowest shard, after which the
@@ -441,7 +361,7 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
     m.stripe_bytes.add(transport_->segment_bytes());
   }
 
-  void fail(const std::string& why) {
+  void fail(const std::string& why, bool tell_dest = true) {
     // Duplicated mig_abort (or a reset racing an abort) must not fail twice:
     // the first failure already resumed the process, counted the metric and
     // handed the stats to the owner.
@@ -452,11 +372,8 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
     // retargeted remote endpoints, then rehash and re-enable every socket the
     // freeze disabled.
     for (const MigSocket& ms : sockets_) {
-      if (ms.sock->migration_disabled() &&
-          ms.effective_remote != ms.orig_remote) {
-        set_remote(*ms.sock, ms.orig_remote);
-      }
-      enable_socket(node_->stack(), ms.sock);
+      if (ms.sock->migration_disabled()) ms.sock->set_remote(ms.orig_remote);
+      ms.sock->attach();
     }
     if (proc_->frozen()) proc_->resume();  // best effort: keep the source alive
     stats_.success = false;
@@ -472,8 +389,9 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
     // Tell the destination the migration is dead — it may hold armed capture
     // filters and a staged image — and release both control sockets. A silent
     // source-side failure used to leak the dest session, whose filters kept
-    // stealing the process's packets forever.
-    close_transport(/*abort=*/true);
+    // stealing the process's packets forever. A destination that aborted
+    // first already knows: no frame follows a mig_abort on a channel.
+    close_transport(/*abort=*/tell_dest);
     if (sock_) sock_->close();
     if (ctrl_) ctrl_->close();
     detach_later();
@@ -543,7 +461,7 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
         return;
       }
       case MsgType::mig_abort:
-        fail("aborted by destination");
+        fail("aborted by destination", /*tell_dest=*/false);
         return;
       default:
         fail("unexpected frame");
@@ -606,7 +524,7 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
         if (file.kind != proc::FileKind::socket) continue;
         scanned += 1;
         if (file.socket->type() == stack::SocketType::tcp &&
-            tcp_busy(static_cast<const stack::TcpSocket&>(*file.socket))) {
+            static_cast<const stack::TcpSocket&>(*file.socket).held_by_user()) {
           continue;  // leave for a later loop or the freeze
         }
         emit_socket(fd, *file.socket, chunks, /*force_all=*/false);
@@ -776,15 +694,6 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
     }
   }
 
-  /// Disable the socket and, for peers that moved, retarget the socket's remote
-  /// endpoint to the peer's current host before extraction.
-  void disable_for_migration(const MigSocket& ms) {
-    disable_socket(node_->stack(), *ms.sock);
-    if (ms.effective_remote != ms.orig_remote) {
-      set_remote(*ms.sock, ms.effective_remote);
-    }
-  }
-
   /// transd acks: one u64 request id each. Anything else reaching this port
   /// (a stray or truncated datagram, a duplicate or unknown ack) is dropped.
   void on_ctrl_readable() {
@@ -835,7 +744,12 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
 
   void subtract(std::size_t begin, std::size_t end) {
     span_stage_ = tracer().begin(obs_track_, "mig.subtract");
-    for (std::size_t i = begin; i < end; ++i) disable_for_migration(sockets_[i]);
+    // Detach each socket and, for peers that moved, retarget its remote
+    // endpoint to the peer's current host before extraction.
+    for (std::size_t i = begin; i < end; ++i) {
+      sockets_[i].sock->detach();
+      sockets_[i].sock->set_remote(sockets_[i].effective_remote);
+    }
 
     const bool incremental =
         stats_.strategy == SocketMigStrategy::incremental_collective;
@@ -871,10 +785,7 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
             static_cast<std::int64_t>(static_cast<double>(n_bytes) *
                                       cm().per_byte_subtract_ns));
       }
-      // Iterative is charged the per-socket term only: a known pricing
-      // defect that Fig. 5b/5c and the connection_scale pins were taken
-      // with (DESIGN.md §12.5).
-      return cm().subtract_cost(n_socks, per_socket() ? 0 : n_bytes);
+      return cm().subtract_cost(n_socks, n_bytes);
     };
     // Workers subtract contiguous fd-order shards; the merge into the unified
     // buffer preserves that order. Elapsed = slowest shard. A one-socket

@@ -29,8 +29,7 @@ TcpImage extract_tcp(const stack::TcpSocket& sock, Fd fd) {
   const stack::TcpCb& cb = sock.cb();
   // Signal-based checkpointing guarantees the process is out of any socket
   // syscall: the backlog and prequeue must be empty (Section V-C1).
-  DVEMIG_EXPECTS(!cb.user_locked && !cb.blocked_reader);
-  DVEMIG_EXPECTS(cb.backlog.empty() && cb.prequeue.empty());
+  DVEMIG_EXPECTS(!sock.held_by_user());
 
   TcpImage img;
   img.src_sock_key = sock.sock_id();
@@ -75,7 +74,7 @@ TcpImage extract_tcp(const stack::TcpSocket& sock, Fd fd) {
     // Established children awaiting accept() ride along; half-open (SYN_RCVD)
     // embryos are dropped — the client's SYN retransmission is captured on the
     // destination and completes the handshake there.
-    for (const auto& child : const_cast<stack::TcpSocket&>(sock).accept_queue()) {
+    for (const auto& child : sock.accept_queue()) {
       img.accept_children.push_back(extract_tcp(*child, -1));
     }
   }
@@ -101,7 +100,7 @@ std::vector<CaptureSpec> capture_specs_for_tcp(const stack::TcpSocket& sock) {
     // A listener (and its children) may hear from anyone on its port; the
     // children additionally get precise 4-tuple specs.
     specs.push_back(CaptureSpec{net::IpProto::tcp, false, {}, sock.local().port});
-    for (const auto& child : const_cast<stack::TcpSocket&>(sock).accept_queue()) {
+    for (const auto& child : sock.accept_queue()) {
       specs.push_back(
           CaptureSpec{net::IpProto::tcp, true, child->remote(), child->local().port});
     }
@@ -133,10 +132,8 @@ net::Endpoint rewrite_local(net::Endpoint local, const RestoreContext& ctx) {
   return local;  // shared public IP (or wildcard): unchanged
 }
 
-}  // namespace
-
-stack::TcpSocket::Ptr restore_tcp(const TcpImage& img, const RestoreContext& ctx) {
-  DVEMIG_EXPECTS(ctx.stack != nullptr);
+/// Build the socket (a listener with its accept-queue children) unhashed.
+stack::TcpSocket::Ptr build_tcp(const TcpImage& img, const RestoreContext& ctx) {
   auto sock = ctx.stack->make_tcp();
   stack::TcpCb& cb = sock->cb();
 
@@ -195,23 +192,27 @@ stack::TcpSocket::Ptr restore_tcp(const TcpImage& img, const RestoreContext& ctx
     cb.ooo_queue.emplace(s.seq, stack::TcpRxSegment{s.seq, s.data, s.fin});
   }
 
-  // Rehash (ehash for connections, bhash for listeners) and restart timers.
   if (img.listening) {
     cb.state = stack::TcpState::listen;
     sock->set_accept_backlog_limit(img.backlog_limit);
-    ctx.stack->table().bhash_insert(sock, local.port);
-    sock->set_hashed_bound(true);
-    rehash_counter().add(1);
     for (const TcpImage& child_img : img.accept_children) {
-      auto child = restore_tcp(child_img, ctx);
-      sock->accept_queue().push_back(std::move(child));
+      sock->accept_queue().push_back(build_tcp(child_img, ctx));
     }
-  } else {
-    ctx.stack->table().ehash_insert(sock, stack::FourTuple{local, img.remote});
-    sock->set_hashed_established(true);
-    rehash_counter().add(1);
   }
-  sock->restart_timers_after_restore();
+  return sock;
+}
+
+}  // namespace
+
+stack::TcpSocket::Ptr restore_tcp(const TcpImage& img, const RestoreContext& ctx) {
+  DVEMIG_EXPECTS(ctx.stack != nullptr);
+  auto sock = build_tcp(img, ctx);
+  // Rehash (bhash for a listener, then ehash for each child; ehash for a
+  // connection) and restart timers.
+  sock->attach();
+  std::uint64_t rehashed = sock->hashed_bound() || sock->hashed_established();
+  for (const auto& child : sock->accept_queue()) rehashed += child->hashed_established();
+  rehash_counter().add(rehashed);
   return sock;
 }
 
@@ -220,19 +221,19 @@ std::shared_ptr<stack::UdpSocket> restore_udp(const UdpImage& img,
   DVEMIG_EXPECTS(ctx.stack != nullptr);
   auto sock = ctx.stack->make_udp();
   const net::Endpoint local = rewrite_local(img.local, ctx);
-  if (mutation() == ProtocolMutation::swap_image_endpoints) {
-    sock->set_endpoints(img.remote, local, img.bound, img.connected);
-  } else {
-    sock->set_endpoints(local, img.remote, img.bound, img.connected);
-  }
+  sock->set_endpoints(local, img.remote, img.bound, img.connected);
   stack::UdpCb& cb = sock->cb();
   for (const auto& [from, data] : img.receive_queue) {
     cb.receive_queue.push_back(stack::UdpDatagram{from, data});
   }
-  if (img.bound && mutation() != ProtocolMutation::skip_restore_rehash) {
+  if (mutation() != ProtocolMutation::skip_restore_rehash) {
     // Rehash the bound server socket on the destination (Section V-C2).
-    ctx.stack->table().bhash_insert(sock, local.port);
-    rehash_counter().add(1);
+    sock->attach();
+    rehash_counter().add(sock->hashed_bound());
+  }
+  if (mutation() == ProtocolMutation::swap_image_endpoints) {
+    // Swapped after hashing: bhash still holds the socket under its real port.
+    sock->set_endpoints(img.remote, local, img.bound, img.connected);
   }
   return sock;
 }

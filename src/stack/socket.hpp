@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "src/common/assert.hpp"
 #include "src/net/address.hpp"
 
 namespace dvemig::stack {
@@ -27,7 +28,25 @@ class Socket : public std::enable_shared_from_this<Socket> {
   /// True once the socket has been unhashed for migration: it no longer receives
   /// packets and must not transmit.
   bool migration_disabled() const { return migration_disabled_; }
-  void set_migration_disabled(bool v) { migration_disabled_ = v; }
+  /// True while the socket sits in bhash (a TCP listener or a bound UDP socket).
+  bool hashed_bound() const { return hashed_bound_; }
+
+  /// The source's half of Section V-C: unhash from ehash/bhash, clear the
+  /// timers, drop the dst-cache entry and set migration_disabled(). A listener
+  /// detaches its accept-queue children too. Calling it twice is safe.
+  virtual void detach() = 0;
+  /// The inverse, used by the destination's restore and the source's rollback
+  /// (and by listen/connect/bind on the way in): hash the socket by its state
+  /// and restart its timers. A no-op on a socket that is already hashed, and a
+  /// CLOSED TCP socket is never hashed.
+  virtual void attach() = 0;
+  /// Point a detached socket at another remote endpoint (the tables are keyed
+  /// by it): the freeze retargets sockets whose peer moved, and a failed
+  /// migration points them back.
+  void set_remote(net::Endpoint remote) {
+    DVEMIG_EXPECTS(migration_disabled_);
+    remote_ = remote;
+  }
 
  protected:
   Socket(NetStack& stack, SocketType type, std::uint64_t sock_id)
@@ -39,6 +58,7 @@ class Socket : public std::enable_shared_from_this<Socket> {
   net::Endpoint local_{};
   net::Endpoint remote_{};
   bool migration_disabled_{false};
+  bool hashed_bound_{false};
 };
 
 }  // namespace dvemig::stack

@@ -16,7 +16,7 @@ obs::Counter& retransmit_counter() {
 }
 
 /// Segments parked on the backlog or prequeue instead of the fast path — the
-/// queues the freeze phase must find empty (tcp_busy() in migd).
+/// queues the freeze phase must find empty (held_by_user()).
 obs::Counter& queue_move_counter() {
   static obs::Counter& c = obs::Registry::instance().counter("tcp.queue_moves");
   return c;
@@ -81,9 +81,7 @@ void TcpSocket::listen(std::uint32_t backlog_limit) {
   DVEMIG_EXPECTS(local_.port != 0);  // must bind() first
   accept_backlog_limit_ = backlog_limit;
   cb_.state = TcpState::listen;
-  stack_->table().bhash_insert(shared_from_this(),
-                               local_.port);
-  hashed_bound_ = true;
+  attach();
 }
 
 void TcpSocket::connect(net::Endpoint remote) {
@@ -99,11 +97,7 @@ void TcpSocket::connect(net::Endpoint remote) {
   cb_.snd_una = cb_.iss;
   cb_.snd_nxt = cb_.iss;
   cb_.state = TcpState::syn_sent;
-
-  stack_->table().ehash_insert(
-      std::static_pointer_cast<TcpSocket>(shared_from_this()),
-      FourTuple{local_, remote_});
-  hashed_established_ = true;
+  attach();
 
   queue_segment(net::tcp_flags::syn, {});
   try_send();
@@ -306,8 +300,7 @@ void TcpSocket::on_listen_segment(net::Packet& p) {
   ccb.snd_nxt = ccb.iss;
   ccb.state = TcpState::syn_rcvd;
 
-  stack_->table().ehash_insert(child, tuple);
-  child->hashed_established_ = true;
+  child->attach();
   embryo_count_ += 1;
   child->queue_segment(net::tcp_flags::syn, {});
   child->try_send();
@@ -569,17 +562,46 @@ void TcpSocket::become_closed() {
       parent_listener_.reset();
     }
   }
-  clear_timers();
-  if (hashed_established_) {
-    stack_->table().ehash_remove(FourTuple{local_, remote_});
-    hashed_established_ = false;
-  }
-  if (hashed_bound_) {
-    stack_->table().bhash_remove(*this, local_.port);
-    hashed_bound_ = false;
-  }
-  stack_->dst_cache_drop(sock_id_);
+  unhash();
   cb_.state = TcpState::closed;
+}
+
+void TcpSocket::unhash() {
+  clear_timers();
+  if (hashed_established_) stack_->table().ehash_remove(FourTuple{local_, remote_});
+  if (hashed_bound_) stack_->table().bhash_remove(*this, local_.port);
+  hashed_established_ = hashed_bound_ = false;
+  stack_->dst_cache_drop(sock_id_);
+}
+
+void TcpSocket::detach() {
+  unhash();
+  for (const auto& child : accept_queue_) child->detach();
+  migration_disabled_ = true;
+}
+
+void TcpSocket::attach() {
+  migration_disabled_ = false;
+  if (cb_.state == TcpState::listen) {
+    if (!hashed_bound_) stack_->table().bhash_insert(shared_from_this(), local_.port);
+    hashed_bound_ = true;
+    for (const auto& child : accept_queue_) child->attach();
+    return;
+  }
+  // A CLOSED socket stays out: nothing will ever reach it again.
+  if (cb_.state == TcpState::closed || hashed_established_) return;
+  stack_->table().ehash_insert(std::static_pointer_cast<TcpSocket>(shared_from_this()),
+                               FourTuple{local_, remote_});
+  hashed_established_ = true;
+  // Recompute the unsent boundary from snd_nxt, then restart the retransmission
+  // timer (the paper: "the retransmission timer is restarted").
+  next_unsent_idx_ = 0;
+  while (next_unsent_idx_ < cb_.write_queue.size() &&
+         seq_lt(cb_.write_queue[next_unsent_idx_].seq, cb_.snd_nxt)) {
+    ++next_unsent_idx_;
+  }
+  if (cb_.inflight() > 0) arm_rto();
+  if (cb_.state == TcpState::time_wait) enter_time_wait();
 }
 
 void TcpSocket::notify_listener_established() {
@@ -748,18 +770,6 @@ void TcpSocket::clear_timers() {
   time_wait_timer_.cancel();
   prequeue_timer_.cancel();
   persist_timer_.cancel();
-}
-
-void TcpSocket::restart_timers_after_restore() {
-  // Recompute the unsent boundary from snd_nxt, then restart the retransmission
-  // timer (the paper: "the retransmission timer is restarted").
-  next_unsent_idx_ = 0;
-  while (next_unsent_idx_ < cb_.write_queue.size() &&
-         seq_lt(cb_.write_queue[next_unsent_idx_].seq, cb_.snd_nxt)) {
-    ++next_unsent_idx_;
-  }
-  if (cb_.inflight() > 0) arm_rto();
-  if (cb_.state == TcpState::time_wait) enter_time_wait();
 }
 
 void TcpSocket::set_endpoints(net::Endpoint local, net::Endpoint remote) {

@@ -165,6 +165,7 @@ class TcpSocket final : public Socket {
   std::size_t accept_queue_length() const { return accept_queue_.size(); }
   /// Established children awaiting accept() — migrated along with a listener.
   std::deque<Ptr>& accept_queue() { return accept_queue_; }
+  const std::deque<Ptr>& accept_queue() const { return accept_queue_; }
 
   /// Orderly close (FIN). Safe to call in any state.
   void close();
@@ -190,6 +191,12 @@ class TcpSocket final : public Socket {
   /// While a blocked reader waits, segments take the prequeue fast path and are
   /// processed in the (simulated) reader context one event later.
   void set_blocked_reader(bool blocked);
+  /// Locked or used for fast-path receiving: precopy skips such a socket, and
+  /// the freeze's signal-based checkpoint guarantees false (Section V-C1).
+  bool held_by_user() const {
+    return cb_.user_locked || cb_.blocked_reader || !cb_.backlog.empty() ||
+           !cb_.prequeue.empty();
+  }
 
   // --- stack-facing ---
   void segment_arrived(net::Packet p);
@@ -197,18 +204,22 @@ class TcpSocket final : public Socket {
   // --- migration-facing ---
   TcpCb& cb() { return cb_; }
   const TcpCb& cb() const { return cb_; }
-  /// Cancel every pending timer (migration "clears the retransmission timer").
-  void clear_timers();
-  /// Re-arm timers after restore on the destination node.
-  void restart_timers_after_restore();
-  /// Set identity without touching the hash tables (restorer manages hashing).
+  void detach() override;
+  /// A listener goes into bhash, then its children; CLOSED hashes nothing; any
+  /// other state goes into ehash, then its RTO and time-wait timers restart.
+  void attach() override;
+  /// Set identity without touching the hash tables (the restorer builds the
+  /// socket unhashed, then attach()es it).
   void set_endpoints(net::Endpoint local, net::Endpoint remote);
   /// Drive the transmit path (used after restore to resume sending).
   void try_send();
   bool hashed_established() const { return hashed_established_; }
-  void set_hashed_established(bool v) { hashed_established_ = v; }
-  bool hashed_bound() const { return hashed_bound_; }
-  void set_hashed_bound(bool v) { hashed_bound_ = v; }
+  bool rto_pending() const { return rto_timer_.pending(); }
+  bool time_wait_pending() const { return time_wait_timer_.pending(); }
+  bool any_timer_pending() const {
+    return rto_timer_.pending() || time_wait_timer_.pending() ||
+           prequeue_timer_.pending() || persist_timer_.pending();
+  }
   std::uint32_t accept_backlog_limit() const { return accept_backlog_limit_; }
   void set_accept_backlog_limit(std::uint32_t v) { accept_backlog_limit_ = v; }
 
@@ -229,6 +240,8 @@ class TcpSocket final : public Socket {
   void handle_rst();
   void enter_time_wait();
   void become_closed();
+  /// The half that close and detach() share: timers, ehash/bhash, dst cache.
+  void unhash();
 
   // Transmit internals.
   void queue_segment(std::uint8_t flags, Buffer data);
@@ -245,6 +258,8 @@ class TcpSocket final : public Socket {
   void on_persist();
   void process_backlog();
   void process_prequeue();
+  /// Cancel every pending timer (migration "clears the retransmission timer").
+  void clear_timers();
 
   void rtt_sample(std::int64_t rtt_ns);
   void notify_listener_established();
@@ -269,7 +284,6 @@ class TcpSocket final : public Socket {
   std::weak_ptr<TcpSocket> parent_listener_;
 
   bool hashed_established_{false};
-  bool hashed_bound_{false};
   // Index of the first unsent segment in write_queue (== number of unacked
   // in-flight segments ahead of it). Derivable from snd_nxt; cached for O(1) sends.
   std::size_t next_unsent_idx_{0};

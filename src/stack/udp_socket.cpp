@@ -12,8 +12,8 @@ void UdpSocket::bind(net::Ipv4Addr addr, net::Port port) {
   if (port == 0) port = stack_->table().allocate_ephemeral_port(SocketType::udp);
   DVEMIG_EXPECTS(!stack_->table().port_bound(port, SocketType::udp));
   local_ = net::Endpoint{addr, port};
-  stack_->table().bhash_insert(shared_from_this(), port);
   cb_.bound = true;
+  attach();
 }
 
 void UdpSocket::connect(net::Endpoint remote) {
@@ -45,12 +45,26 @@ std::optional<UdpDatagram> UdpSocket::recv() {
 }
 
 void UdpSocket::close() {
-  if (cb_.bound) {
-    stack_->table().bhash_remove(*this, local_.port);
-    cb_.bound = false;
-  }
-  stack_->dst_cache_drop(sock_id_);
+  unhash();
+  cb_.bound = false;
   on_readable_ = nullptr;
+}
+
+void UdpSocket::unhash() {
+  if (hashed_bound_) stack_->table().bhash_remove(*this, local_.port);
+  hashed_bound_ = false;
+  stack_->dst_cache_drop(sock_id_);
+}
+
+void UdpSocket::detach() {
+  unhash();
+  migration_disabled_ = true;
+}
+
+void UdpSocket::attach() {
+  migration_disabled_ = false;
+  if (cb_.bound && !hashed_bound_) stack_->table().bhash_insert(shared_from_this(), local_.port);
+  hashed_bound_ = cb_.bound;
 }
 
 void UdpSocket::datagram_arrived(const net::Packet& p) {

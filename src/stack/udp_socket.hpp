@@ -56,6 +56,11 @@ class UdpSocket final : public Socket {
 
   void close();
 
+  /// cb().bound stays set across a detach: it is part of the state image.
+  void detach() override;
+  /// A bound socket goes back into bhash.
+  void attach() override;
+
   /// Stack demux entry.
   void datagram_arrived(const net::Packet& p);
 
@@ -63,11 +68,14 @@ class UdpSocket final : public Socket {
   const UdpCb& cb() const { return cb_; }
 
   /// Migration support: set identity fields without touching hash tables (the
-  /// restorer manages hashing explicitly, mirroring unhash/rehash in the paper).
+  /// restorer builds the socket unhashed, then attach()es it).
   void set_endpoints(net::Endpoint local, net::Endpoint remote, bool bound,
                      bool connected);
 
  private:
+  /// The half that close() and detach() share: bhash and the dst cache.
+  void unhash();
+
   UdpCb cb_;
   ReadableFn on_readable_;
 };

@@ -223,7 +223,10 @@ TEST_F(AuditFixture, SndUnaAheadOfSndNxtTrips) {
 }
 
 TEST_F(AuditFixture, HashedFlagClearedWhileStillInEhashTrips) {
-  client->set_hashed_established(false);  // flag says unhashed, table disagrees
+  // Detach clears the flag; re-inserting behind the socket's back leaves the
+  // flag saying unhashed while the table disagrees.
+  client->detach();
+  a.table().ehash_insert(client, stack::FourTuple{client->local(), client->remote()});
   verify.audit_now();
   EXPECT_TRUE(has_rule(verify, "ehash.flag-mismatch"));
 }

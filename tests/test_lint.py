@@ -246,6 +246,30 @@ class NoLinearFilterScan(unittest.TestCase):
         self.assertNotIn("[no-linear-filter-scan]", out)
 
 
+class SocketTableOwner(unittest.TestCase):
+    """Only src/stack edits ehash/bhash; everything else detaches/attaches."""
+
+    EDIT = (
+        "void rehash(stack::NetStack& st, const stack::TcpSocket::Ptr& s) {\n"
+        "  st.table().ehash_insert(s, stack::FourTuple{s->local(), s->remote()});\n"
+        "}\n"
+    )
+
+    def test_table_edit_in_mig_is_flagged(self) -> None:
+        code, out = lint_tree({"src/mig/restore.cpp": self.EDIT})
+        self.assertNotEqual(code, 0)
+        self.assertIn("src/mig/restore.cpp:2: [socket-table-owner]", out)
+
+    def test_same_edit_in_stack_passes(self) -> None:
+        code, out = lint_tree({"src/stack/restore.cpp": self.EDIT})
+        self.assertEqual(code, 0, out)
+        self.assertNotIn("[socket-table-owner]", out)
+
+    def test_real_tree_edits_tables_only_in_stack(self) -> None:
+        _, out = run_lint(REPO)
+        self.assertNotIn("[socket-table-owner]", out)
+
+
 class DesignInventory(unittest.TestCase):
     """DESIGN.md §3 must name every src/ subdirectory that holds sources."""
 

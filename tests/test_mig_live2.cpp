@@ -1,8 +1,10 @@
 // Second live-migration batch: the stop-and-copy baseline, failure paths,
 // connections arriving mid-freeze, un-accepted listener children, and mixed
-// UDP+TCP fd tables under the iterative strategy, and the socketless freeze.
+// UDP+TCP fd tables under the iterative strategy, the socketless freeze, and a
+// socket that a client's RST closes while the process is frozen.
 #include <gtest/gtest.h>
 
+#include "src/check/verifier.hpp"
 #include "src/dve/client.hpp"
 #include "src/dve/game_server.hpp"
 #include "src/dve/testbed.hpp"
@@ -303,6 +305,118 @@ TEST_F(Live2Fixture, BackToBackMigrationsReuseMigd) {
   }
   EXPECT_EQ(bed->node(0).node.processes().size(), 0u);
   EXPECT_EQ(bed->node(1).node.processes().size(), 3u);
+}
+
+// A client's RST that lands after the freeze began but before the subtract
+// stage closes the server socket, and drop_client() refuses to run while the
+// process is frozen, so the CLOSED socket migrates as it is. Neither the
+// destination's restore nor the source's rollback may hash it: the resumed
+// zone server reaps the fd, but close() on a CLOSED socket does nothing, so an
+// ehash entry would dangle for good (dvemig-verify's ehash.bad-state).
+struct ClosedSocketFixture : ::testing::Test {
+  std::unique_ptr<dve::Testbed> bed;
+  // Declared after `bed` so it detaches from the engine before teardown.
+  std::unique_ptr<check::Verifier> verify;
+  std::vector<std::size_t> ehash_before;
+
+  void SetUp() override {
+    dve::TestbedConfig cfg;
+    cfg.dve_nodes = 2;
+    cfg.with_db = false;
+    bed = std::make_unique<dve::Testbed>(cfg);
+    check::VerifierConfig vcfg;
+    vcfg.abort_on_violation = false;
+    vcfg.every_n_events = 32;
+    verify = std::make_unique<check::Verifier>(bed->engine(), vcfg);
+    for (std::size_t i = 0; i < bed->node_count(); ++i) {
+      verify->watch_stack(bed->node(i).node.stack());
+    }
+  }
+
+  void TearDown() override { mig::FrameChannel::set_fault_hook(nullptr); }
+
+  std::size_t ehash_size(std::size_t node) {
+    return bed->node(node).node.stack().table().ehash_size();
+  }
+
+  /// Launch a zone server with one raw TCP client, send the client's RST, and
+  /// start a stop-and-copy migration to node 1 while the RST is in flight.
+  /// Returns the server's pid once the 3 s run is over.
+  Pid migrate_with_rst_in_flight(MigrationStats& stats, bool& done) {
+    dve::ZoneServerConfig zs;
+    zs.zone = 1;
+    zs.use_db = false;
+    auto proc = dve::ZoneServerApp::launch(bed->node(0).node, zs);
+    for (std::size_t i = 0; i < bed->node_count(); ++i) {
+      ehash_before.push_back(ehash_size(i));
+    }
+    auto& host = bed->make_client_host();
+    auto client = host.stack().make_tcp();
+    client->bind(host.addr(), 0);
+    client->connect(net::Endpoint{bed->public_ip(), dve::zone_port(1)});
+    bed->run_for(SimTime::milliseconds(200));
+    EXPECT_EQ(client->state(), stack::TcpState::established);
+
+    client->abort();
+    bed->run_for(SimTime::microseconds(60));
+    EXPECT_TRUE(bed->node(0).migd.migrate(
+        proc->pid(), bed->node(1).node.local_addr(),
+        MigrateOptions{SocketMigStrategy::collective, /*live=*/false},
+        [&](const MigrationStats& s) {
+          stats = s;
+          done = true;
+        }));
+    bed->run_for(SimTime::seconds(3));
+    return proc->pid();
+  }
+
+  void expect_clean_tables() {
+    EXPECT_TRUE(verify->clean()) << verify->violation_count() << " violations, first "
+                                 << verify->violations().front().rule << ": "
+                                 << verify->violations().front().detail;
+    for (std::size_t i = 0; i < bed->node_count(); ++i) {
+      EXPECT_EQ(ehash_size(i), ehash_before[i]) << "node " << i;
+    }
+  }
+};
+
+TEST_F(ClosedSocketFixture, RestoreDoesNotHashClosedSocket) {
+  MigrationStats stats;
+  bool done = false;
+  const Pid pid = migrate_with_rst_in_flight(stats, done);
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(stats.success);
+  auto moved = bed->node(1).node.find(pid);
+  ASSERT_NE(moved, nullptr);
+  EXPECT_EQ(static_cast<const dve::ZoneServerApp*>(moved->app().get())->client_count(),
+            0u);
+  expect_clean_tables();
+}
+
+TEST_F(ClosedSocketFixture, RollbackDoesNotHashClosedSocket) {
+  // Dropping the socket image makes the destination give up, so the source
+  // rolls the freeze back and resumes the process in place.
+  struct DropSocketState : mig::FrameChannel::FaultHook {
+    mig::FrameChannel::FaultAction on_send(const mig::FrameChannel& /*ch*/,
+                                           mig::MsgType type,
+                                           std::size_t /*payload_len*/) override {
+      return type == mig::MsgType::socket_state
+                 ? mig::FrameChannel::FaultAction::drop
+                 : mig::FrameChannel::FaultAction::pass;
+    }
+  } hook;
+  mig::FrameChannel::set_fault_hook(&hook);
+  MigrationStats stats;
+  bool done = false;
+  const Pid pid = migrate_with_rst_in_flight(stats, done);
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(stats.success);
+  auto still = bed->node(0).node.find(pid);
+  ASSERT_NE(still, nullptr);
+  EXPECT_FALSE(still->frozen());
+  EXPECT_EQ(static_cast<const dve::ZoneServerApp*>(still->app().get())->client_count(),
+            0u);
+  expect_clean_tables();
 }
 
 }  // namespace

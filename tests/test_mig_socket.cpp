@@ -359,11 +359,8 @@ TEST(SocketImageTest, RestoreRehashesAndPreservesData) {
   h.engine.run();
   const TcpImage img = extract_tcp(*server, 4);
 
-  // "Migrate" B's socket to C. B's copy is disabled first.
-  server->clear_timers();
-  h.b.table().ehash_remove(stack::FourTuple{server->local(), server->remote()});
-  server->set_hashed_established(false);
-  server->set_migration_disabled(true);
+  // "Migrate" B's socket to C. B's copy is detached first.
+  server->detach();
 
   RestoreContext ctx;
   ctx.stack = &h.c;
@@ -401,9 +398,7 @@ TEST(SocketImageTest, TimestampAdjustmentKeepsTsvalMonotonic) {
   ctx.dst_node_local_addr = kAddrC;
   ctx.src_jiffies_at_ckpt = h.b.jiffies();
   ctx.src_local_now_at_ckpt_ns = h.b.local_now_ns();
-  server->set_migration_disabled(true);
-  h.b.table().ehash_remove(stack::FourTuple{server->local(), server->remote()});
-  server->set_hashed_established(false);
+  server->detach();
 
   auto restored = restore_tcp(img, ctx);
   const std::uint32_t first_tsval_from_c =
@@ -417,9 +412,7 @@ TEST(SocketImageTest, TimestampAdjustmentDisabledLeavesSkew) {
   auto [client, server] = h.connect(h.a, h.b, kAddrB, 9000);
   h.engine.run();
   const TcpImage img = extract_tcp(*server, 4);
-  server->set_migration_disabled(true);
-  h.b.table().ehash_remove(stack::FourTuple{server->local(), server->remote()});
-  server->set_hashed_established(false);
+  server->detach();
 
   RestoreContext ctx;
   ctx.stack = &h.c;
@@ -441,9 +434,7 @@ TEST(SocketImageTest, PublicAddressNotRewritten) {
   auto [client, server] = h.connect(h.a, h.b, kAddrB, 9000);
   h.engine.run();
   const TcpImage img = extract_tcp(*server, 4);
-  server->set_migration_disabled(true);
-  h.b.table().ehash_remove(stack::FourTuple{server->local(), server->remote()});
-  server->set_hashed_established(false);
+  server->detach();
 
   RestoreContext ctx;
   ctx.stack = &h.c;
@@ -471,15 +462,7 @@ TEST(SocketImageTest, ListenerWithAcceptQueueMigrates) {
   EXPECT_TRUE(img.listening);
   ASSERT_EQ(img.accept_children.size(), 2u);
 
-  // Disable everything on B.
-  for (const auto& child : listener->accept_queue()) {
-    h.b.table().ehash_remove(stack::FourTuple{child->local(), child->remote()});
-    child->set_hashed_established(false);
-    child->set_migration_disabled(true);
-  }
-  h.b.table().bhash_remove(*listener, 9000);
-  listener->set_hashed_bound(false);
-  listener->set_migration_disabled(true);
+  listener->detach();  // and its children, on B
 
   RestoreContext ctx;
   ctx.stack = &h.c;
@@ -513,8 +496,7 @@ TEST(SocketImageTest, UdpExtractRestoreWithQueue) {
   EXPECT_TRUE(img.bound);
   ASSERT_EQ(img.receive_queue.size(), 1u);
 
-  h.b.table().bhash_remove(*server, 27960);
-  server->set_migration_disabled(true);
+  server->detach();
 
   RestoreContext ctx;
   ctx.stack = &h.c;

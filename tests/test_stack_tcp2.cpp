@@ -1,12 +1,16 @@
 // Second TCP batch: teardown corner cases, reordering, backoff, half-close,
-// PAWS boundary conditions, listener lifecycle.
+// PAWS boundary conditions, listener lifecycle, and the migration
+// detach/attach pair (TCP and UDP).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 
+#include "src/check/verifier.hpp"
 #include "src/net/switch.hpp"
 #include "src/stack/net_stack.hpp"
 #include "src/stack/tcp_socket.hpp"
+#include "src/stack/udp_socket.hpp"
 
 namespace dvemig::stack {
 namespace {
@@ -256,6 +260,195 @@ TEST(TcpOutOfOrder, FinBufferedUntilGapFills) {
   EXPECT_EQ(server->read().size(), 6000u);
   EXPECT_EQ(server->state(), TcpState::close_wait);
   drop.release();
+}
+
+// ------------------------------------------------------------ detach/attach
+
+/// Where a socket sits in its stack's tables, and what its flags claim.
+struct Membership {
+  bool in_ehash{false};
+  bool in_bhash{false};
+  bool hashed_established{false};
+  bool hashed_bound{false};
+  bool operator==(const Membership&) const = default;
+};
+
+Membership membership_of(const NetStack& st, const Socket& s) {
+  Membership m;
+  const auto bucket = st.table().bhash_lookup(s.local().port);
+  m.in_bhash = std::any_of(bucket.begin(), bucket.end(),
+                           [&](const auto& b) { return b.get() == &s; });
+  m.hashed_bound = s.hashed_bound();
+  if (s.type() == SocketType::tcp) {
+    m.in_ehash = st.table().ehash_lookup(FourTuple{s.local(), s.remote()}).get() == &s;
+    m.hashed_established = static_cast<const TcpSocket&>(s).hashed_established();
+  }
+  return m;
+}
+
+/// Section V-C's unhash and rehash, in stack terms: detach() leaves the socket
+/// in no table with no timer and no dst-cache entry; attach() puts back exactly
+/// what was there, re-arming the RTO iff data is in flight and the time-wait
+/// timer iff the state is TIME_WAIT. Repeating either call changes nothing, and
+/// dvemig-verify stays clean throughout.
+struct DetachAttach : ::testing::Test {
+  TwoHosts h;
+  check::Verifier verify{h.engine, check::VerifierConfig{1, false, 16}};
+
+  DetachAttach() {
+    verify.watch_stack(h.a);
+    verify.watch_stack(h.b);
+  }
+
+  void TearDown() override {
+    verify.audit_now();
+    EXPECT_TRUE(verify.clean()) << verify.violations().front().rule << ": "
+                                << verify.violations().front().detail;
+  }
+
+  void expect_detached(const NetStack& st, const Socket& s) {
+    EXPECT_EQ(membership_of(st, s), Membership{});
+    EXPECT_TRUE(s.migration_disabled());
+    EXPECT_EQ(st.dst_cache_lookup(s.sock_id()), net::Ipv4Addr::any());
+    if (s.type() == SocketType::tcp) {
+      EXPECT_FALSE(static_cast<const TcpSocket&>(s).any_timer_pending());
+    }
+  }
+
+  void expect_timers(const TcpSocket& s, bool in_flight) {
+    EXPECT_EQ(s.rto_pending(), in_flight && s.state() != TcpState::closed)
+        << tcp_state_name(s.state());
+    EXPECT_EQ(s.time_wait_pending(), s.state() == TcpState::time_wait);
+  }
+
+  /// Round-trip `s` (and a listener's accept-queue children) through
+  /// detach()/attach(), twice each.
+  void round_trip(NetStack& st, const std::shared_ptr<Socket>& s) {
+    std::vector<std::shared_ptr<TcpSocket>> children;
+    if (s->type() == SocketType::tcp) {
+      const auto& q = static_cast<const TcpSocket&>(*s).accept_queue();
+      children.assign(q.begin(), q.end());
+    }
+    const Membership before = membership_of(st, *s);
+    std::vector<Membership> children_before;
+    for (const auto& c : children) children_before.push_back(membership_of(st, *c));
+    const auto in_flight = [](const Socket& x) {
+      return x.type() == SocketType::tcp &&
+             static_cast<const TcpSocket&>(x).cb().inflight() > 0;
+    };
+
+    for (int pass = 0; pass < 2; ++pass) {
+      s->detach();
+      verify.audit_now();
+      expect_detached(st, *s);
+      for (const auto& c : children) expect_detached(st, *c);
+    }
+
+    s->attach();
+    verify.audit_now();
+    const std::size_t events = h.engine.pending_events();
+    s->attach();  // already hashed: nothing to insert, no timer re-armed
+    EXPECT_EQ(h.engine.pending_events(), events);
+    EXPECT_EQ(membership_of(st, *s), before);
+    EXPECT_FALSE(s->migration_disabled());
+    for (std::size_t i = 0; i < children.size(); ++i) {
+      EXPECT_EQ(membership_of(st, *children[i]), children_before[i]);
+      EXPECT_FALSE(children[i]->migration_disabled());
+      expect_timers(*children[i], in_flight(*children[i]));
+    }
+    if (s->type() == SocketType::tcp) {
+      expect_timers(static_cast<const TcpSocket&>(*s), in_flight(*s));
+    }
+  }
+};
+
+TEST_F(DetachAttach, ListenerWithAcceptQueueChildren) {
+  auto listener = h.b.make_tcp();
+  listener->bind(kAddrB, 9000);
+  listener->listen(8);
+  auto c1 = h.a.make_tcp();
+  auto c2 = h.a.make_tcp();
+  c1->connect(net::Endpoint{kAddrB, 9000});
+  c2->connect(net::Endpoint{kAddrB, 9000});
+  h.engine.run();
+  ASSERT_EQ(listener->accept_queue_length(), 2u);
+  const Membership bound = membership_of(h.b, *listener);
+  EXPECT_TRUE(bound.in_bhash && bound.hashed_bound);
+  round_trip(h.b, listener);
+}
+
+TEST_F(DetachAttach, SynSent) {
+  auto client = h.a.make_tcp();
+  client->connect(net::Endpoint{kAddrB, 9100});  // nobody listens: SYN unanswered
+  ASSERT_EQ(client->state(), TcpState::syn_sent);
+  ASSERT_GT(client->cb().inflight(), 0u);
+  round_trip(h.a, client);
+}
+
+TEST_F(DetachAttach, EstablishedIdleAndWithDataInFlight) {
+  auto [client, server] = h.connect_pair();
+  h.engine.run();
+  ASSERT_EQ(server->cb().inflight(), 0u);
+  round_trip(h.b, server);
+  client->send(Buffer(3000, 7));
+  ASSERT_GT(client->cb().inflight(), 0u);
+  round_trip(h.a, client);
+}
+
+TEST_F(DetachAttach, CloseWait) {
+  auto [client, server] = h.connect_pair();
+  client->close();
+  h.engine.run_until(h.engine.now() + SimTime::milliseconds(50));
+  ASSERT_EQ(server->state(), TcpState::close_wait);
+  round_trip(h.b, server);
+}
+
+TEST_F(DetachAttach, FinWait1) {
+  auto [client, server] = h.connect_pair();
+  h.engine.run();
+  server->close();  // FIN in flight
+  ASSERT_EQ(server->state(), TcpState::fin_wait1);
+  round_trip(h.b, server);
+}
+
+TEST_F(DetachAttach, TimeWait) {
+  auto [client, server] = h.connect_pair();
+  client->close();
+  h.engine.run_until(h.engine.now() + SimTime::milliseconds(50));
+  server->close();
+  h.engine.run_until(h.engine.now() + SimTime::milliseconds(50));
+  ASSERT_EQ(client->state(), TcpState::time_wait);
+  round_trip(h.a, client);
+  // The restarted time-wait timer still finishes the close.
+  h.engine.run_until(h.engine.now() + SimTime::seconds(2));
+  EXPECT_EQ(client->state(), TcpState::closed);
+  EXPECT_EQ(h.a.table().ehash_size(), 0u);
+}
+
+TEST_F(DetachAttach, ClosedWithDataInFlightStaysUnhashed) {
+  auto [client, server] = h.connect_pair();
+  client->send(Buffer(3000, 7));
+  client->abort();
+  ASSERT_EQ(client->state(), TcpState::closed);
+  ASSERT_GT(client->cb().inflight(), 0u);
+  round_trip(h.a, client);
+  EXPECT_EQ(h.a.table().ehash_size(), 0u);
+}
+
+TEST_F(DetachAttach, UdpBoundConnectedAndUnbound) {
+  auto bound = h.b.make_udp();
+  bound->bind(kAddrB, 27960);
+  auto connected = h.a.make_udp();
+  connected->connect(net::Endpoint{kAddrB, 27960});
+  connected->send(Buffer{1, 2, 3});  // fills the dst cache
+  h.engine.run();
+  auto unbound = h.a.make_udp();
+  round_trip(h.b, bound);
+  round_trip(h.a, connected);
+  round_trip(h.a, unbound);
+  EXPECT_TRUE(h.b.table().port_bound(27960, SocketType::udp));
+  EXPECT_FALSE(membership_of(h.a, *unbound).in_bhash);
+  EXPECT_TRUE(membership_of(h.a, *connected).in_bhash);
 }
 
 }  // namespace

@@ -19,15 +19,13 @@ reader-unchecked-length
     in a DVEMIG_EXPECTS/DVEMIG_ASSERT, a comparison against a cap constant
     (``kMax*``), or ``std::min``.
 
-hash-pairing
-    Any module (``src/<dir>``) that inserts into the kernel-mirroring socket
-    hashtables must also contain the matching remove (``ehash_insert``/
-    ``ehash_remove``, ``bhash_insert``/``bhash_remove``). Section V-C's
-    unhash/rehash discipline is a pairing discipline: an insert-only module is
-    how dangling table entries are born. The rule is per module, not per file —
-    e.g. socket restore inserts in socket_image.cpp while the matching unhash
-    lives in migd.cpp, both in src/mig. The tables' own implementation and
-    tests (which corrupt tables on purpose) are exempt.
+socket-table-owner
+    ``ehash_insert``/``ehash_remove``/``bhash_insert``/``bhash_remove`` may be
+    called only under ``src/stack/``. Section V-C's unhash and rehash are
+    ``Socket::detach()``/``attach()``, which hash by socket state (a CLOSED
+    TCP socket never goes into ehash); a hand-rolled table edit elsewhere is
+    how such copies drift from the stack's invariant. Tests (which corrupt
+    tables on purpose) are not linted.
 
 phase-span
     In ``src/mig/``, every write to a migration phase enum (``phase_ =
@@ -97,7 +95,6 @@ import re
 import sys
 
 ABORT_ALLOWED = {"src/common/assert.hpp"}
-PAIRING_EXEMPT_MODULES = {"src/stack"}  # the tables' own implementation
 
 # `abort(`/`assert(` not preceded by an identifier char, `.`, `->`, `::`, or
 # `_`. (`::` excludes member definitions like `TcpSocket::abort()`; bare
@@ -113,7 +110,7 @@ RE_LEN_READ = re.compile(
     r"(?:auto|const auto|std::uint32_t|std::uint64_t|const std::uint32_t|"
     r"const std::uint64_t|uint32_t|uint64_t)\s+(\w+)\s*=\s*\w+(?:\.|->)u(?:32|64)\(\)"
 )
-RE_PAIRS = [("ehash_insert", "ehash_remove"), ("bhash_insert", "bhash_remove")]
+RE_TABLE_EDIT = re.compile(r"\b(?:ehash|bhash)_(?:insert|remove)\s*\(")
 
 # Searched over the whole file text (not per line): the assignment regularly
 # wraps, e.g. `phase_ =\n    Phase::freeze;`, and a per-line scan silently
@@ -155,12 +152,6 @@ def strip_noise(line: str) -> str:
     return RE_LINE_COMMENT.sub("", RE_STRING.sub('""', line))
 
 
-def module_of(rel: str) -> str:
-    """src/mig/migd.cpp -> src/mig; anything else -> its parent directory."""
-    parts = rel.split("/")
-    return "/".join(parts[:2]) if len(parts) > 2 else parts[0]
-
-
 def extract_body(text: str, open_brace: int) -> str:
     """Return the brace-balanced body starting at text[open_brace] == '{'."""
     depth = 0
@@ -183,12 +174,7 @@ def normalize_serial_name(name: str) -> str:
     return name
 
 
-def lint_file(
-    path: pathlib.Path,
-    rel: str,
-    problems: list[str],
-    hash_calls: dict[str, dict[str, str]],
-) -> None:
+def lint_file(path: pathlib.Path, rel: str, problems: list[str]) -> None:
     try:
         raw_lines = path.read_text().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -209,6 +195,16 @@ def lint_file(
                 problems.append(
                     f"{rel}:{i}: [naked-abort] C assert() — use DVEMIG_ASSERT "
                     "(stays enabled in release builds)"
+                )
+
+    # --- socket-table-owner ---
+    if rel.startswith("src/") and not rel.startswith("src/stack/"):
+        for i, line in enumerate(lines, 1):
+            if RE_TABLE_EDIT.search(line):
+                problems.append(
+                    f"{rel}:{i}: [socket-table-owner] ehash/bhash edited "
+                    "outside src/stack — unhash and rehash through "
+                    "Socket::detach()/attach()"
                 )
 
     # --- reader-unchecked-length ---
@@ -311,15 +307,6 @@ def lint_file(
                 "halves delegate to it"
             )
 
-    # --- hash-pairing (collected per file, judged per module in main) ---
-    if not rel.startswith("tests/"):
-        for ins, rem in RE_PAIRS:
-            for name in (ins, rem):
-                if re.search(rf"\b{name}\s*\(", text):
-                    hash_calls.setdefault(module_of(rel), {}).setdefault(
-                        name, rel
-                    )
-
 
 def lint_docs(root: pathlib.Path, problems: list[str]) -> None:
     """Repo-level documentation rules (design-inventory, readme-bench-targets)."""
@@ -383,7 +370,6 @@ def main() -> int:
         )
 
     problems: list[str] = []
-    hash_calls: dict[str, dict[str, str]] = {}
     lint_docs(root, problems)
     count = 0
     for path in targets:
@@ -394,21 +380,7 @@ def main() -> int:
         except ValueError:
             rel = path.as_posix()
         count += 1
-        lint_file(path, rel, problems, hash_calls)
-
-    # hash-pairing is a module-level judgment: an insert anywhere in a module
-    # must have the matching remove reachable somewhere in the same module.
-    for module, calls in sorted(hash_calls.items()):
-        if module in PAIRING_EXEMPT_MODULES:
-            continue
-        for ins, rem in RE_PAIRS:
-            if ins in calls and rem not in calls:
-                problems.append(
-                    f"{calls[ins]}:0: [hash-pairing] module {module} calls "
-                    f"{ins}() but never {rem}() — Section V-C's unhash/rehash "
-                    "discipline requires the pair to be reachable from the "
-                    "same module"
-                )
+        lint_file(path, rel, problems)
 
     for p in problems:
         print(p)
