@@ -346,9 +346,13 @@ struct DetachAttach : ::testing::Test {
 
     s->attach();
     verify.audit_now();
+    // A re-arm cancels and reschedules, which leaves the live-event count as
+    // it was but queues one more heap key, so the key count is the witness.
     const std::size_t events = h.engine.pending_events();
+    const std::size_t keys = h.engine.queued_keys();
     s->attach();  // already hashed: nothing to insert, no timer re-armed
     EXPECT_EQ(h.engine.pending_events(), events);
+    EXPECT_EQ(h.engine.queued_keys(), keys);
     EXPECT_EQ(membership_of(st, *s), before);
     EXPECT_FALSE(s->migration_disabled());
     for (std::size_t i = 0; i < children.size(); ++i) {
