@@ -20,9 +20,17 @@
 //        replies resume_done.
 //
 // Freeze time = t(resume on destination) - t(freeze begin on source).
+//
+// The destination's migd sorts every accepted connection by its first frame:
+// mig_begin opens a DestSession (dest_session.cpp) on a new DestTransport for
+// that mig_id, and stripe_hello attaches the connection to the transport as a
+// stripe channel (transport.hpp). The source side is one SourceSession
+// (source_session.cpp) on a SourceTransport. migd.cpp holds Transd and the
+// accept path.
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,6 +45,8 @@
 #include "src/proc/node.hpp"
 
 namespace dvemig::mig {
+
+class DestTransport;
 
 enum class SocketMigStrategy : std::uint8_t {
   iterative = 0,               // the earlier one-by-one approach (baseline)
@@ -54,10 +64,6 @@ struct MigrationConfig {
   /// Worker count == transfer stream count. Clamped to [1, kMaxParallelism].
   int parallelism{1};
 };
-
-/// Upper bound on MigrationConfig::parallelism (stripe index fits a u8 and a
-/// migration should not monopolise the node's ephemeral ports).
-inline constexpr int kMaxParallelism = 16;
 
 /// Options beyond the socket strategy.
 struct MigrateOptions {
@@ -137,10 +143,13 @@ class Migd {
 
   /// State probes for the model checker (src/mc): the source session's coarse
   /// phase (-1 when none is active; otherwise SourceSession::Phase as int) and
-  /// the number of live destination sessions. Quiescence after a migration —
-  /// success or failure — means src_phase() == -1 and dest_session_count() == 0.
+  /// the inbound connections this daemon still holds — those whose first
+  /// frame is not sorted yet plus every channel of every migration's
+  /// DestTransport, whether or not its session still runs. Quiescence after a
+  /// migration — success or failure — means src_phase() == -1 and
+  /// dest_session_count() == 0.
   int src_phase() const;
-  std::size_t dest_session_count() const { return dst_sessions_.size(); }
+  std::size_t dest_session_count() const;
 
   proc::Node& node() const { return *node_; }
   CaptureManager& capture() { return capture_; }
@@ -157,15 +166,27 @@ class Migd {
   friend class SourceSession;
   friend class DestSession;
 
-  void on_accept_ready();
-  void source_finished(const MigrationStats& stats);
-  void release_dest_session(DestSession* session);
+  /// An accepted connection whose first frame has not been read yet.
+  struct Unsorted {
+    std::unique_ptr<FrameChannel> channel;
+    bool rejected{false};  // answered and closing on a fresh event
+  };
 
-  /// Striped-transfer plumbing: locate the main (mig_begin-bearing) dest
-  /// session of a migration, and iterate its stripe feeder sessions.
-  std::shared_ptr<DestSession> find_dest_main(std::uint64_t mig_id);
-  void for_each_feeder(std::uint64_t mig_id,
-                       const std::function<void(DestSession&)>& fn);
+  void source_finished(const MigrationStats& stats);
+  void detach_source_session();
+
+  /// Sort an accepted connection by its first frame: mig_begin opens a
+  /// session, stripe_hello attaches it to its migration's transport, and
+  /// anything else is rejected.
+  void on_accept_ready();
+  void sort(FrameChannel& ch, MsgType type, BinaryReader& r);
+  void reject(FrameChannel& ch, const char* why, bool notify_peer);
+  Unsorted& unsorted(const FrameChannel& ch);
+  std::unique_ptr<FrameChannel> take_unsorted(FrameChannel& ch);
+  /// The transport of migration `mig_id`, created on first use.
+  std::shared_ptr<DestTransport>& dest_transport(std::uint64_t mig_id);
+  void begin_dest_session(const MigBegin& begin, std::shared_ptr<DestTransport> transport,
+                          std::unique_ptr<FrameChannel> primary);
 
   proc::Node* node_;
   CostModel cm_;
@@ -176,7 +197,8 @@ class Migd {
 
   stack::TcpSocket::Ptr listener_;
   std::shared_ptr<SourceSession> src_session_;
-  std::vector<std::shared_ptr<DestSession>> dst_sessions_;
+  std::vector<Unsorted> unsorted_;
+  std::map<std::uint64_t, std::shared_ptr<DestTransport>> dst_transports_;
   DoneFn done_;
   std::uint64_t next_mig_id_{0};  // per-daemon counter; combined with the
                                   // node address for a cluster-unique mig id

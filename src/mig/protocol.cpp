@@ -127,8 +127,7 @@ StripeSender::StripeSender(std::vector<FrameChannel*> channels, std::uint64_t mi
     channels_[i]->socket().set_on_drained([this, i] { on_channel_drained(i); });
     if (i == 0) continue;  // the primary channel already spoke mig_begin
     BinaryWriter hello;
-    hello.u64(mig_id);
-    hello.u8(static_cast<std::uint8_t>(i));
+    put(hello, StripeHello{mig_id, static_cast<std::uint8_t>(i)});
     channels_[i]->send(MsgType::stripe_hello, hello.buffer());
   }
 }
@@ -152,10 +151,7 @@ void StripeSender::send(MsgType inner, std::span<const std::uint8_t> payload) {
   do {
     const std::uint32_t chunk = std::min(kStripeChunkBytes, total - off);
     BinaryWriter seg;
-    seg.u64(seq);
-    seg.u8(static_cast<std::uint8_t>(inner));
-    seg.u32(total);
-    seg.u32(off);
+    put(seg, StripeSegHeader{seq, static_cast<std::uint8_t>(inner), total, off});
     seg.bytes(std::span<const std::uint8_t>(payload.data() + off, chunk));
     queues_[ch].push_back(seg.take());
     ch = (ch + 1) % channels_.size();
@@ -212,11 +208,11 @@ void StripeReassembler::fail(const char* reason) {
 void StripeReassembler::on_segment(BinaryReader& r) {
   if (errored_) return;
   segments_ += 1;
-  if (r.remaining() < 17) return fail("truncated stripe segment header");
-  const std::uint64_t seq = r.u64();
-  const std::uint8_t inner = r.u8();
-  const std::uint32_t total = r.u32();
-  const std::uint32_t offset = r.u32();
+  StripeSegHeader h;
+  Get io = Get::checked(r);
+  io.rec(h);
+  if (!io.ok()) return fail("truncated stripe segment header");
+  const auto [seq, inner, total, offset] = h;
   const auto chunk_len = static_cast<std::uint32_t>(r.remaining());
 
   if (!msg_type_valid(inner)) return fail("stripe segment carries unknown type");

@@ -76,6 +76,39 @@ struct MigBegin {
   }
 };
 
+/// Upper bound on MigrationConfig::parallelism: a migration's stripe channels
+/// are indexed by a u8, and it should not monopolise the node's ephemeral
+/// ports.
+inline constexpr int kMaxParallelism = 16;
+
+/// stripe_hello payload: the one opening frame of a secondary stripe channel.
+struct StripeHello {
+  std::uint64_t mig_id{0};
+  std::uint8_t index{0};  // 1 .. stripe_count - 1; the primary is stripe 0
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& h) {
+    io.u64(h.mig_id);
+    io.u8(h.index);
+  }
+};
+
+/// The 17-byte header of a stripe_seg payload; the chunk's bytes follow it.
+struct StripeSegHeader {
+  std::uint64_t seq{0};         // the logical frame's sequence number
+  std::uint8_t inner_type{0};   // the logical frame's MsgType
+  std::uint32_t total{0};       // the logical frame's payload length
+  std::uint32_t offset{0};      // where this chunk starts inside it
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& h) {
+    io.u64(h.seq);
+    io.u8(h.inner_type);
+    io.u32(h.total);
+    io.u32(h.offset);
+  }
+};
+
 /// capture_request payload: a u32 count, then 10 bytes per CaptureSpec.
 struct CaptureRequest {
   std::vector<CaptureSpec> specs;
@@ -153,6 +186,9 @@ class FrameChannel {
   FrameChannel& operator=(const FrameChannel&) = delete;
   ~FrameChannel();
 
+  /// May be called from inside the current frame callback to hand the
+  /// channel on: the next frame goes to `fn`. The running callback must then
+  /// return without touching its own captures.
   void set_on_frame(FrameFn fn) { on_frame_ = std::move(fn); }
   /// Invoked (at most once) when the receive stream is malformed.
   void set_on_error(ErrorFn fn) { on_error_ = std::move(fn); }

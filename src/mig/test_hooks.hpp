@@ -23,10 +23,10 @@ enum class ProtocolMutation : std::uint8_t {
   /// socket_image.cpp: restore a UDP socket without re-inserting it into
   /// bhash — the bound flag says hashed, the table disagrees (dangling flag).
   skip_restore_rehash,
-  /// migd.cpp: the destination sends resume_done twice (a retry with no
+  /// dest_session.cpp: the destination sends resume_done twice (a retry with no
   /// dedup guard on the sender).
   double_resume_done,
-  /// migd.cpp: the destination acks capture_request without actually arming
+  /// dest_session.cpp: the destination acks capture_request without actually arming
   /// the filters — packets arriving during the freeze are silently lost.
   skip_capture_arm,
   /// socket_image.cpp: UDP image restore swaps local and remote endpoints

@@ -54,13 +54,13 @@ void Engine::maybe_compact() {
 }
 
 void Engine::note_peaks() {
-  if (heap_.size() <= peak_keys_ && live_ <= peak_live_) return;
-  // Both gauges are set together, so with several engines in one process they
-  // always describe the same engine.
-  peak_keys_ = std::max(peak_keys_, heap_.size());
-  peak_live_ = std::max(peak_live_, live_);
-  keys_gauge_->set(static_cast<double>(peak_keys_));
-  live_gauge_->set(static_cast<double>(peak_live_));
+  // Each gauge holds the process-wide peak since the last Registry::reset():
+  // compared against the gauge itself, a smaller engine never lowers it and
+  // after a reset every engine raises it again from 0.
+  const auto keys = static_cast<double>(heap_.size());
+  const auto live = static_cast<double>(live_);
+  if (keys > keys_gauge_->value()) keys_gauge_->set(keys);
+  if (live > live_gauge_->value()) live_gauge_->set(live);
 }
 
 Engine::Key Engine::choose(Key first) {

@@ -223,8 +223,6 @@ class Engine {
   obs::Gauge* keys_gauge_;
   obs::Gauge* live_gauge_;
   obs::Gauge* rate_gauge_;
-  std::size_t peak_keys_{0};
-  std::size_t peak_live_{0};
 };
 
 void TimerHandle::cancel() {

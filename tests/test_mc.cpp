@@ -48,6 +48,38 @@ TEST(ModelChecker, CrashDfsExhaustsClean) {
   EXPECT_GT(r.runs, 10u);
 }
 
+// Every preset's DFS summary at the CI bound (what dvemig-mc prints), pinned:
+// a change to the migration's event schedule or to the protocol-state hash
+// moves these numbers even when no oracle fires.
+TEST(ModelChecker, PresetSummariesPinned) {
+  struct Pin {
+    const char* preset;
+    std::size_t runs, distinct_states, pruned_visited, pruned_depth, max_trace_len;
+  };
+  const Pin pins[] = {
+      {"handshake", 95, 12, 2207, 154944, 1680},
+      {"precopy", 95, 10, 2175, 155043, 1681},
+      {"stripe", 100, 15, 2385, 166413, 1713},
+      {"freeze", 128, 18, 2886, 135759, 1677},
+      {"crash", 25, 6, 0, 0, 8},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.preset);
+    ExploreConfig cfg;
+    cfg.preset = pin.preset;
+    cfg.max_states = 20000;
+    Explorer ex{cfg};
+    const ExploreResult r = ex.dfs();
+    EXPECT_EQ(r.runs, pin.runs);
+    EXPECT_EQ(r.distinct_states, pin.distinct_states);
+    EXPECT_EQ(r.pruned_visited, pin.pruned_visited);
+    EXPECT_EQ(r.pruned_depth, pin.pruned_depth);
+    EXPECT_EQ(r.max_trace_len, pin.max_trace_len);
+    EXPECT_TRUE(r.exhausted);
+    EXPECT_FALSE(r.has_violation);
+  }
+}
+
 TEST(ModelChecker, RandomWalkSmoke) {
   ExploreConfig cfg;
   cfg.preset = "handshake";

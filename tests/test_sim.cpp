@@ -10,6 +10,7 @@
 #include <random>
 #include <vector>
 
+#include "src/obs/metrics.hpp"
 #include "src/sim/engine.hpp"
 
 // Counting global allocator, in this test binary only: the allocation test
@@ -298,6 +299,39 @@ TEST(EngineTest, DeadKeysStayBoundedByLiveEvents) {
   EXPECT_EQ(engine.run(), 100u);
   EXPECT_EQ(fired, 100);
   EXPECT_EQ(engine.queued_keys(), 0u);
+}
+
+// The peak gauges hold the process-wide peak since the last registry reset:
+// a second, smaller engine leaves them at the first engine's peak, and after
+// a reset even a surviving engine raises them again from 0.
+TEST(EngineTest, PeakGaugesHoldTheProcessMaximumSinceReset) {
+  obs::Registry& reg = obs::Registry::instance();
+  reg.reset();
+  const obs::Gauge& keys = reg.gauge("sim.pending_events_peak");
+  const obs::Gauge& live = reg.gauge("sim.live_events_peak");
+  const auto fill = [](Engine& engine, int n) {
+    for (int i = 0; i < n; ++i) engine.schedule_at(engine.now() + SimTime::seconds(1), [] {});
+  };
+
+  Engine big;
+  fill(big, 50);
+  big.run();
+  EXPECT_EQ(keys.value(), 50);
+  EXPECT_EQ(live.value(), 50);
+  {
+    Engine small;
+    fill(small, 5);
+    small.run();
+  }
+  EXPECT_EQ(keys.value(), 50);
+  EXPECT_EQ(live.value(), 50);
+
+  reg.reset();
+  EXPECT_EQ(keys.value(), 0);
+  fill(big, 5);
+  big.run();
+  EXPECT_EQ(keys.value(), 5);
+  EXPECT_EQ(live.value(), 5);
 }
 
 TEST(EngineAllocTest, ScheduleFireAndScheduleCancelAllocateNothingAfterWarmUp) {

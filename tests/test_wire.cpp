@@ -357,5 +357,35 @@ TEST(WireGolden, AppStates) {
   }
 }
 
+TEST(WireGolden, StripeHello) {
+  const mig::StripeHello hello{.mig_id = 0x0A01000100007ULL, .index = 3};
+  const Buffer bytes = encode([&](BinaryWriter& w) { put(w, hello); });
+  expect_golden(bytes, {9, 0x085b1b0a56214c93ULL});
+  BinaryReader r(bytes);
+  mig::StripeHello back;
+  ASSERT_TRUE(get_payload(r, back));
+  EXPECT_EQ(encode([&](BinaryWriter& w) { put(w, back); }), bytes);
+}
+
+// A stripe_seg payload: the 17-byte header, then the chunk's bytes.
+TEST(WireGolden, StripeSegment) {
+  const mig::StripeSegHeader header{
+      .seq = 0x1122334455ULL,
+      .inner_type = static_cast<std::uint8_t>(mig::MsgType::socket_state),
+      .total = 1000,
+      .offset = 512};
+  const Buffer chunk = blob(200, 9);
+  const Buffer bytes = encode([&](BinaryWriter& w) {
+    put(w, header);
+    w.bytes(chunk);
+  });
+  expect_golden(bytes, {217, 0xbd0d0105c70bd448ULL});
+  BinaryReader r(bytes);
+  const auto back = get<mig::StripeSegHeader>(r);
+  EXPECT_EQ(r.remaining(), chunk.size());
+  EXPECT_EQ(encode([&](BinaryWriter& w) { put(w, back); }),
+            Buffer(bytes.begin(), bytes.begin() + 17));
+}
+
 }  // namespace
 }  // namespace dvemig
