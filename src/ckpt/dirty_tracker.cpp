@@ -4,14 +4,20 @@
 
 namespace dvemig::ckpt {
 
+namespace {
+
+bool same_extent(const proc::VmArea& a, const proc::VmArea& b) {
+  return a.start == b.start && a.length == b.length && a.prot == b.prot;
+}
+
+}  // namespace
+
 MemoryDelta DirtyTracker::round(proc::AddressSpace& mem) {
   MemoryDelta delta;
   rounds_ += 1;
 
   // --- vm_area diff: walk both sorted lists in lockstep ---
-  std::vector<VmAreaImage> current;
-  current.reserve(mem.areas().size());
-  for (const auto& a : mem.areas()) current.push_back(VmAreaImage::from(a));
+  std::vector<proc::VmArea> current = mem.areas();
 
   std::size_t i = 0;  // tracked (previous round)
   std::size_t j = 0;  // current
@@ -21,7 +27,7 @@ MemoryDelta DirtyTracker::round(proc::AddressSpace& mem) {
     } else if (j == current.size()) {
       delta.removed_areas.push_back(tracked_areas_[i++].start);
     } else if (tracked_areas_[i].start == current[j].start) {
-      if (!tracked_areas_[i].same_extent(current[j])) {
+      if (!same_extent(tracked_areas_[i], current[j])) {
         delta.modified_areas.push_back(current[j]);
       }
       ++i;

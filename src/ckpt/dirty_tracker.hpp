@@ -39,7 +39,7 @@ class DirtyTracker {
   static std::size_t max_shard(std::size_t count, std::size_t workers);
 
  private:
-  std::vector<VmAreaImage> tracked_areas_;  // "our own tracking structures"
+  std::vector<proc::VmArea> tracked_areas_;  // "our own tracking structures"
   std::size_t rounds_{0};
 };
 

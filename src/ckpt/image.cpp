@@ -8,16 +8,8 @@ ProcessImage snapshot_process(const proc::Process& proc) {
   ProcessImage img;
   img.pid = proc.pid();
   img.name = proc.name();
-  for (const auto& a : proc.mem().areas()) img.areas.push_back(VmAreaImage::from(a));
-  for (const auto& t : proc.threads()) {
-    ThreadImage ti;
-    ti.tid = t.tid;
-    ti.gp_regs = t.gp_regs;
-    ti.pc = t.pc;
-    ti.sp = t.sp;
-    ti.signal_mask = t.signal_mask;
-    img.threads.push_back(ti);
-  }
+  img.areas = proc.mem().areas();
+  img.threads = proc.threads();
   img.signal_handlers = proc.signal_handlers();
   for (const auto& [fd, file] : proc.files().entries()) {
     if (file.kind == proc::FileKind::regular) {

@@ -1,8 +1,10 @@
 // Checkpoint image structures (the BLCR-equivalent layer).
 //
 // A ProcessImage carries everything the freeze phase transfers *except* sockets,
-// which take the dedicated socket-migration path (src/mig). Byte sizes of the
-// serialized forms are measured quantities in the experiments.
+// which take the dedicated socket-migration path (src/mig). Memory areas and
+// thread contexts are the process's own proc::VmArea / proc::ThreadContext,
+// whose field lists sit beside them. Byte sizes of the serialized forms are
+// measured quantities in the experiments.
 #pragma once
 
 #include <cstdint>
@@ -15,51 +17,6 @@
 #include "src/proc/process.hpp"
 
 namespace dvemig::ckpt {
-
-struct VmAreaImage {
-  std::uint64_t start{0};
-  std::uint64_t length{0};
-  std::uint32_t prot{0};
-  bool file_backed{false};
-  std::string name;
-
-  static VmAreaImage from(const proc::VmArea& a) {
-    return VmAreaImage{a.start, a.length, a.prot, a.file_backed, a.name};
-  }
-  proc::VmArea to_area() const {
-    return proc::VmArea{start, length, prot, file_backed, name};
-  }
-  bool same_extent(const VmAreaImage& o) const {
-    return start == o.start && length == o.length && prot == o.prot;
-  }
-
-  // Field lists (src/common/serial.hpp).
-  template <class Io, class Self>
-  static void fields(Io& io, Self& a) {
-    io.u64(a.start);
-    io.u64(a.length);
-    io.u32(a.prot);
-    io.boolean(a.file_backed);
-    io.str(a.name);
-  }
-};
-
-struct ThreadImage {
-  std::uint32_t tid{0};
-  std::array<std::uint64_t, 16> gp_regs{};
-  std::uint64_t pc{0};
-  std::uint64_t sp{0};
-  std::uint64_t signal_mask{0};
-
-  template <class Io, class Self>
-  static void fields(Io& io, Self& t) {
-    io.u32(t.tid);
-    for (auto& reg : t.gp_regs) io.u64(reg);
-    io.u64(t.pc);
-    io.u64(t.sp);
-    io.u64(t.signal_mask);
-  }
-};
 
 struct FileImage {
   Fd fd{-1};
@@ -81,8 +38,8 @@ struct FileImage {
 struct ProcessImage {
   Pid pid{};
   std::string name;
-  std::vector<VmAreaImage> areas;
-  std::vector<ThreadImage> threads;
+  std::vector<proc::VmArea> areas;
+  std::vector<proc::ThreadContext> threads;
   std::map<int, std::uint64_t> signal_handlers;
   std::vector<FileImage> regular_files;
   std::vector<Fd> socket_fds;  // order of reattachment on the destination
@@ -117,9 +74,9 @@ ProcessImage snapshot_process(const proc::Process& proc);
 
 /// One precopy round's address-space delta (vm_area diff + dirty pages).
 struct MemoryDelta {
-  std::vector<VmAreaImage> added_areas;
+  std::vector<proc::VmArea> added_areas;
   std::vector<std::uint64_t> removed_areas;    // start addresses
-  std::vector<VmAreaImage> modified_areas;     // extent/prot changed in place
+  std::vector<proc::VmArea> modified_areas;    // extent/prot changed in place
   std::vector<std::uint64_t> dirty_pages;      // page numbers to (re)transfer
 
   template <class Io, class Self>

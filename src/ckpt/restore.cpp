@@ -11,21 +11,12 @@ std::shared_ptr<proc::Process> restore_process(proc::Node& dest,
   // semantically merged here: the final image's area list is authoritative.
   for (const auto& a : img.areas) {
     if (proc->mem().find_area(a.start) == nullptr) {
-      proc->mem().map_fixed(a.to_area());
+      proc->mem().map_fixed(a);
     }
   }
 
   // Threads: replace the constructor-made main thread with the checkpointed set.
-  proc->threads().clear();
-  for (const auto& t : img.threads) {
-    proc::ThreadContext tc;
-    tc.tid = t.tid;
-    tc.gp_regs = t.gp_regs;
-    tc.pc = t.pc;
-    tc.sp = t.sp;
-    tc.signal_mask = t.signal_mask;
-    proc->threads().push_back(tc);
-  }
+  proc->threads() = img.threads;
 
   proc->signal_handlers() = img.signal_handlers;
 
@@ -49,12 +40,12 @@ void apply_memory_delta(proc::Process& proc, const MemoryDelta& delta) {
     if (mem.find_area(start) != nullptr) mem.munmap(start);
   }
   for (const auto& a : delta.added_areas) {
-    if (mem.find_area(a.start) == nullptr) mem.map_fixed(a.to_area());
+    if (mem.find_area(a.start) == nullptr) mem.map_fixed(a);
   }
   for (const auto& a : delta.modified_areas) {
     // Extent changes are modelled as replace-in-place.
     if (mem.find_area(a.start) != nullptr) mem.munmap(a.start);
-    mem.map_fixed(a.to_area());
+    mem.map_fixed(a);
   }
   // Dirty-page payloads carry no content in the simulator; applying them is a
   // no-op beyond the transfer cost already paid on the wire.

@@ -204,7 +204,8 @@ class BinaryReader {
 //  - `boolean` is one byte, written 0/1 and read as != 0;
 //  - `pad(n, fill)` is n fill bytes on write and n skipped bytes on read;
 //  - `seq` is a u32 count, then the elements; a map's keys go out ascending
-//    and must come back strictly ascending.
+//    and must come back strictly ascending; a read nests at most
+//    Get::kMaxSeqDepth sequences.
 // Decoding and re-encoding an accepted input gives back the same bytes unless
 // a bool byte is not 0/1 or a pad byte is not its fill.
 
@@ -275,19 +276,25 @@ class Get {
   template <class R> void rec(R& r) { R::fields(*this, r); }
 
   /// One bound check on the count (every element is at least one byte), so a
-  /// hostile count cannot size the reservation.
+  /// hostile count cannot size the reservation; and at most kMaxSeqDepth
+  /// sequences open at once, so a hostile nesting of a recursive record (a
+  /// listener image's accept-queue children) cannot exhaust the stack.
   template <class C, class Elem> void seq(C& c, const Elem& elem) {
     std::uint32_t n = 0;
     u32(n);
     c.clear();
-    if (n > r_.remaining()) return fail();
+    if (n > r_.remaining() || depth_ == kMaxSeqDepth) return fail();
+    ++depth_;
     constexpr bool is_map = requires { typename C::mapped_type; };
     if constexpr (!is_map) c.reserve(n);
     for (std::uint32_t i = 0; i < n && ok_; ++i) {
       if constexpr (is_map) {
         std::pair<typename C::key_type, typename C::mapped_type> x{};
         elem(*this, x);
-        if (!c.empty() && !(c.rbegin()->first < x.first)) return fail();
+        if (!c.empty() && !(c.rbegin()->first < x.first)) {
+          fail();
+          break;
+        }
         c.emplace_hint(c.end(), std::move(x));
       } else {
         typename C::value_type x{};
@@ -295,6 +302,7 @@ class Get {
         c.push_back(std::move(x));
       }
     }
+    --depth_;
   }
   template <class C> void seq(C& c) {
     seq(c, [](Get& io, auto& x) { io.rec(x); });
@@ -316,9 +324,13 @@ class Get {
     return fits(n) ? r_.span(n) : std::span<const std::uint8_t>{};
   }
 
+  /// Deeper than any record nests (a listener image's child queues are 2).
+  static constexpr int kMaxSeqDepth = 8;
+
   BinaryReader& r_;
   bool strict_{true};
   bool ok_{true};
+  int depth_{0};
 };
 
 /// Append `rec`'s fields to `w`.

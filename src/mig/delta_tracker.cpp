@@ -1,5 +1,6 @@
 #include "src/mig/delta_tracker.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <type_traits>
 
@@ -27,6 +28,13 @@ struct RecordHeader {
     io.u8(h.flags);
   }
 };
+
+/// False if the image or a nested accept-queue child carries a state byte
+/// that names no TCP state.
+bool states_valid(const TcpImage& img) {
+  return img.state <= stack::TcpState::time_wait &&
+         std::ranges::all_of(img.accept_children, states_valid);
+}
 
 }  // namespace
 
@@ -94,7 +102,8 @@ bool read_socket_record(BinaryReader& r, SocketStaging& staging) {
     });
     return io.ok();
   };
-  return h.proto == net::IpProto::tcp ? merge(staged.tcp) : merge(staged.udp);
+  if (h.proto == net::IpProto::udp) return merge(staged.udp);
+  return merge(staged.tcp) && states_valid(staged.tcp);
 }
 
 }  // namespace dvemig::mig

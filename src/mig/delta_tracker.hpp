@@ -53,8 +53,8 @@ using SocketStaging = std::unordered_map<std::uint64_t, StagedSocket>;
 
 /// Parse one socket record (as written by SocketDeltaTracker::emit_*) and merge it
 /// into the staging area. False if the record is malformed: an unknown proto
-/// byte, a section bit the protocol does not have, or a section that runs past
-/// the data. Never aborts; after a false return the reader and the staged
+/// byte, a section bit the protocol does not have, a section that runs past
+/// the data, or a TCP state byte (its own or a nested child's) past time_wait. Never aborts; after a false return the reader and the staged
 /// socket are unspecified.
 bool read_socket_record(BinaryReader& r, SocketStaging& staging);
 

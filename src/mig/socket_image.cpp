@@ -32,43 +32,17 @@ TcpImage extract_tcp(const stack::TcpSocket& sock, Fd fd) {
   DVEMIG_EXPECTS(!sock.held_by_user());
 
   TcpImage img;
+  static_cast<stack::TcpVars&>(img) = cb;
   img.src_sock_key = sock.sock_id();
   img.fd = fd;
   img.local = sock.local();
   img.remote = sock.remote();
   img.listening = cb.state == stack::TcpState::listen;
   img.backlog_limit = sock.accept_backlog_limit();
-  img.iss = cb.iss;
-  img.irs = cb.irs;
-  img.rcv_wnd_max = cb.rcv_wnd_max;
-
-  img.state = static_cast<std::uint8_t>(cb.state);
-  img.snd_una = cb.snd_una;
-  img.snd_nxt = cb.snd_nxt;
-  img.snd_wnd = cb.snd_wnd;
-  img.rcv_nxt = cb.rcv_nxt;
-  img.srtt_ns = cb.srtt_ns;
-  img.rttvar_ns = cb.rttvar_ns;
-  img.rto_ns = cb.rto_ns;
-  img.cwnd = cb.cwnd;
-  img.ssthresh = cb.ssthresh;
-  img.ts_recent = cb.ts_recent;
-  img.ts_offset = cb.ts_offset;
-  img.fin_queued = cb.fin_queued;
-  img.fin_seq = cb.fin_seq;
-  img.peer_fin_seen = cb.peer_fin_seen;
-
-  for (const auto& s : cb.write_queue) {
-    img.write_queue.push_back(TcpSegmentImage{s.seq, s.flags, s.retrans,
-                                              s.sent_at_local_ns, s.sent_tsval,
-                                              s.data});
-  }
-  for (const auto& s : cb.receive_queue) {
-    img.receive_queue.push_back(TcpRxImage{s.seq, s.fin, s.data});
-  }
-  for (const auto& [seq, s] : cb.ooo_queue) {
-    img.ooo_queue.push_back(TcpRxImage{s.seq, s.fin, s.data});
-  }
+  img.write_queue.assign(cb.write_queue.begin(), cb.write_queue.end());
+  img.receive_queue.assign(cb.receive_queue.begin(), cb.receive_queue.end());
+  img.ooo_queue.reserve(cb.ooo_queue.size());
+  for (const auto& [seq, s] : cb.ooo_queue) img.ooo_queue.push_back(s);
 
   if (img.listening) {
     // Established children awaiting accept() ride along; half-open (SYN_RCVD)
@@ -90,7 +64,7 @@ UdpImage extract_udp(const stack::UdpSocket& sock, Fd fd) {
   img.remote = sock.remote();
   img.bound = cb.bound;
   img.connected = cb.connected;
-  for (const auto& d : cb.receive_queue) img.receive_queue.emplace_back(d.from, d.data);
+  img.receive_queue.assign(cb.receive_queue.begin(), cb.receive_queue.end());
   return img;
 }
 
@@ -140,24 +114,7 @@ stack::TcpSocket::Ptr build_tcp(const TcpImage& img, const RestoreContext& ctx) 
   const net::Endpoint local = rewrite_local(img.local, ctx);
   sock->set_endpoints(local, img.remote);
 
-  cb.state = static_cast<stack::TcpState>(img.state);
-  cb.iss = img.iss;
-  cb.irs = img.irs;
-  cb.rcv_wnd_max = img.rcv_wnd_max;
-  cb.snd_una = img.snd_una;
-  cb.snd_nxt = img.snd_nxt;
-  cb.snd_wnd = img.snd_wnd;
-  cb.rcv_nxt = img.rcv_nxt;
-  cb.srtt_ns = img.srtt_ns;
-  cb.rttvar_ns = img.rttvar_ns;
-  cb.rto_ns = img.rto_ns;
-  cb.cwnd = img.cwnd;
-  cb.ssthresh = img.ssthresh;
-  cb.ts_recent = img.ts_recent;
-  cb.ts_offset = img.ts_offset;
-  cb.fin_queued = img.fin_queued;
-  cb.fin_seq = img.fin_seq;
-  cb.peer_fin_seen = img.peer_fin_seen;
+  static_cast<stack::TcpVars&>(cb) = img;
 
   // --- TCP timestamp adjustment (Section V-C1) ---
   // Jiffies differ between hosts. tsval generation must continue monotonically
@@ -171,26 +128,15 @@ stack::TcpSocket::Ptr build_tcp(const TcpImage& img, const RestoreContext& ctx) 
     obs::Registry::instance().counter("tcp.ts_fixups").add(1);
   }
 
-  for (const auto& s : img.write_queue) {
-    stack::TcpTxSegment seg;
-    seg.seq = s.seq;
-    seg.flags = s.flags;
-    seg.retrans = s.retrans;
-    seg.sent_at_local_ns =
-        ctx.adjust_timestamps && s.sent_at_local_ns >= 0
-            ? s.sent_at_local_ns + clock_delta_ns
-            : s.sent_at_local_ns;
-    seg.sent_tsval = s.sent_tsval;
-    seg.data = s.data;
-    cb.write_queue.push_back(std::move(seg));
+  cb.write_queue.assign(img.write_queue.begin(), img.write_queue.end());
+  if (ctx.adjust_timestamps) {
+    for (auto& seg : cb.write_queue) {
+      if (seg.sent_at_local_ns >= 0) seg.sent_at_local_ns += clock_delta_ns;
+    }
   }
-  for (const auto& s : img.receive_queue) {
-    cb.receive_queue.push_back(stack::TcpRxSegment{s.seq, s.data, s.fin});
-    cb.receive_queue_bytes += s.data.size();
-  }
-  for (const auto& s : img.ooo_queue) {
-    cb.ooo_queue.emplace(s.seq, stack::TcpRxSegment{s.seq, s.data, s.fin});
-  }
+  cb.receive_queue.assign(img.receive_queue.begin(), img.receive_queue.end());
+  for (const auto& s : img.receive_queue) cb.receive_queue_bytes += s.data.size();
+  for (const auto& s : img.ooo_queue) cb.ooo_queue.emplace(s.seq, s);
 
   if (img.listening) {
     cb.state = stack::TcpState::listen;
@@ -222,10 +168,7 @@ std::shared_ptr<stack::UdpSocket> restore_udp(const UdpImage& img,
   auto sock = ctx.stack->make_udp();
   const net::Endpoint local = rewrite_local(img.local, ctx);
   sock->set_endpoints(local, img.remote, img.bound, img.connected);
-  stack::UdpCb& cb = sock->cb();
-  for (const auto& [from, data] : img.receive_queue) {
-    cb.receive_queue.push_back(stack::UdpDatagram{from, data});
-  }
+  sock->cb().receive_queue.assign(img.receive_queue.begin(), img.receive_queue.end());
   if (mutation() != ProtocolMutation::skip_restore_rehash) {
     // Rehash the bound server socket on the destination (Section V-C2).
     sock->attach();

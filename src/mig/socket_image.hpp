@@ -2,7 +2,9 @@
 // (Section V-C), with section-granular serialization so the incremental collective
 // strategy can ship only what changed.
 //
-// A TCP image is split into three sections:
+// Images hold the stack's own structures (stack::TcpVars, TcpTxSegment,
+// TcpRxSegment, UdpDatagram); the wire field lists, with the kernel-structure
+// pads, live here. A TCP image is split into three sections:
 //   static  — identity + the bulk of the kernel structure (struct tcp_sock pad):
 //             written once, practically never changes afterwards;
 //   dynamic — sequence numbers, windows, RTT/congestion state, timestamps;
@@ -11,7 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/common/serial.hpp"
@@ -88,73 +89,21 @@ constexpr SectionFlags operator|(SectionFlags a, SectionFlags b) {
 /// struct tcp_sock / udp_sock / sk_buff): the size is what is measured.
 inline constexpr std::uint8_t kStructPadFill = 0xA5;
 
-struct TcpSegmentImage {
-  std::uint32_t seq{0};
-  std::uint8_t flags{0};
-  std::uint32_t retrans{0};
-  std::int64_t sent_at_local_ns{-1};
-  std::uint32_t sent_tsval{0};
-  Buffer data;
-
-  template <class Io, class Self>
-  static void fields(Io& io, Self& s) {
-    io.u32(s.seq);
-    io.u8(s.flags);
-    io.u32(s.retrans);
-    io.i64(s.sent_at_local_ns);
-    io.u32(s.sent_tsval);
-    io.blob(s.data);
-    io.pad(kSkbStructPad, kStructPadFill);
-  }
-};
-
-struct TcpRxImage {
-  std::uint32_t seq{0};
-  bool fin{false};
-  Buffer data;
-
-  template <class Io, class Self>
-  static void fields(Io& io, Self& s) {
-    io.u32(s.seq);
-    io.boolean(s.fin);
-    io.blob(s.data);
-    io.pad(kSkbStructPad, kStructPadFill);
-  }
-};
-
-struct TcpImage {
-  // --- static section ---
+/// A TCP socket's image: the stack's own connection variables plus identity,
+/// listener data and copies of the queues. The static section carries the
+/// identity and the initial sequence numbers, the dynamic section the rest of
+/// stack::TcpVars.
+struct TcpImage : stack::TcpVars {
   std::uint64_t src_sock_key{0};  // sock_id on the source (delta-tracking key)
   Fd fd{-1};                      // process fd; -1 for un-accepted listener children
   net::Endpoint local{};
   net::Endpoint remote{};
   bool listening{false};
   std::uint32_t backlog_limit{0};
-  std::uint32_t iss{0};
-  std::uint32_t irs{0};
-  std::uint32_t rcv_wnd_max{0};
 
-  // --- dynamic section ---
-  std::uint8_t state{0};
-  std::uint32_t snd_una{0};
-  std::uint32_t snd_nxt{0};
-  std::uint32_t snd_wnd{0};
-  std::uint32_t rcv_nxt{0};
-  std::int64_t srtt_ns{0};
-  std::int64_t rttvar_ns{0};
-  std::int64_t rto_ns{0};
-  std::uint32_t cwnd{0};
-  std::uint32_t ssthresh{0};
-  std::uint32_t ts_recent{0};
-  std::int64_t ts_offset{0};
-  bool fin_queued{false};
-  std::uint32_t fin_seq{0};
-  bool peer_fin_seen{false};
-
-  // --- queues section ---
-  std::vector<TcpSegmentImage> write_queue;
-  std::vector<TcpRxImage> receive_queue;
-  std::vector<TcpRxImage> ooo_queue;
+  std::vector<stack::TcpTxSegment> write_queue;
+  std::vector<stack::TcpRxSegment> receive_queue;
+  std::vector<stack::TcpRxSegment> ooo_queue;  // ascending seq
 
   // Listener children (fully established, waiting in the accept queue) ride along
   // with the listening socket's image as nested full images.
@@ -201,9 +150,23 @@ struct TcpImage {
 
   template <class Io, class Self>
   static void queue_fields(Io& io, Self& s) {
-    io.seq(s.write_queue);
-    io.seq(s.receive_queue);
-    io.seq(s.ooo_queue);
+    io.seq(s.write_queue, [](Io& qio, auto& seg) {
+      qio.u32(seg.seq);
+      qio.u8(seg.flags);
+      qio.u32(seg.retrans);
+      qio.i64(seg.sent_at_local_ns);
+      qio.u32(seg.sent_tsval);
+      qio.blob(seg.data);
+      qio.pad(kSkbStructPad, kStructPadFill);
+    });
+    const auto rx_segment = [](Io& qio, auto& seg) {
+      qio.u32(seg.seq);
+      qio.boolean(seg.fin);
+      qio.blob(seg.data);
+      qio.pad(kSkbStructPad, kStructPadFill);
+    };
+    io.seq(s.receive_queue, rx_segment);
+    io.seq(s.ooo_queue, rx_segment);
   }
 
   /// A socket record's sections in wire order: `section(bit, fields)` once
@@ -214,13 +177,6 @@ struct TcpImage {
     section(SectionFlags::dyn, [](auto& io, auto& s) { dynamic_fields(io, s); });
     section(SectionFlags::queues, [](auto& io, auto& s) { queue_fields(io, s); });
   }
-
-  void serialize_static(BinaryWriter& w) const { Put io(w); static_fields(io, *this); }
-  void serialize_dynamic(BinaryWriter& w) const { Put io(w); dynamic_fields(io, *this); }
-  void serialize_queues(BinaryWriter& w) const { Put io(w); queue_fields(io, *this); }
-  void deserialize_static(BinaryReader& r) { Get io(r); static_fields(io, *this); }
-  void deserialize_dynamic(BinaryReader& r) { Get io(r); dynamic_fields(io, *this); }
-  void deserialize_queues(BinaryReader& r) { Get io(r); queue_fields(io, *this); }
 };
 
 struct UdpImage {
@@ -230,7 +186,7 @@ struct UdpImage {
   net::Endpoint remote{};
   bool bound{false};
   bool connected{false};
-  std::vector<std::pair<net::Endpoint, Buffer>> receive_queue;
+  std::vector<stack::UdpDatagram> receive_queue;
 
   template <class Io, class Self>
   static void static_fields(Io& io, Self& s) {
@@ -246,8 +202,8 @@ struct UdpImage {
   template <class Io, class Self>
   static void queue_fields(Io& io, Self& s) {
     io.seq(s.receive_queue, [](Io& qio, auto& dgram) {
-      qio.rec(dgram.first);
-      qio.blob(dgram.second);
+      qio.rec(dgram.from);
+      qio.blob(dgram.data);
       qio.pad(kSkbStructPad, kStructPadFill);
     });
   }
@@ -258,11 +214,6 @@ struct UdpImage {
     section(SectionFlags::stat, [](auto& io, auto& s) { static_fields(io, s); });
     section(SectionFlags::queues, [](auto& io, auto& s) { queue_fields(io, s); });
   }
-
-  void serialize_static(BinaryWriter& w) const { Put io(w); static_fields(io, *this); }
-  void serialize_queues(BinaryWriter& w) const { Put io(w); queue_fields(io, *this); }
-  void deserialize_static(BinaryReader& r) { Get io(r); static_fields(io, *this); }
-  void deserialize_queues(BinaryReader& r) { Get io(r); queue_fields(io, *this); }
 };
 
 /// The union of an image type's SectionFlags: what a complete record carries.

@@ -38,6 +38,16 @@ struct VmArea {
   std::uint64_t end() const { return start + length; }
   std::uint64_t pages() const { return length / kPageSize; }
   bool contains(std::uint64_t addr) const { return addr >= start && addr < end(); }
+
+  /// Checkpoint-image field list (src/common/serial.hpp).
+  template <class Io, class Self>
+  static void fields(Io& io, Self& a) {
+    io.u64(a.start);
+    io.u64(a.length);
+    io.u32(a.prot);
+    io.boolean(a.file_backed);
+    io.str(a.name);
+  }
 };
 
 class AddressSpace {

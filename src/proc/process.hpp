@@ -23,6 +23,16 @@ struct ThreadContext {
   std::uint64_t pc{0};
   std::uint64_t sp{0};
   std::uint64_t signal_mask{0};
+
+  /// Checkpoint-image field list (src/common/serial.hpp).
+  template <class Io, class Self>
+  static void fields(Io& io, Self& t) {
+    io.u32(t.tid);
+    for (auto& reg : t.gp_regs) io.u64(reg);
+    io.u64(t.pc);
+    io.u64(t.sp);
+    io.u64(t.signal_mask);
+  }
 };
 
 class Process {

@@ -75,6 +75,7 @@ struct TcpTxSegment {
 
   std::uint32_t seq_len() const;
   std::uint32_t end_seq() const { return seq + seq_len(); }
+  bool operator==(const TcpTxSegment&) const = default;
 };
 
 /// One entry of the receive or out-of-order queue.
@@ -82,9 +83,14 @@ struct TcpRxSegment {
   std::uint32_t seq{0};
   Buffer data;
   bool fin{false};  // segment carried FIN (relevant when buffered out of order)
+  bool operator==(const TcpRxSegment&) const = default;
 };
 
-struct TcpCb {
+/// The connection variables a socket migration carries (Section V-C1): the
+/// sequence spaces, RTT and congestion state, timestamps and close progress.
+/// The socket image derives from this struct, so extraction and restoration
+/// are one slicing assignment each.
+struct TcpVars {
   TcpState state{TcpState::closed};
 
   // Send sequence space.
@@ -105,11 +111,23 @@ struct TcpCb {
   // Congestion control (bytes), NewReno-flavoured.
   std::uint32_t cwnd{10 * kTcpMss};
   std::uint32_t ssthresh{1u << 30};
-  std::uint32_t dup_acks{0};
 
   // TCP timestamps.
   std::uint32_t ts_recent{0};   // most recent peer tsval (PAWS baseline)
   std::int64_t ts_offset{0};    // added to local jiffies when generating tsval
+
+  bool fin_queued{false};   // app called close(); FIN is (or will be) in write_queue
+  std::uint32_t fin_seq{0};  // end-seq of our FIN once queued
+  bool peer_fin_seen{false};
+
+  bool operator==(const TcpVars&) const = default;
+};
+
+/// The protocol control block: the migrated variables, the queues (which the
+/// image copies entry by entry) and host-local bookkeeping that a migration
+/// does not carry — duplicate-ACK count, socket-lock flags, counters.
+struct TcpCb : TcpVars {
+  std::uint32_t dup_acks{0};
   std::uint32_t last_wnd_sent{0};
 
   // Queues.
@@ -123,10 +141,6 @@ struct TcpCb {
   // Socket-lock modelling.
   bool user_locked{false};
   bool blocked_reader{false};
-
-  bool fin_queued{false};   // app called close(); FIN is (or will be) in write_queue
-  std::uint32_t fin_seq{0};  // end-seq of our FIN once queued
-  bool peer_fin_seen{false};
 
   // Counters.
   std::uint64_t bytes_in{0};

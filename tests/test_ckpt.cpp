@@ -64,7 +64,7 @@ TEST(ProcessImageTest, SocketFdsListedSeparately) {
 
 TEST(MemoryDeltaTest, SerializationRoundTripAndSizing) {
   MemoryDelta d;
-  d.added_areas.push_back(VmAreaImage{0x1000, 0x2000, 3, false, "[heap]"});
+  d.added_areas.push_back(proc::VmArea{0x1000, 0x2000, 3, false, "[heap]"});
   d.removed_areas.push_back(0x9000);
   d.dirty_pages = {4, 7, 9};
 
@@ -203,16 +203,16 @@ TEST(RestoreTest, ApplyMemoryDeltaMutatesLayout) {
   auto proc = std::make_shared<proc::Process>(dst, Pid{7}, "x");
 
   MemoryDelta add;
-  add.added_areas.push_back(VmAreaImage{0x10000, 4 * proc::kPageSize,
-                                        proc::prot_read | proc::prot_write, false,
-                                        "[heap]"});
+  add.added_areas.push_back(proc::VmArea{0x10000, 4 * proc::kPageSize,
+                                          proc::prot_read | proc::prot_write, false,
+                                          "[heap]"});
   apply_memory_delta(*proc, add);
   EXPECT_NE(proc->mem().find_area(0x10000), nullptr);
 
   MemoryDelta mod;
-  mod.modified_areas.push_back(VmAreaImage{0x10000, 8 * proc::kPageSize,
-                                           proc::prot_read | proc::prot_write, false,
-                                           "[heap]"});
+  mod.modified_areas.push_back(proc::VmArea{0x10000, 8 * proc::kPageSize,
+                                             proc::prot_read | proc::prot_write, false,
+                                             "[heap]"});
   apply_memory_delta(*proc, mod);
   EXPECT_EQ(proc->mem().find_area(0x10000)->length, 8 * proc::kPageSize);
 

@@ -3,6 +3,9 @@
 // dst-cache replacement), socket images, timestamp adjustment, delta tracking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ranges>
+
 #include "src/check/verifier.hpp"
 #include "src/mig/capture.hpp"
 #include "src/mig/cost_model.hpp"
@@ -317,11 +320,21 @@ TEST(SocketImageTest, TcpExtractCapturesStateAndQueues) {
   EXPECT_EQ(img.fd, 4);
   EXPECT_EQ(img.local, server->local());
   EXPECT_EQ(img.remote, server->remote());
-  EXPECT_EQ(static_cast<TcpState>(img.state), TcpState::established);
+  EXPECT_EQ(img.state, TcpState::established);
   EXPECT_EQ(img.rcv_nxt, server->cb().rcv_nxt);
   std::size_t rx_bytes = 0;
   for (const auto& s : img.receive_queue) rx_bytes += s.data.size();
   EXPECT_EQ(rx_bytes, 3000u);
+}
+
+/// The migrated variables of a control block or an image, compared with ==.
+const stack::TcpVars& vars(const stack::TcpVars& v) { return v; }
+
+/// The live socket's queues hold exactly the image's segments, in order.
+void expect_queues(const stack::TcpCb& cb, const TcpImage& img) {
+  EXPECT_TRUE(std::ranges::equal(cb.write_queue, img.write_queue));
+  EXPECT_TRUE(std::ranges::equal(cb.receive_queue, img.receive_queue));
+  EXPECT_TRUE(std::ranges::equal(std::views::values(cb.ooo_queue), img.ooo_queue));
 }
 
 TEST(SocketImageTest, TcpSectionsRoundTrip) {
@@ -329,27 +342,35 @@ TEST(SocketImageTest, TcpSectionsRoundTrip) {
   auto [client, server] = h.connect(h.a, h.b, kAddrB, 9000);
   client->send(Buffer(2000, 5));
   h.engine.run();
+  server->send(Buffer(3000, 6));  // unacked: the write queue is not empty
   const TcpImage img = extract_tcp(*server, 4);
+  expect_queues(server->cb(), img);
+  ASSERT_FALSE(img.write_queue.empty());
+  ASSERT_FALSE(img.receive_queue.empty());
 
-  BinaryWriter ws, wd, wq;
-  img.serialize_static(ws);
-  img.serialize_dynamic(wd);
-  img.serialize_queues(wq);
+  SocketDeltaTracker tracker;
+  BinaryWriter w;
+  EXPECT_EQ(tracker.emit_tcp(img, w, /*force_all=*/true), kAllSections<TcpImage>);
   // The static section carries the struct tcp_sock pad: this is what makes a
   // full dump ~kTcpSockStructPad bytes per connection.
-  EXPECT_GT(ws.size(), kTcpSockStructPad);
+  EXPECT_GT(w.size(), kTcpSockStructPad);
 
-  TcpImage back;
-  BinaryReader rs(ws.buffer()), rd(wd.buffer()), rq(wq.buffer());
-  back.deserialize_static(rs);
-  back.deserialize_dynamic(rd);
-  back.deserialize_queues(rq);
+  SocketStaging staging;
+  BinaryReader r(w.buffer());
+  ASSERT_TRUE(read_socket_record(r, staging));
+  EXPECT_TRUE(r.at_end());
+  const StagedSocket& staged = staging.at(img.src_sock_key);
+  ASSERT_TRUE(staged.complete());
+  const TcpImage& back = staged.tcp;
+  EXPECT_EQ(vars(back), vars(img));
+  EXPECT_EQ(back.fd, img.fd);
   EXPECT_EQ(back.local, img.local);
   EXPECT_EQ(back.remote, img.remote);
-  EXPECT_EQ(back.snd_nxt, img.snd_nxt);
-  EXPECT_EQ(back.rcv_nxt, img.rcv_nxt);
-  EXPECT_EQ(back.receive_queue.size(), img.receive_queue.size());
-  EXPECT_EQ(back.ts_offset, img.ts_offset);
+  EXPECT_EQ(back.listening, img.listening);
+  EXPECT_EQ(back.backlog_limit, img.backlog_limit);
+  EXPECT_EQ(back.write_queue, img.write_queue);
+  EXPECT_EQ(back.receive_queue, img.receive_queue);
+  EXPECT_EQ(back.ooo_queue, img.ooo_queue);
 }
 
 TEST(SocketImageTest, RestoreRehashesAndPreservesData) {
@@ -357,6 +378,7 @@ TEST(SocketImageTest, RestoreRehashesAndPreservesData) {
   auto [client, server] = h.connect(h.a, h.b, kAddrB, 9000);
   client->send(Buffer(1000, 9));
   h.engine.run();
+  server->send(Buffer(500, 4));  // unacked at the checkpoint
   const TcpImage img = extract_tcp(*server, 4);
 
   // "Migrate" B's socket to C. B's copy is detached first.
@@ -368,14 +390,19 @@ TEST(SocketImageTest, RestoreRehashesAndPreservesData) {
   ctx.dst_node_local_addr = kAddrC;
   ctx.src_jiffies_at_ckpt = h.b.jiffies();
   ctx.src_local_now_at_ckpt_ns = h.b.local_now_ns();
+  ctx.adjust_timestamps = false;  // so the control block must equal the image
   auto restored = restore_tcp(img, ctx);
 
+  // Every migrated variable and every queued segment arrives unchanged.
+  EXPECT_EQ(vars(restored->cb()), vars(img));
+  expect_queues(restored->cb(), img);
   // Local address rewritten B -> C (in-cluster socket); rehashed on C.
   EXPECT_EQ(restored->local().addr, kAddrC);
   EXPECT_EQ(restored->local().port, img.local.port);
   EXPECT_EQ(h.c.table().ehash_lookup(
                 stack::FourTuple{restored->local(), restored->remote()}),
             restored);
+  EXPECT_TRUE(restored->rto_pending());  // the unacked segment is timed again
   EXPECT_EQ(restored->read(), Buffer(1000, 9));  // queued data survived
 }
 

@@ -14,6 +14,7 @@
 #include "src/common/log.hpp"
 #include "src/dve/testbed.hpp"
 #include "src/dve/zone_server.hpp"
+#include "src/mig/delta_tracker.hpp"
 #include "src/mig/protocol.hpp"
 #include "src/mig/translation.hpp"
 #include "src/net/switch.hpp"
@@ -366,6 +367,29 @@ TEST(MalformedFrame, MigdAnswersGarbageWithMigAbort) {
   put_frame(bad_proto, MsgType::mig_begin, begin);
   put_frame(bad_proto, MsgType::socket_state, record.take());
 
+  // A socket_state frame holding one complete TCP record.
+  const auto tcp_record = [&](const TcpImage& img) {
+    BinaryWriter records;
+    records.u32(1);
+    SocketDeltaTracker().emit_tcp(img, records, /*force_all=*/true);
+    BinaryWriter w;
+    put_frame(w, MsgType::mig_begin, begin);
+    put_frame(w, MsgType::socket_state, records.take());
+    return w.take();
+  };
+  TcpImage stateless;  // a state byte that names no TCP state
+  stateless.state = static_cast<stack::TcpState>(200);
+  TcpImage listener;
+  listener.state = stack::TcpState::listen;
+  listener.listening = true;
+  listener.accept_children.push_back(stateless);
+  TcpImage nested;  // children of children, 100 deep
+  for (int i = 0; i < 100; ++i) {
+    TcpImage outer;
+    outer.accept_children.push_back(std::move(nested));
+    nested = std::move(outer);
+  }
+
   // A stripe_hello that cannot open a stripe channel.
   const auto hello_frame = [](std::uint8_t index, std::size_t trailing) {
     BinaryWriter payload;
@@ -387,6 +411,9 @@ TEST(MalformedFrame, MigdAnswersGarbageWithMigAbort) {
       {"mig_begin without stripe fields", untailed_begin.take()},
       {"capture_request count past payload", long_capture.take()},
       {"socket record with proto 99", bad_proto.take()},
+      {"socket record with TCP state 200", tcp_record(stateless)},
+      {"socket record with a child in TCP state 200", tcp_record(listener)},
+      {"socket record nesting children 100 deep", tcp_record(nested)},
       {"stripe_hello with trailing bytes", hello_frame(1, 1)},
       {"stripe_hello with index 0", hello_frame(0, 0)},
       {"stripe_hello index at kMaxParallelism", hello_frame(kMaxParallelism, 0)},

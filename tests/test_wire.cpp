@@ -33,6 +33,33 @@ Buffer encode(const Encode& fn) {
   return w.take();
 }
 
+/// Each section of a socket image, encoded on its own, in wire order.
+template <class Image>
+std::vector<Buffer> encode_sections(const Image& img) {
+  std::vector<Buffer> out;
+  Image::sections([&](mig::SectionFlags, const auto& fields) {
+    BinaryWriter w;
+    Put io(w);
+    fields(io, img);
+    out.push_back(w.take());
+  });
+  return out;
+}
+
+/// The image encode_sections came from; every section must be read exactly.
+template <class Image>
+Image decode_sections(const std::vector<Buffer>& sections) {
+  Image img;
+  std::size_t i = 0;
+  Image::sections([&](mig::SectionFlags, const auto& fields) {
+    BinaryReader r(sections.at(i++));
+    Get io(r);
+    fields(io, img);
+    EXPECT_TRUE(r.at_end());
+  });
+  return img;
+}
+
 void expect_golden(const Buffer& bytes, Golden g) {
   EXPECT_EQ(bytes.size(), g.size);
   EXPECT_EQ(fnv1a(bytes), g.fnv) << std::hex << "0x" << fnv1a(bytes);
@@ -61,7 +88,7 @@ TcpImage sample_tcp(std::uint64_t key, Fd fd, bool listening) {
   img.iss = 0x11223344;
   img.irs = 0x55667788;
   img.rcv_wnd_max = 65535;
-  img.state = listening ? 10 : 1;
+  img.state = listening ? stack::TcpState::time_wait : stack::TcpState::listen;
   img.snd_una = 0x11223400;
   img.snd_nxt = 0x11223500;
   img.snd_wnd = 32768;
@@ -77,11 +104,11 @@ TcpImage sample_tcp(std::uint64_t key, Fd fd, bool listening) {
   img.fin_seq = 0x11223501;
   img.peer_fin_seen = false;
   img.write_queue.push_back(
-      mig::TcpSegmentImage{0x11223400, 0x18, 2, 5'000'000, 4242, blob(100, 1)});
-  img.write_queue.push_back(mig::TcpSegmentImage{0x11223464, 0x10, 0, -1, 0, {}});
-  img.receive_queue.push_back(mig::TcpRxImage{0x55667700, false, blob(37, 2)});
-  img.ooo_queue.push_back(mig::TcpRxImage{0x55667900, true, blob(5, 3)});
-  img.ooo_queue.push_back(mig::TcpRxImage{0x55667a00, false, blob(0, 4)});
+      stack::TcpTxSegment{0x11223400, 0x18, blob(100, 1), 2, 5'000'000, 4242});
+  img.write_queue.push_back(stack::TcpTxSegment{0x11223464, 0x10, {}, 0, -1, 0});
+  img.receive_queue.push_back(stack::TcpRxSegment{0x55667700, blob(37, 2), false});
+  img.ooo_queue.push_back(stack::TcpRxSegment{0x55667900, blob(5, 3), true});
+  img.ooo_queue.push_back(stack::TcpRxSegment{0x55667a00, blob(0, 4), false});
   if (listening) {
     img.accept_children.push_back(sample_tcp(key + 1, -1, false));
   }
@@ -96,13 +123,13 @@ UdpImage sample_udp() {
   img.remote = ep(3, 5000);
   img.bound = true;
   img.connected = true;
-  img.receive_queue.emplace_back(ep(4, 1234), blob(64, 5));
-  img.receive_queue.emplace_back(ep(5, 4321), blob(1, 6));
+  img.receive_queue.push_back(stack::UdpDatagram{ep(4, 1234), blob(64, 5)});
+  img.receive_queue.push_back(stack::UdpDatagram{ep(5, 4321), blob(1, 6)});
   return img;
 }
 
-ckpt::VmAreaImage area(std::uint64_t start, const char* name) {
-  return ckpt::VmAreaImage{start, 0x3000, 3, start % 2 == 0, name};
+proc::VmArea area(std::uint64_t start, const char* name) {
+  return proc::VmArea{start, 0x3000, 3, start % 2 == 0, name};
 }
 
 ckpt::ProcessImage sample_process() {
@@ -111,7 +138,7 @@ ckpt::ProcessImage sample_process() {
   img.name = "zone_7";
   img.areas = {area(0x400000, "zone_server"), area(0x7f0000001000, "[heap]")};
   for (std::uint32_t t = 0; t < 2; ++t) {
-    ckpt::ThreadImage th;
+    proc::ThreadContext th;
     th.tid = 1001 + t;
     for (std::size_t i = 0; i < th.gp_regs.size(); ++i) th.gp_regs[i] = t * 100 + i;
     th.pc = 0x401000 + t;
@@ -239,39 +266,26 @@ TEST(WireGolden, TranslationRule) {
 
 TEST(WireGolden, TcpSections) {
   const TcpImage img = sample_tcp(40, 3, /*listening=*/true);
-  const Buffer stat = encode([&](BinaryWriter& w) { img.serialize_static(w); });
-  const Buffer dyn = encode([&](BinaryWriter& w) { img.serialize_dynamic(w); });
-  const Buffer queues = encode([&](BinaryWriter& w) { img.serialize_queues(w); });
-  expect_golden(stat, {7348, 0xd79d130980860becULL});
-  expect_golden(dyn, {67, 0xac96321ae6723b69ULL});
-  expect_golden(queues, {1431, 0x23c9b9316696a1e2ULL});
+  const std::vector<Buffer> sections = encode_sections(img);
+  ASSERT_EQ(sections.size(), 3u);  // static, dynamic, queues
+  expect_golden(sections[0], {7348, 0xd79d130980860becULL});
+  expect_golden(sections[1], {67, 0xac96321ae6723b69ULL});
+  expect_golden(sections[2], {1431, 0x23c9b9316696a1e2ULL});
 
-  TcpImage back;
-  BinaryReader rs(stat), rd(dyn), rq(queues);
-  back.deserialize_static(rs);
-  back.deserialize_dynamic(rd);
-  back.deserialize_queues(rq);
-  EXPECT_TRUE(rs.at_end() && rd.at_end() && rq.at_end());
+  const TcpImage back = decode_sections<TcpImage>(sections);
   ASSERT_EQ(back.accept_children.size(), 1u);
-  EXPECT_EQ(encode([&](BinaryWriter& w) { back.serialize_static(w); }), stat);
-  EXPECT_EQ(encode([&](BinaryWriter& w) { back.serialize_dynamic(w); }), dyn);
-  EXPECT_EQ(encode([&](BinaryWriter& w) { back.serialize_queues(w); }), queues);
+  EXPECT_EQ(encode_sections(back), sections);
 }
 
 TEST(WireGolden, UdpSections) {
   const UdpImage img = sample_udp();
-  const Buffer stat = encode([&](BinaryWriter& w) { img.serialize_static(w); });
-  const Buffer queues = encode([&](BinaryWriter& w) { img.serialize_queues(w); });
-  expect_golden(stat, {786, 0x203fe7d17ea8d967ULL});
-  expect_golden(queues, {569, 0xb750d61e3bde6122ULL});
+  const std::vector<Buffer> sections = encode_sections(img);
+  ASSERT_EQ(sections.size(), 2u);  // static, queues
+  expect_golden(sections[0], {786, 0x203fe7d17ea8d967ULL});
+  expect_golden(sections[1], {569, 0xb750d61e3bde6122ULL});
 
-  UdpImage back;
-  BinaryReader rs(stat), rq(queues);
-  back.deserialize_static(rs);
-  back.deserialize_queues(rq);
-  EXPECT_TRUE(rs.at_end() && rq.at_end());
-  EXPECT_EQ(encode([&](BinaryWriter& w) { back.serialize_static(w); }), stat);
-  EXPECT_EQ(encode([&](BinaryWriter& w) { back.serialize_queues(w); }), queues);
+  const UdpImage back = decode_sections<UdpImage>(sections);
+  EXPECT_EQ(encode_sections(back), sections);
 }
 
 // The socket_state record: proto, key, section flags, then the sections.
