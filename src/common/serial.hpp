@@ -195,7 +195,8 @@ class BinaryReader {
 //   }
 //
 // Put runs the list over a `const Self&` and appends to a BinaryWriter; Get
-// runs it over a `Self&` and fills it from a BinaryReader. Both are plain
+// runs it over a `Self&` and fills it from a BinaryReader; Size runs it like
+// Put but only counts the bytes Put would append. All three are plain
 // classes whose members inline to the BinaryWriter/BinaryReader calls a
 // hand-written writer/reader pair would make, so one record cannot be written
 // one way and read another. The encoding:
@@ -238,6 +239,39 @@ class Put {
 
  private:
   BinaryWriter& w_;
+};
+
+/// Put's counting twin: `size_of(rec)` is the exact length `put(w, rec)`
+/// appends, so a writer can be sized once before a multi-megabyte record
+/// (a page delta) instead of growing by doubling.
+class Size {
+ public:
+  std::size_t bytes() const { return n_; }
+
+  template <class T> void u8(const T&) { n_ += 1; }
+  template <class T> void u16(const T&) { n_ += 2; }
+  template <class T> void u32(const T&) { n_ += 4; }
+  template <class T> void u64(const T&) { n_ += 8; }
+  template <class T> void i32(const T&) { n_ += 4; }
+  template <class T> void i64(const T&) { n_ += 8; }
+  void f64(double) { n_ += 8; }
+  void boolean(bool) { n_ += 1; }
+  void str(const std::string& s) { n_ += 4 + s.size(); }
+  void blob(const Buffer& b) { n_ += 4 + b.size(); }
+  void pad(std::size_t n, std::uint8_t /*fill*/) { n_ += n; }
+
+  template <class R> void rec(const R& r) { R::fields(*this, r); }
+
+  template <class C, class Elem> void seq(const C& c, const Elem& elem) {
+    n_ += 4;
+    for (const auto& x : c) elem(*this, x);
+  }
+  template <class C> void seq(const C& c) {
+    seq(c, [](Size& io, const auto& x) { io.rec(x); });
+  }
+
+ private:
+  std::size_t n_{0};
 };
 
 class Get {
@@ -338,6 +372,14 @@ template <class R>
 void put(BinaryWriter& w, const R& rec) {
   Put io(w);
   io.rec(rec);
+}
+
+/// The number of bytes `put(w, rec)` appends.
+template <class R>
+std::size_t size_of(const R& rec) {
+  Size io;
+  io.rec(rec);
+  return io.bytes();
 }
 
 /// Fill `rec` from `r`; reading past the data is a contract violation.

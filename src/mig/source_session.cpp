@@ -20,6 +20,18 @@ namespace {
 /// buffer is recycled).
 constexpr std::size_t kFullDumpReserveBytes = 4096;
 
+/// `rec`'s encoding in a buffer sized once: a page delta is ~100 MiB of
+/// page records, which a writer growing by doubling would fault in twice.
+template <class R>
+Buffer encode_sized(const R& rec) {
+  const std::size_t reserved = size_of(rec);
+  BinaryWriter w;
+  w.reserve(reserved);
+  put(w, rec);
+  DVEMIG_ASSERT(w.size() == reserved);
+  return w.take();
+}
+
 /// The unified socket_state buffer, cut into self-contained frames at record
 /// boundaries. Each chunk opens with its own record-count prefix (back-patched
 /// when the chunk closes), so no frame outgrows the channel's kMaxFrameLen
@@ -379,9 +391,7 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
     after_parallel(cost.cpu(), cost.elapsed(),
                    [this, delta = std::move(delta), chunks = std::move(chunks),
                     sock_records]() mutable {
-      BinaryWriter w;
-      delta.serialize(w);
-      transport_->send(MsgType::memory_delta, w.take());
+      transport_->send(MsgType::memory_delta, encode_sized(delta));
       send_dump(chunks, stats_.precopy_socket_bytes);
       stats_.precopy_rounds += 1;
       tracer().attr(span_round_, "round", std::to_string(stats_.precopy_rounds));
@@ -660,14 +670,9 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
     tracer().attr(span_stage_, "shards", std::to_string(config_.parallelism));
     after_parallel(cost.cpu(), cost.elapsed(), [this, delta = std::move(delta)]() mutable {
       close_span(span_stage_);
-      BinaryWriter wm;
-      delta.serialize(wm);
-      transport_->send(MsgType::memory_delta, wm.take());
-
-      const ckpt::ProcessImage img = ckpt::snapshot_process(*proc_);
-      BinaryWriter wi;
-      img.serialize(wi);
-      transport_->send(MsgType::process_image, wi.take());
+      transport_->send(MsgType::memory_delta, encode_sized(delta));
+      transport_->send(MsgType::process_image,
+                       encode_sized(ckpt::snapshot_process(*proc_)));
       // Now await resume_done.
     });
   }

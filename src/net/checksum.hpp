@@ -13,7 +13,9 @@ std::uint16_t internet_checksum(std::span<const std::uint8_t> data);
 /// Fold a 32-bit accumulated sum into a 16-bit ones'-complement checksum.
 std::uint16_t fold_checksum(std::uint32_t sum);
 
-/// Accumulate a span into a running 32-bit sum (for pseudo-header + payload sums).
+/// Add a span, read as big-endian 16-bit words (an odd last byte padded with
+/// zero), to the running ones'-complement sum `sum`; returns the sum folded to
+/// 16 bits. The only summing loop in the tree: it adds 8 bytes per step.
 std::uint32_t checksum_accumulate(std::span<const std::uint8_t> data, std::uint32_t sum);
 
 /// RFC 1624 incremental update: given the old checksum and a 32-bit field that changed

@@ -1,5 +1,7 @@
 #include "src/net/packet.hpp"
 
+#include <array>
+
 #include "src/net/checksum.hpp"
 
 namespace dvemig::net {
@@ -18,48 +20,12 @@ std::uint64_t next_packet_id() {
   return ++counter;
 }
 
-// Ones'-complement accumulator over the checksum input stream, fed byte by
-// byte so no serialized copy of the packet is ever materialized (the fold runs
-// on every rx *and* every capture reinjection — it is a per-packet hot path).
-// Byte order per field matches the historical BinaryWriter-based encoding
-// exactly: addresses big-endian as on the wire (so the RFC 1624 incremental
-// update over a 32-bit address value composes with the full checksum), all
-// other header fields little-endian.
-struct ChecksumAcc {
-  std::uint32_t sum{0};
-  bool high{true};  // next byte lands in the high half of a 16-bit word
+std::uint64_t g_payload_bytes_summed = 0;
 
-  void byte(std::uint8_t b) {
-    sum += high ? static_cast<std::uint32_t>(b) << 8 : static_cast<std::uint32_t>(b);
-    high = !high;
-  }
-  void be32(std::uint32_t v) {
-    byte(static_cast<std::uint8_t>(v >> 24));
-    byte(static_cast<std::uint8_t>(v >> 16));
-    byte(static_cast<std::uint8_t>(v >> 8));
-    byte(static_cast<std::uint8_t>(v));
-  }
-  void le16(std::uint16_t v) {
-    byte(static_cast<std::uint8_t>(v));
-    byte(static_cast<std::uint8_t>(v >> 8));
-  }
-  void le32(std::uint32_t v) {
-    byte(static_cast<std::uint8_t>(v));
-    byte(static_cast<std::uint8_t>(v >> 8));
-    byte(static_cast<std::uint8_t>(v >> 16));
-    byte(static_cast<std::uint8_t>(v >> 24));
-  }
-  void span(std::span<const std::uint8_t> s) {
-    std::size_t i = 0;
-    // The TCP header fields above are an odd byte count, so the payload can
-    // start mid-word; realign, then sum whole 16-bit words.
-    if (!high && i < s.size()) byte(s[i++]);
-    for (; i + 1 < s.size(); i += 2) {
-      sum += static_cast<std::uint32_t>(s[i]) << 8 | s[i + 1];
-    }
-    if (i < s.size()) byte(s[i]);
-  }
-};
+// Widest checksum header: 12 pseudo-header + 25 TCP header-field bytes.
+constexpr std::size_t kMaxChecksumHeader = 40;
+
+std::uint32_t swap16(std::uint32_t v) { return ((v & 0xFF) << 8) | (v >> 8); }
 
 }  // namespace
 
@@ -92,31 +58,62 @@ std::string Packet::describe() const {
   return s;
 }
 
+std::uint32_t SharedPayload::sum() const {
+  if (!block_) return 0;
+  if (block_->sum == kNoSum) {
+    block_->sum = checksum_accumulate(block_->bytes, 0);
+    g_payload_bytes_summed += block_->bytes.size();
+  }
+  return block_->sum;
+}
+
+std::uint64_t payload_bytes_summed() { return g_payload_bytes_summed; }
+
+// The checksum input stream is the historical BinaryWriter-based encoding:
+// addresses big-endian as on the wire (so the RFC 1624 incremental update over
+// a 32-bit address value composes with the full checksum), all other header
+// fields little-endian, then the payload. The header fields are staged into a
+// small array and summed by the same kernel as the payload; the payload's
+// memoized sum was taken as if it began at an even offset, so after the odd
+// 37-byte TCP header it is byte-swapped (RFC 1071 §2(B)).
 std::uint16_t compute_checksum(const Packet& p) {
-  ChecksumAcc acc;
+  std::array<std::uint8_t, kMaxChecksumHeader> hdr;
+  std::size_t n = 0;
+  const auto byte = [&](std::uint8_t b) { hdr[n++] = b; };
+  const auto be32 = [&](std::uint32_t v) {
+    for (int shift = 24; shift >= 0; shift -= 8) byte(static_cast<std::uint8_t>(v >> shift));
+  };
+  const auto le16 = [&](std::uint16_t v) {
+    byte(static_cast<std::uint8_t>(v));
+    byte(static_cast<std::uint8_t>(v >> 8));
+  };
+  const auto le32 = [&](std::uint32_t v) {
+    for (int shift = 0; shift < 32; shift += 8) byte(static_cast<std::uint8_t>(v >> shift));
+  };
   // Pseudo-header.
-  acc.be32(p.src.value);
-  acc.be32(p.dst.value);
-  acc.byte(0);
-  acc.byte(static_cast<std::uint8_t>(p.proto));
-  acc.le16(static_cast<std::uint16_t>(p.transport_size()));
+  be32(p.src.value);
+  be32(p.dst.value);
+  byte(0);
+  byte(static_cast<std::uint8_t>(p.proto));
+  le16(static_cast<std::uint16_t>(p.transport_size()));
   // Transport header (checksum field itself excluded, as on the wire).
   if (p.proto == IpProto::tcp) {
-    acc.le16(p.tcp.sport);
-    acc.le16(p.tcp.dport);
-    acc.le32(p.tcp.seq);
-    acc.le32(p.tcp.ack);
-    acc.byte(p.tcp.flags);
-    acc.le32(p.tcp.window);
-    acc.le32(p.tcp.tsval);
-    acc.le32(p.tcp.tsecr);
+    le16(p.tcp.sport);
+    le16(p.tcp.dport);
+    le32(p.tcp.seq);
+    le32(p.tcp.ack);
+    byte(p.tcp.flags);
+    le32(p.tcp.window);
+    le32(p.tcp.tsval);
+    le32(p.tcp.tsecr);
   } else {
-    acc.le16(p.udp.sport);
-    acc.le16(p.udp.dport);
-    acc.le16(static_cast<std::uint16_t>(p.payload.size()));
+    le16(p.udp.sport);
+    le16(p.udp.dport);
+    le16(static_cast<std::uint16_t>(p.payload.size()));
   }
-  acc.span(p.payload.view());
-  return fold_checksum(acc.sum);
+  const std::uint32_t payload = p.payload.sum();
+  return fold_checksum(checksum_accumulate(std::span<const std::uint8_t>(hdr.data(), n),
+                                           n % 2 == 0 ? payload : swap16(payload)));
 }
 
 bool checksum_ok(const Packet& p) { return p.checksum == compute_checksum(p); }

@@ -45,7 +45,7 @@ struct UdpHeader {
   Port dport{0};
 };
 
-/// Copy-on-write payload bytes.
+/// Copy-on-write payload bytes, with their checksum sum memoized.
 ///
 /// Copying a Packet shares the payload allocation instead of cloning it: the
 /// single-IP router broadcasts every client packet to all N nodes (Section
@@ -53,57 +53,82 @@ struct UdpHeader {
 /// were N deep copies of the same bytes. Readers see plain byte access;
 /// mutation (`operator[]`, `push_back`) detaches from any sharers first, so a
 /// hook rewriting one broadcast copy never bleeds into the others.
+///
+/// The shared block also memoizes `sum()`, the payload's ones'-complement sum,
+/// so the sender's `finalize`, every broadcast copy's receive check and every
+/// reinjection reuse one pass over the bytes. Every mutable accessor clears
+/// the memo, the sole-owner path (no copy made) included. A mutable byte
+/// reference held across a checksum is unsupported: a write through it after
+/// the memo refilled leaves the memo stale.
 class SharedPayload {
  public:
   SharedPayload() = default;
   SharedPayload(Buffer b)  // NOLINT(google-explicit-constructor)
-      : data_(b.empty() ? nullptr : std::make_shared<Buffer>(std::move(b))) {}
+      : block_(b.empty() ? nullptr : std::make_shared<Block>(std::move(b))) {}
 
-  std::size_t size() const { return data_ ? data_->size() : 0; }
+  std::size_t size() const { return block_ ? block_->bytes.size() : 0; }
   bool empty() const { return size() == 0; }
   std::span<const std::uint8_t> view() const {
-    return data_ ? std::span<const std::uint8_t>(*data_)
-                 : std::span<const std::uint8_t>{};
+    return block_ ? std::span<const std::uint8_t>(block_->bytes)
+                  : std::span<const std::uint8_t>{};
   }
   operator std::span<const std::uint8_t>() const {  // NOLINT
     return view();
   }
-  const std::uint8_t& operator[](std::size_t i) const { return (*data_)[i]; }
+  const std::uint8_t& operator[](std::size_t i) const { return block_->bytes[i]; }
 
   /// Mutable access: detaches from sharers first (copy-on-write).
   std::uint8_t& operator[](std::size_t i) { return (*detach())[i]; }
   void push_back(std::uint8_t b) { detach()->push_back(b); }
 
+  /// `checksum_accumulate(view(), 0)`: the sum as if the bytes began at an
+  /// even offset of the checksummed stream. Summed on first use per block.
+  std::uint32_t sum() const;
+
   /// Deep copy into an owned Buffer (e.g. a socket receive queue keeping the
   /// bytes past the packet's lifetime).
-  Buffer copy() const { return data_ ? *data_ : Buffer{}; }
+  Buffer copy() const { return block_ ? block_->bytes : Buffer{}; }
 
   /// Take the bytes out, leaving the payload empty — moves when this is the
   /// sole owner, copies otherwise.
   Buffer take() {
-    if (!data_) return {};
-    Buffer out = data_.use_count() == 1 ? std::move(*data_) : *data_;
-    data_.reset();
+    if (!block_) return {};
+    Buffer out = block_.use_count() == 1 ? std::move(block_->bytes) : block_->bytes;
+    block_.reset();
     return out;
   }
 
   /// Introspection for tests: do two payloads alias one allocation?
   bool shares_storage_with(const SharedPayload& o) const {
-    return data_ != nullptr && data_ == o.data_;
+    return block_ != nullptr && block_ == o.block_;
   }
 
  private:
+  static constexpr std::uint32_t kNoSum = 0xFFFFFFFF;  // sums fold to 16 bits
+
+  struct Block {
+    explicit Block(Buffer b) : bytes(std::move(b)) {}
+    Buffer bytes;
+    std::uint32_t sum{kNoSum};
+  };
+
   Buffer* detach() {
-    if (!data_) {
-      data_ = std::make_shared<Buffer>();
-    } else if (data_.use_count() > 1) {
-      data_ = std::make_shared<Buffer>(*data_);
+    if (!block_) {
+      block_ = std::make_shared<Block>(Buffer{});
+    } else if (block_.use_count() > 1) {
+      block_ = std::make_shared<Block>(block_->bytes);
     }
-    return data_.get();
+    block_->sum = kNoSum;
+    return &block_->bytes;
   }
 
-  std::shared_ptr<Buffer> data_;
+  std::shared_ptr<Block> block_;
 };
+
+/// Payload bytes summed into a `SharedPayload` memo since the process began:
+/// each fill adds the payload's size once, so with every copy reusing the
+/// memo this equals the payload bytes created.
+std::uint64_t payload_bytes_summed();
 
 struct Packet {
   Ipv4Addr src{};
@@ -141,6 +166,7 @@ struct Packet {
 };
 
 /// Compute the transport checksum over pseudo-header + header fields + payload.
+/// The payload's part is its memoized `SharedPayload::sum()`.
 std::uint16_t compute_checksum(const Packet& p);
 
 /// True when p.checksum matches compute_checksum(p).

@@ -5,10 +5,14 @@
 // pre-index linear-scan semantics, modelled in filter_oracles.hpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <random>
 #include <set>
+#include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -20,6 +24,7 @@
 #include "src/mig/socket_image.hpp"
 #include "src/mig/translation.hpp"
 #include "src/net/checksum.hpp"
+#include "src/net/router.hpp"
 #include "src/net/switch.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/stack/net_stack.hpp"
@@ -124,7 +129,20 @@ TEST(NetfilterPruneTest, RegistrationAfterReleasesKeepsOrderAndCount) {
 
 // The historical checksum implementation serialized pseudo-header + transport
 // header + payload into a scratch buffer and folded that. Rebuild that exact
-// byte stream here and check the allocation-free accumulator agrees on it.
+// byte stream here and check the word-wide kernel with its memoized payload
+// sums agrees on it, against an independent byte-at-a-time fold.
+
+/// RFC 1071 by the letter: big-endian 16-bit words one byte at a time, an odd
+/// last byte padded with zero, end-around carries, complement.
+std::uint16_t reference_fold(std::span<const std::uint8_t> data) {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    sum += i % 2 == 0 ? std::uint64_t{data[i]} << 8 : std::uint64_t{data[i]};
+  }
+  while (sum >> 16) sum = (sum & 0xFFFF) + (sum >> 16);
+  return static_cast<std::uint16_t>(~sum & 0xFFFF);
+}
+
 Buffer reference_checksum_input(const net::Packet& p) {
   Buffer b;
   auto be32 = [&](std::uint32_t v) {
@@ -180,14 +198,178 @@ TEST(ChecksumTest, InPlaceAccumulatorMatchesBufferedReference) {
     hdr.tsval = 111;
     hdr.tsecr = 222;
     net::Packet t = net::make_tcp({kAddrA, 1111}, {kAddrB, 9000}, hdr, payload);
-    EXPECT_EQ(net::compute_checksum(t),
-              net::internet_checksum(reference_checksum_input(t)))
+    EXPECT_EQ(net::compute_checksum(t), reference_fold(reference_checksum_input(t)))
         << "tcp payload len " << len;
     net::Packet u = net::make_udp({kAddrA, 1111}, {kAddrB, 9000}, payload);
-    EXPECT_EQ(net::compute_checksum(u),
-              net::internet_checksum(reference_checksum_input(u)))
+    EXPECT_EQ(net::compute_checksum(u), reference_fold(reference_checksum_input(u)))
         << "udp payload len " << len;
   }
+}
+
+// The kernel on its own: every length across the 8-byte step and its tail,
+// from an odd start address (data()+1), with and without a running sum, and
+// the two extreme fills whose sums wrap the most.
+TEST(ChecksumTest, KernelMatchesByteWiseFoldAtAnyOffsetAndLength) {
+  std::mt19937_64 rng(26);
+  Buffer bytes(1 + 1500);  // the longest span, from data()+1
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t len = 0; len <= 1500; len += len < 64 ? 1 : 37) {
+    for (const std::size_t start : {0u, 1u}) {
+      const std::span<const std::uint8_t> span(bytes.data() + start, len);
+      ASSERT_EQ(net::internet_checksum(span), reference_fold(span))
+          << "len " << len << " start " << start;
+      // A running sum in front of the span, as the header sum is: the
+      // reference sees the same two bytes prepended to the stream.
+      const Buffer prefixed = [&] {
+        Buffer b{0xBE, 0xEF};
+        b.insert(b.end(), span.begin(), span.end());
+        return b;
+      }();
+      ASSERT_EQ(net::fold_checksum(net::checksum_accumulate(span, 0xBEEF)),
+                reference_fold(prefixed))
+          << "len " << len << " start " << start;
+    }
+    for (const std::uint8_t fill : {std::uint8_t{0x00}, std::uint8_t{0xFF}}) {
+      const Buffer flat(len, fill);
+      ASSERT_EQ(net::internet_checksum(flat), reference_fold(flat))
+          << "len " << len << " fill " << int{fill};
+    }
+  }
+}
+
+net::Packet random_packet(std::mt19937_64& rng) {
+  const auto u32 = [&] { return static_cast<std::uint32_t>(rng()); };
+  const std::size_t len = rng() % 1501;
+  Buffer payload(len);
+  switch (rng() % 4) {
+    case 0:
+      std::fill(payload.begin(), payload.end(), std::uint8_t{0x00});
+      break;
+    case 1:
+      std::fill(payload.begin(), payload.end(), std::uint8_t{0xFF});
+      break;
+    default:
+      for (auto& b : payload) b = static_cast<std::uint8_t>(rng());
+  }
+  const net::Endpoint from{net::Ipv4Addr{u32()}, static_cast<net::Port>(rng())};
+  const net::Endpoint to{net::Ipv4Addr{u32()}, static_cast<net::Port>(rng())};
+  if (rng() % 2 == 0) return net::make_udp(from, to, std::move(payload));
+  net::TcpHeader hdr;
+  hdr.seq = u32();
+  hdr.ack = u32();
+  hdr.flags = static_cast<std::uint8_t>(rng());
+  hdr.window = u32();
+  hdr.tsval = u32();
+  hdr.tsecr = u32();
+  return net::make_tcp(from, to, hdr, std::move(payload));
+}
+
+std::uint16_t reference_checksum(const net::Packet& p) {
+  return reference_fold(reference_checksum_input(p));
+}
+
+// The memoized payload sum against the byte-wise reference, over random TCP
+// and UDP packets and through everything that may or may not reuse a memo:
+// a translation rewrite, a broadcast copy's COW detach, a sole owner's
+// in-place write and a push_back.
+TEST(ChecksumTest, PropertyMemoizedSumEqualsByteWiseReference) {
+  std::mt19937_64 rng(1071);
+  for (int iter = 0; iter < 2000; ++iter) {
+    net::Packet p = random_packet(rng);
+    SCOPED_TRACE(p.describe());
+    ASSERT_EQ(p.checksum, reference_checksum(p));  // finalize filled the memo
+    ASSERT_TRUE(net::checksum_ok(p));              // and the check reused it
+
+    // RFC 1624 rewrite of the destination, as the translation filter does.
+    net::Packet moved = p;
+    const std::uint32_t old_dst = moved.dst.value;
+    moved.dst = net::Ipv4Addr{static_cast<std::uint32_t>(rng())};
+    moved.checksum = net::checksum_adjust32(moved.checksum, old_dst, moved.dst.value);
+    ASSERT_EQ(moved.checksum, reference_checksum(moved));
+    ASSERT_TRUE(net::checksum_ok(moved));
+    if (p.payload.empty()) continue;
+
+    // A broadcast copy mutated: it detaches, and only it fails the check.
+    net::Packet q = p;
+    q.payload[0] ^= 1;
+    EXPECT_FALSE(p.payload.shares_storage_with(q.payload));
+    EXPECT_FALSE(net::checksum_ok(q));
+    EXPECT_EQ(net::compute_checksum(q), reference_checksum(q));
+    EXPECT_TRUE(net::checksum_ok(p));
+
+    // A sole owner's in-place write after the memo was filled: no copy is
+    // made, and the memo must still be dropped.
+    const std::uint8_t* storage = q.payload.view().data();
+    const std::size_t at = rng() % q.payload.size();
+    q.payload[at] = static_cast<std::uint8_t>(q.payload[at] + 1);
+    EXPECT_EQ(q.payload.view().data(), storage);
+    EXPECT_EQ(net::compute_checksum(q), reference_checksum(q));
+
+    // Growth changes the sum and, for UDP, the length field as well.
+    q.payload.push_back(static_cast<std::uint8_t>(rng() | 1));
+    EXPECT_EQ(net::compute_checksum(q), reference_checksum(q));
+    net::finalize(q);
+    EXPECT_TRUE(net::checksum_ok(q));
+  }
+}
+
+// Each payload is summed exactly once however many stacks check it: the
+// sender's finalize fills the memo, and the router's broadcast copies, every
+// node's receive check and a captured packet's reinjection all reuse it.
+TEST(ChecksumTest, BroadcastPathSumsEachPayloadOnce) {
+  sim::Engine engine;
+  const net::Ipv4Addr vip = net::Ipv4Addr::octets(203, 0, 113, 10);
+  const net::Ipv4Addr cli = net::Ipv4Addr::octets(100, 64, 0, 1);
+  net::BroadcastRouter router(engine, vip, net::LinkConfig{1e9, SimTime::microseconds(25)});
+  std::vector<std::unique_ptr<NetStack>> nodes;
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    nodes.push_back(std::make_unique<NetStack>(engine, "node" + std::to_string(i),
+                                               SimTime::seconds(100 + i)));
+    NetStack* node = nodes.back().get();
+    node->add_interface(vip, router.attach_node(i, [node](net::Packet p) {
+      node->rx(std::move(p));
+    }));
+  }
+  NetStack client(engine, "client", SimTime::seconds(7));
+  client.add_interface(cli, router.attach_client(cli, [&client](net::Packet p) {
+    client.rx(std::move(p));
+  }));
+
+  auto server = nodes[0]->make_udp();
+  server->bind(vip, 27960);
+  // Capture-and-reinject on the owning node: steal the first datagram, hand
+  // it back past LOCAL_IN once the rest have arrived.
+  std::vector<net::Packet> held;
+  stack::HookHandle capture = nodes[0]->netfilter().register_hook(
+      stack::Hook::local_in, 0, [&held](net::Packet& p) {
+        if (!held.empty()) return stack::Verdict::accept;
+        held.push_back(std::move(p));
+        return stack::Verdict::stolen;
+      });
+
+  const std::uint64_t summed_before = net::payload_bytes_summed();
+  auto sender = client.make_udp();
+  sender->bind(cli, 5000);
+  std::uint64_t created = 0;
+  const std::size_t sizes[] = {1, 2, 37, 64, 511, 1024, 1500, 0, 999};
+  for (const std::size_t len : sizes) {
+    Buffer payload(len);
+    for (std::size_t i = 0; i < len; ++i) payload[i] = static_cast<std::uint8_t>(i * 13 + len);
+    created += len;
+    sender->send_to({vip, 27960}, std::move(payload));
+  }
+  engine.run();
+  ASSERT_EQ(held.size(), 1u);
+  capture.release();
+  nodes[0]->reinject(std::move(held.front()));
+  engine.run();
+
+  EXPECT_EQ(router.broadcast_copies(), 3 * std::size(sizes));
+  EXPECT_EQ(server->pending(), std::size(sizes));
+  EXPECT_EQ(nodes[0]->stats().reinjected, 1u);
+  for (const auto& node : nodes) EXPECT_EQ(node->stats().rx_bad_checksum, 0u);
+  EXPECT_EQ(nodes[1]->stats().rx_no_socket, std::size(sizes));
+  EXPECT_EQ(net::payload_bytes_summed() - summed_before, created);
 }
 
 TEST(ChecksumTest, IncrementalAdjustEqualsFullRecompute) {

@@ -2,7 +2,8 @@
 // fixed, non-trivial inputs, pinned from the hand-written writer/reader pairs
 // the field lists replaced. The round-trip tests elsewhere pass for any format
 // change made on both the write and the read side; these do not. Each record
-// must also decode and re-encode to the very same bytes.
+// must also decode and re-encode to the very same bytes, and `size_of` (the
+// length migd reserves before it encodes a record) must count exactly them.
 #include <gtest/gtest.h>
 
 #include "src/ckpt/image.hpp"
@@ -58,6 +59,18 @@ Image decode_sections(const std::vector<Buffer>& sections) {
     EXPECT_TRUE(r.at_end());
   });
   return img;
+}
+
+/// What Size counts for each section of a socket image, in wire order.
+template <class Image>
+std::vector<std::size_t> section_sizes(const Image& img) {
+  std::vector<std::size_t> out;
+  Image::sections([&](mig::SectionFlags, const auto& fields) {
+    Size io;
+    fields(io, img);
+    out.push_back(io.bytes());
+  });
+  return out;
 }
 
 void expect_golden(const Buffer& bytes, Golden g) {
@@ -247,6 +260,7 @@ TEST(WireGolden, CaptureSpec) {
   const CaptureSpec spec{net::IpProto::udp, true, ep(9, 40001), 27960};
   const Buffer bytes = encode([&](BinaryWriter& w) { spec.serialize(w); });
   expect_golden(bytes, {10, 0xd54515f323eece1dULL});
+  EXPECT_EQ(size_of(spec), bytes.size());
   BinaryReader r(bytes);
   const CaptureSpec back = CaptureSpec::deserialize(r);
   EXPECT_TRUE(r.at_end());
@@ -258,6 +272,7 @@ TEST(WireGolden, TranslationRule) {
                                   net::Ipv4Addr::octets(10, 1, 0, 2)};
   const Buffer bytes = encode([&](BinaryWriter& w) { rule.serialize(w); });
   expect_golden(bytes, {17, 0x5385c5ee24a65903ULL});
+  EXPECT_EQ(size_of(rule), bytes.size());
   BinaryReader r(bytes);
   const mig::TranslationRule back = mig::TranslationRule::deserialize(r);
   EXPECT_TRUE(r.at_end());
@@ -271,6 +286,7 @@ TEST(WireGolden, TcpSections) {
   expect_golden(sections[0], {7348, 0xd79d130980860becULL});
   expect_golden(sections[1], {67, 0xac96321ae6723b69ULL});
   expect_golden(sections[2], {1431, 0x23c9b9316696a1e2ULL});
+  EXPECT_EQ(section_sizes(img), (std::vector<std::size_t>{7348, 67, 1431}));
 
   const TcpImage back = decode_sections<TcpImage>(sections);
   ASSERT_EQ(back.accept_children.size(), 1u);
@@ -283,6 +299,7 @@ TEST(WireGolden, UdpSections) {
   ASSERT_EQ(sections.size(), 2u);  // static, queues
   expect_golden(sections[0], {786, 0x203fe7d17ea8d967ULL});
   expect_golden(sections[1], {569, 0xb750d61e3bde6122ULL});
+  EXPECT_EQ(section_sizes(img), (std::vector<std::size_t>{786, 569}));
 
   const UdpImage back = decode_sections<UdpImage>(sections);
   EXPECT_EQ(encode_sections(back), sections);
@@ -298,6 +315,11 @@ TEST(WireGolden, SocketRecords) {
   tracker.emit_udp(udp, w, /*force_all=*/true);
   const Buffer bytes = w.take();
   expect_golden(bytes, {10221, 0x9fab8f052ee9c5ecULL});
+  // Each record is a 10-byte header (proto, key, flags), then its sections.
+  std::size_t sized = 2 * 10;
+  for (const std::size_t n : section_sizes(tcp)) sized += n;
+  for (const std::size_t n : section_sizes(udp)) sized += n;
+  EXPECT_EQ(sized, bytes.size());
 
   mig::SocketStaging staging;
   BinaryReader r(bytes);
@@ -316,6 +338,7 @@ TEST(WireGolden, ProcessImage) {
   const ckpt::ProcessImage img = sample_process();
   const Buffer bytes = encode([&](BinaryWriter& w) { img.serialize(w); });
   expect_golden(bytes, {546, 0x95dd462e09917267ULL});
+  EXPECT_EQ(size_of(img), bytes.size());
   BinaryReader r(bytes);
   const ckpt::ProcessImage back = ckpt::ProcessImage::deserialize(r);
   EXPECT_TRUE(r.at_end());
@@ -326,6 +349,7 @@ TEST(WireGolden, MemoryDelta) {
   const ckpt::MemoryDelta d = sample_delta();
   const Buffer bytes = encode([&](BinaryWriter& w) { d.serialize(w); });
   expect_golden(bytes, {12406, 0xdd78e3adecb4409eULL});
+  EXPECT_EQ(size_of(d), bytes.size());
   BinaryReader r(bytes);
   const ckpt::MemoryDelta back = ckpt::MemoryDelta::deserialize(r);
   EXPECT_TRUE(r.at_end());
@@ -336,6 +360,7 @@ TEST(WireGolden, LoadInfo) {
   const lb::LoadInfo info = sample_load();
   const Buffer bytes = encode([&](BinaryWriter& w) { info.serialize(w); });
   expect_golden(bytes, {44, 0x2f29d11aa0ff89d4ULL});
+  EXPECT_EQ(size_of(info), bytes.size());
   BinaryReader r(bytes);
   const lb::LoadInfo back = lb::LoadInfo::deserialize(r);
   EXPECT_TRUE(r.at_end());
@@ -348,6 +373,7 @@ TEST(WireGolden, MigBegin) {
   BinaryReader r(bytes);
   mig::MigBegin back;
   ASSERT_TRUE(get_payload(r, back));
+  EXPECT_EQ(size_of(back), bytes.size());
   EXPECT_EQ(encode([&](BinaryWriter& w) { put(w, back); }), bytes);
 }
 
@@ -375,6 +401,7 @@ TEST(WireGolden, StripeHello) {
   const mig::StripeHello hello{.mig_id = 0x0A01000100007ULL, .index = 3};
   const Buffer bytes = encode([&](BinaryWriter& w) { put(w, hello); });
   expect_golden(bytes, {9, 0x085b1b0a56214c93ULL});
+  EXPECT_EQ(size_of(hello), bytes.size());
   BinaryReader r(bytes);
   mig::StripeHello back;
   ASSERT_TRUE(get_payload(r, back));
@@ -394,6 +421,7 @@ TEST(WireGolden, StripeSegment) {
     w.bytes(chunk);
   });
   expect_golden(bytes, {217, 0xbd0d0105c70bd448ULL});
+  EXPECT_EQ(size_of(header) + chunk.size(), bytes.size());
   BinaryReader r(bytes);
   const auto back = get<mig::StripeSegHeader>(r);
   EXPECT_EQ(r.remaining(), chunk.size());
