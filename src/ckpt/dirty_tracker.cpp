@@ -44,7 +44,8 @@ MemoryDelta DirtyTracker::round(proc::AddressSpace& mem) {
   if (rounds_ == 1) {
     // First round: the destination has nothing yet, so every anonymous page is
     // transferred regardless of its dirty bit (a re-migrated process's pages are
-    // clean — they were just restored — but must still ship in full).
+    // clean — they were just restored — but must still ship in full). The areas
+    // are in start order, so the pages come out ascending.
     (void)mem.collect_and_clear_dirty();
     for (const auto& area : mem.areas()) {
       if (area.file_backed) continue;
@@ -53,7 +54,6 @@ MemoryDelta DirtyTracker::round(proc::AddressSpace& mem) {
         delta.dirty_pages.push_back(p);
       }
     }
-    std::sort(delta.dirty_pages.begin(), delta.dirty_pages.end());
   } else {
     delta.dirty_pages = mem.collect_and_clear_dirty();
   }

@@ -80,7 +80,7 @@ void TranslationManager::fix_cache(const TranslationRule& rule) {
   // this the IP header says IP2 but the frame still goes to IP1.
   const stack::FourTuple tuple{rule.peer_local, rule.mig_old};
   if (auto sock = stack_->table().ehash_lookup(tuple)) {
-    stack_->dst_cache_replace(sock->sock_id(), rule.mig_new_addr);
+    sock->set_dst_cache(rule.mig_new_addr);
   }
 }
 

@@ -5,6 +5,7 @@
 // while sockets take the collective socket-migration path.
 #pragma once
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -47,9 +48,21 @@ class FileTable {
   std::size_t socket_count() const;
 
  private:
+  /// Take the lowest free fd: the first fd of the first free run.
   Fd next_fd();
+  /// Remove `fd` from the free runs (it is being opened at a chosen number).
+  void take_fd(Fd fd);
+  /// Return [lo, hi] to the free runs, merging with its neighbours.
+  void free_fds(Fd lo, Fd hi);
+
   std::map<Fd, OpenFile> entries_;  // ordered: freeze-phase iteration is by fd
-  Fd next_fd_{3};                   // 0-2 notionally stdio
+  // The allocatable fds as disjoint runs, first fd -> last fd (inclusive). They
+  // cover every fd from floor_ up that is not open, so the lowest free fd is
+  // free_.begin()->first and an allocation never rescans the open fds.
+  std::map<Fd, Fd> free_{{3, std::numeric_limits<Fd>::max()}};
+  // 0-2 are notionally stdio. Closing an fd below the floor lowers it (POSIX
+  // lowest-free-fd): every closed fd is allocatable again.
+  Fd floor_{3};
 };
 
 }  // namespace dvemig::proc

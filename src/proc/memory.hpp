@@ -3,7 +3,8 @@
 // This is the surface the precopy mechanism works against (Section V-A): the
 // dirty-bit scan (`collect_and_clear_dirty`) stands in for walking PTE dirty bits,
 // and the vm_area list is what the migration's own tracking list is diffed against
-// each incremental loop.
+// each incremental loop. The dirty bits are one bitmap per area, as a page table
+// keeps them beside its mappings (DESIGN.md §12.7).
 //
 // Page *contents* are not stored — the simulator transfers synthetic bytes of the
 // right size — so a multi-gigabyte simulated cluster fits in host memory.
@@ -12,7 +13,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/assert.hpp"
@@ -78,13 +78,27 @@ class AddressSpace {
   /// The dirty-bit scan: return all dirty page numbers and clear their bits.
   std::vector<std::uint64_t> collect_and_clear_dirty();
 
-  std::size_t dirty_pages() const { return dirty_.size(); }
+  std::size_t dirty_pages() const { return dirty_count_; }
   std::uint64_t total_pages() const;
   std::uint64_t total_bytes() const { return total_pages() * kPageSize; }
 
  private:
+  /// Index of the area holding `addr`, or areas_.size() when none does.
+  std::size_t area_index(std::uint64_t addr) const;
+  /// Insert `area` in start order with a bitmap of all-dirty or all-clean pages.
+  void insert_area(VmArea area, bool dirty);
+  void mark_dirty(std::size_t area, std::uint64_t page_offset);
+  /// Rebuild writable_/writable_end_; every change to the areas calls it.
+  void index_writable();
+
   std::vector<VmArea> areas_;  // sorted by start, non-overlapping
-  std::unordered_set<std::uint64_t> dirty_;  // page numbers (addr / kPageSize)
+  // dirty_[i] is areas_[i]'s bitmap: bit p of word p / 64 is page p of the area.
+  std::vector<std::vector<std::uint64_t>> dirty_;
+  std::size_t dirty_count_{0};
+  // Writable areas in start order and their running page counts: writable area
+  // writable_[j] holds draws [writable_end_[j - 1], writable_end_[j]).
+  std::vector<std::size_t> writable_;
+  std::vector<std::uint64_t> writable_end_;
   std::uint64_t next_addr_{0x10000};
 };
 

@@ -146,12 +146,8 @@ void NetStack::send_from(Socket& sock, net::Packet p) {
       sock.type() == SocketType::tcp ||
       static_cast<const UdpSocket&>(sock).cb().connected;
   if (per_socket_route) {
-    net::Ipv4Addr next_hop = dst_cache_lookup(p.origin_sock_id);
-    if (next_hop == net::Ipv4Addr::any()) {
-      next_hop = p.dst;
-      dst_cache_replace(p.origin_sock_id, next_hop);
-    }
-    p.link_dst = next_hop;
+    if (sock.dst_cache() == net::Ipv4Addr::any()) sock.set_dst_cache(p.dst);
+    p.link_dst = sock.dst_cache();
   } else {
     p.link_dst = p.dst;
   }
@@ -161,17 +157,6 @@ void NetStack::send_from(Socket& sock, net::Packet p) {
   stats_.tx_packets += 1;
   iface->tx(std::move(p));
 }
-
-net::Ipv4Addr NetStack::dst_cache_lookup(std::uint64_t sock_id) const {
-  const auto it = dst_cache_.find(sock_id);
-  return it == dst_cache_.end() ? net::Ipv4Addr::any() : it->second;
-}
-
-void NetStack::dst_cache_replace(std::uint64_t sock_id, net::Ipv4Addr next_hop) {
-  dst_cache_[sock_id] = next_hop;
-}
-
-void NetStack::dst_cache_drop(std::uint64_t sock_id) { dst_cache_.erase(sock_id); }
 
 std::shared_ptr<UdpSocket> NetStack::make_udp() {
   auto sock = std::make_shared<UdpSocket>(*this, next_sock_id());

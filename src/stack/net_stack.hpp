@@ -1,5 +1,5 @@
 // Per-host network stack: interfaces, demultiplexing, netfilter, jiffies clock and
-// the per-socket destination cache.
+// routing through each socket's destination cache (`Socket::dst_cache`).
 //
 // One NetStack instance exists per simulated host — cluster nodes (which have a
 // public and a local interface) as well as external game clients (one interface).
@@ -13,7 +13,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -72,12 +71,6 @@ class NetStack {
   /// Socket transmit path: LOCAL_OUT hooks -> dst-cache routing -> interface tx.
   void send_from(Socket& sock, net::Packet p);
 
-  // --- destination cache (per originating socket) ---
-  /// Returns the cached next-hop for a socket, or any() when not cached.
-  net::Ipv4Addr dst_cache_lookup(std::uint64_t sock_id) const;
-  void dst_cache_replace(std::uint64_t sock_id, net::Ipv4Addr next_hop);
-  void dst_cache_drop(std::uint64_t sock_id);
-
   // --- sockets ---
   std::shared_ptr<UdpSocket> make_udp();
   std::shared_ptr<TcpSocket> make_tcp();
@@ -111,7 +104,6 @@ class NetStack {
   std::vector<Interface> interfaces_;
   SocketTable table_;
   NetfilterChain netfilter_;
-  std::unordered_map<std::uint64_t, net::Ipv4Addr> dst_cache_;
   // Weak registry of every socket ever made; pruned lazily by for_each_socket.
   mutable std::vector<std::weak_ptr<Socket>> socket_registry_;
   std::uint64_t sock_id_counter_{0};

@@ -22,8 +22,14 @@ class Socket : public std::enable_shared_from_this<Socket> {
   const net::Endpoint& remote() const { return remote_; }
   NetStack& stack() const { return *stack_; }
 
-  /// Unique per-stack-creation id, used by the dst cache and trace logs.
+  /// Unique per-stack-creation id, used by trace logs.
   std::uint64_t sock_id() const { return sock_id_; }
+
+  /// The cached next hop of a connected socket (Linux's `sk_dst_cache`), or
+  /// any() when not cached. send_from fills it, unhash clears it, and the
+  /// translation daemon repoints it at a migrated peer's node (Section V-D).
+  net::Ipv4Addr dst_cache() const { return dst_cache_; }
+  void set_dst_cache(net::Ipv4Addr next_hop) { dst_cache_ = next_hop; }
 
   /// True once the socket has been unhashed for migration: it no longer receives
   /// packets and must not transmit.
@@ -32,7 +38,7 @@ class Socket : public std::enable_shared_from_this<Socket> {
   bool hashed_bound() const { return hashed_bound_; }
 
   /// The source's half of Section V-C: unhash from ehash/bhash, clear the
-  /// timers, drop the dst-cache entry and set migration_disabled(). A listener
+  /// timers, clear the dst cache and set migration_disabled(). A listener
   /// detaches its accept-queue children too. Calling it twice is safe.
   virtual void detach() = 0;
   /// The inverse, used by the destination's restore and the source's rollback
@@ -57,6 +63,7 @@ class Socket : public std::enable_shared_from_this<Socket> {
   std::uint64_t sock_id_;
   net::Endpoint local_{};
   net::Endpoint remote_{};
+  net::Ipv4Addr dst_cache_{};
   bool migration_disabled_{false};
   bool hashed_bound_{false};
 };

@@ -4,26 +4,62 @@
 
 namespace dvemig::stack {
 
+namespace {
+
+constexpr std::size_t kEhashMinSlots = 8;
+
+}  // namespace
+
+std::size_t SocketTable::ehash_find(const FourTuple& key) const {
+  const std::size_t mask = ehash_.size() - 1;
+  std::size_t i = ehash_home(key);
+  while (ehash_[i].sock != nullptr && ehash_[i].key != key) i = (i + 1) & mask;
+  return i;
+}
+
+void SocketTable::ehash_grow() {
+  std::vector<EhashSlot> old(std::max(kEhashMinSlots, ehash_.size() * 2));
+  old.swap(ehash_);
+  for (EhashSlot& slot : old) {
+    if (slot.sock != nullptr) ehash_[ehash_find(slot.key)] = std::move(slot);
+  }
+}
+
 void SocketTable::ehash_insert(const std::shared_ptr<TcpSocket>& sock,
                                const FourTuple& key) {
   DVEMIG_EXPECTS(sock != nullptr);
-  const auto [it, inserted] = ehash_.emplace(key, sock);
-  (void)it;
-  DVEMIG_EXPECTS(inserted);  // duplicate 4-tuples would mean two owners of a connection
+  if (2 * (ehash_size_ + 1) > ehash_.size()) ehash_grow();
+  EhashSlot& slot = ehash_[ehash_find(key)];
+  // Duplicate 4-tuples would mean two owners of a connection.
+  DVEMIG_EXPECTS(slot.sock == nullptr);
+  slot = EhashSlot{key, sock};
+  ehash_size_ += 1;
   tcp_local_ports_[key.local.port] += 1;
 }
 
 void SocketTable::ehash_remove(const FourTuple& key) {
-  const std::size_t erased = ehash_.erase(key);
-  DVEMIG_EXPECTS(erased == 1);
+  DVEMIG_EXPECTS(ehash_size_ > 0);
+  const std::size_t mask = ehash_.size() - 1;
+  std::size_t hole = ehash_find(key);
+  DVEMIG_EXPECTS(ehash_[hole].sock != nullptr);
+  // Backward-shift deletion: pull each later member of the cluster into the
+  // hole unless its home lies cyclically in (hole, j], where it must stay.
+  for (std::size_t j = (hole + 1) & mask; ehash_[j].sock != nullptr; j = (j + 1) & mask) {
+    const std::size_t home = ehash_home(ehash_[j].key);
+    if (((j - home) & mask) < ((j - hole) & mask)) continue;
+    ehash_[hole] = std::move(ehash_[j]);
+    hole = j;
+  }
+  ehash_[hole] = EhashSlot{};
+  ehash_size_ -= 1;
   auto it = tcp_local_ports_.find(key.local.port);
   DVEMIG_ASSERT(it != tcp_local_ports_.end());
   if (--it->second == 0) tcp_local_ports_.erase(it);
 }
 
 std::shared_ptr<TcpSocket> SocketTable::ehash_lookup(const FourTuple& key) const {
-  const auto it = ehash_.find(key);
-  return it == ehash_.end() ? nullptr : it->second;
+  if (ehash_size_ == 0) return nullptr;
+  return ehash_[ehash_find(key)].sock;  // an empty slot holds a null socket
 }
 
 void SocketTable::bhash_insert(const std::shared_ptr<Socket>& sock, net::Port port) {
@@ -79,7 +115,9 @@ net::Port SocketTable::allocate_ephemeral_port(SocketType type) {
 void SocketTable::for_each_established(
     const std::function<void(const FourTuple&, const std::shared_ptr<TcpSocket>&)>&
         fn) const {
-  for (const auto& [key, sock] : ehash_) fn(key, sock);
+  for (const EhashSlot& slot : ehash_) {
+    if (slot.sock != nullptr) fn(slot.key, slot.sock);
+  }
 }
 
 void SocketTable::for_each_bound(

@@ -28,11 +28,18 @@ struct FourTuple {
   constexpr auto operator<=>(const FourTuple&) const = default;
 };
 
+/// Mixes all 96 bits of the 4-tuple into every bit of the result, so the low
+/// bits alone (the ehash index under a power-of-two mask) spread keys evenly.
 struct FourTupleHash {
-  std::size_t operator()(const FourTuple& t) const noexcept {
-    const std::uint64_t a = (std::uint64_t{t.local.addr.value} << 16) ^ t.local.port;
-    const std::uint64_t b = (std::uint64_t{t.remote.addr.value} << 16) ^ t.remote.port;
-    return std::hash<std::uint64_t>{}(a * 0x9E3779B97F4A7C15ULL ^ b);
+  std::uint64_t operator()(const FourTuple& t) const noexcept {
+    const std::uint64_t a = (std::uint64_t{t.local.addr.value} << 16) | t.local.port;
+    const std::uint64_t b = (std::uint64_t{t.remote.addr.value} << 16) | t.remote.port;
+    std::uint64_t x = a * 0x9E3779B97F4A7C15ULL ^ b;
+    x ^= x >> 33;  // MurmurHash3's fmix64 finalizer
+    x *= 0xFF51AFD7ED558CCDULL;
+    x ^= x >> 33;
+    x *= 0xC4CEB9FE1A85EC53ULL;
+    return x ^ (x >> 33);
   }
 };
 
@@ -43,7 +50,10 @@ class SocketTable {
   void ehash_insert(const std::shared_ptr<TcpSocket>& sock, const FourTuple& key);
   void ehash_remove(const FourTuple& key);
   std::shared_ptr<TcpSocket> ehash_lookup(const FourTuple& key) const;
-  std::size_t ehash_size() const { return ehash_.size(); }
+  std::size_t ehash_size() const { return ehash_size_; }
+  /// Slots in the open-addressed ehash array: 0 or a power of two at least twice
+  /// ehash_size().
+  std::size_t ehash_capacity() const { return ehash_.size(); }
 
   // --- bhash (bound: TCP listeners + UDP) ---
 
@@ -80,7 +90,23 @@ class SocketTable {
   std::size_t tcp_tracked_port_count() const { return tcp_local_ports_.size(); }
 
  private:
-  std::unordered_map<FourTuple, std::shared_ptr<TcpSocket>, FourTupleHash> ehash_;
+  // ehash is open-addressed with linear probing (DESIGN.md §12.7): a slot with a
+  // null socket is empty, the table grows at half load, and a removal shifts the
+  // rest of its cluster back, so there are no tombstones.
+  struct EhashSlot {
+    FourTuple key;
+    std::shared_ptr<TcpSocket> sock;
+  };
+
+  std::size_t ehash_home(const FourTuple& key) const {
+    return static_cast<std::size_t>(FourTupleHash{}(key)) & (ehash_.size() - 1);
+  }
+  /// The slot holding `key`, or the empty slot ending its probe; table non-empty.
+  std::size_t ehash_find(const FourTuple& key) const;
+  void ehash_grow();
+
+  std::vector<EhashSlot> ehash_;
+  std::size_t ehash_size_{0};
   std::unordered_map<net::Port, std::vector<std::shared_ptr<Socket>>> bhash_;
   std::unordered_map<net::Port, std::uint32_t> tcp_local_ports_;  // refcounts
   net::Port next_ephemeral_{49152};

@@ -571,7 +571,7 @@ void TcpSocket::unhash() {
   if (hashed_established_) stack_->table().ehash_remove(FourTuple{local_, remote_});
   if (hashed_bound_) stack_->table().bhash_remove(*this, local_.port);
   hashed_established_ = hashed_bound_ = false;
-  stack_->dst_cache_drop(sock_id_);
+  dst_cache_ = net::Ipv4Addr::any();
 }
 
 void TcpSocket::detach() {

@@ -53,7 +53,7 @@ void UdpSocket::close() {
 void UdpSocket::unhash() {
   if (hashed_bound_) stack_->table().bhash_remove(*this, local_.port);
   hashed_bound_ = false;
-  stack_->dst_cache_drop(sock_id_);
+  dst_cache_ = net::Ipv4Addr::any();
 }
 
 void UdpSocket::detach() {

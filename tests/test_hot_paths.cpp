@@ -1,11 +1,13 @@
 // Connection-scale hot paths (DESIGN.md §12): the capture/translation filter
-// indexes, the netfilter lazy prune, copy-on-write packet payloads, the
-// in-place serialization writer primitives, and the registry-reset-safe
-// metric handles. Each index also carries a property test against the
-// pre-index linear-scan semantics, modelled in filter_oracles.hpp.
+// indexes, the open-addressed ehash, the netfilter lazy prune, copy-on-write
+// packet payloads, the in-place serialization writer primitives, and the
+// registry-reset-safe metric handles. Each index also carries a property test
+// against a reference: the pre-index linear-scan semantics modelled in
+// filter_oracles.hpp, or an ordered std::map.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -28,6 +30,8 @@
 #include "src/net/switch.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/stack/net_stack.hpp"
+#include "src/stack/socket_table.hpp"
+#include "src/stack/tcp_socket.hpp"
 
 namespace dvemig::mig {
 namespace {
@@ -990,6 +994,134 @@ TEST(SocketChunkTest, TinyChunkLimitSplitsDumpWithoutChangingOutcome) {
             whole.freeze_socket_bytes +
                 sizeof(std::uint32_t) *
                     static_cast<std::uint64_t>(chunked_frames - whole_frames));
+}
+
+// --- ehash: open addressing against an ordered-map reference (DESIGN.md §12.7) ---
+
+using stack::FourTuple;
+using stack::SocketTable;
+using stack::TcpSocket;
+using EhashModel = std::map<FourTuple, std::shared_ptr<TcpSocket>>;
+
+/// Every observable of the table agrees with the reference: size, each key's
+/// lookup, the iteration set and the per-port refcounts (recounted).
+void expect_ehash_matches(const SocketTable& table, const EhashModel& ref) {
+  ASSERT_EQ(table.ehash_size(), ref.size());
+  const std::size_t cap = table.ehash_capacity();
+  EXPECT_TRUE(cap == 0 || (std::has_single_bit(cap) && cap >= 2 * ref.size())) << cap;
+  EhashModel visited;
+  table.for_each_established([&](const FourTuple& key, const auto& sock) {
+    EXPECT_TRUE(visited.emplace(key, sock).second) << "visited twice";
+  });
+  EXPECT_EQ(visited, ref);
+  std::map<net::Port, std::uint32_t> refs;
+  for (const auto& [key, sock] : ref) {
+    refs[key.local.port] += 1;
+    EXPECT_EQ(table.ehash_lookup(key), sock);
+  }
+  EXPECT_EQ(table.tcp_tracked_port_count(), refs.size());
+  for (const auto& [port, n] : refs) EXPECT_EQ(table.tcp_local_port_refs(port), n);
+}
+
+FourTuple ehash_key(std::uint32_t local_host, net::Port local_port, std::uint32_t remote_host,
+                    net::Port remote_port) {
+  return FourTuple{net::Endpoint{net::Ipv4Addr{0x0A000000u + local_host}, local_port},
+                   net::Endpoint{net::Ipv4Addr{0xC0A80000u + remote_host}, remote_port}};
+}
+
+TEST(SocketTableTest, PropertyOpenAddressingMatchesMapModel) {
+  sim::Engine engine;
+  NetStack host(engine, "host", SimTime::seconds(1));
+  std::vector<std::shared_ptr<TcpSocket>> pool;
+  for (int i = 0; i < 32; ++i) pool.push_back(host.make_tcp());
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SocketTable table;
+    EhashModel ref;
+    std::mt19937_64 rng(seed);
+    const auto below = [&](std::uint64_t n) { return rng() % n; };
+    // A small key space, so inserts hit existing keys and lookups hit and miss.
+    const auto random_key = [&] {
+      return ehash_key(static_cast<std::uint32_t>(below(2)),
+                       static_cast<net::Port>(below(2) == 0 ? 80 : 49152 + below(8)),
+                       static_cast<std::uint32_t>(below(64)),
+                       static_cast<net::Port>(1000 + below(64)));
+    };
+    // Grow across ten doublings or more (8 -> 8192+ slots), churn at size, then
+    // drain.
+    const std::pair<int, int> phases[] = {{6000, 90}, {6000, 50}, {9000, 0}};
+    for (const auto& [steps, insert_pct] : phases) {
+      for (int step = 0; step < steps; ++step) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " step " << step);
+        const FourTuple key = random_key();
+        if (below(100) < static_cast<std::uint64_t>(insert_pct)) {
+          if (ref.contains(key)) continue;
+          const auto& sock = pool[below(pool.size())];
+          table.ehash_insert(sock, key);
+          ref.emplace(key, sock);
+        } else if (!ref.empty() && below(4) != 0) {
+          auto it = ref.lower_bound(key);
+          if (it == ref.end()) it = ref.begin();
+          table.ehash_remove(it->first);
+          ref.erase(it);
+        } else {
+          const auto it = ref.find(key);
+          ASSERT_EQ(table.ehash_lookup(key), it == ref.end() ? nullptr : it->second);
+        }
+        if (step % 500 == 0) expect_ehash_matches(table, ref);
+      }
+      expect_ehash_matches(table, ref);
+      if (insert_pct == 90) {
+        EXPECT_GE(table.ehash_capacity(), 8192u);
+      }
+    }
+    for (auto it = ref.begin(); it != ref.end(); it = ref.erase(it)) {
+      table.ehash_remove(it->first);
+    }
+    expect_ehash_matches(table, ref);
+  }
+}
+
+TEST(SocketTableTest, CollidingClusterWrapsTheArrayEndAndSurvivesMidRemoval) {
+  sim::Engine engine;
+  NetStack host(engine, "host", SimTime::seconds(1));
+  const auto sock = host.make_tcp();
+  constexpr std::size_t kSlots = 16;
+  // Seven keys whose home is the last slot, so their cluster wraps to the
+  // front, and one key homed in the middle of that cluster.
+  std::vector<FourTuple> keys;
+  FourTuple homed_mid{};
+  for (net::Port port = 1000; keys.size() < 7 || homed_mid.local.port == 0; ++port) {
+    const FourTuple key = ehash_key(1, 80, 7, port);
+    const std::uint64_t home = stack::FourTupleHash{}(key) & (kSlots - 1);
+    if (home == kSlots - 1 && keys.size() < 7) keys.push_back(key);
+    if (home == 1 && homed_mid.local.port == 0) homed_mid = key;
+  }
+  keys.push_back(homed_mid);
+
+  SocketTable table;
+  EhashModel ref;
+  for (const FourTuple& key : keys) {
+    table.ehash_insert(sock, key);
+    ref.emplace(key, sock);
+  }
+  ASSERT_EQ(table.ehash_capacity(), kSlots);  // 8 keys: exactly half load
+  expect_ehash_matches(table, ref);
+  // Remove from the middle of the cluster, then its head, then the rest. The
+  // key homed at slot 1 goes last: once the cluster has shrunk back to slots
+  // 15 and 0, a removal there must leave it at its home, not shift it past.
+  for (const std::size_t i : {2u, 0u, 5u, 1u, 3u, 4u, 6u, 7u}) {
+    SCOPED_TRACE(testing::Message() << "removing key " << i);
+    table.ehash_remove(keys[i]);
+    ref.erase(keys[i]);
+    EXPECT_EQ(table.ehash_lookup(keys[i]), nullptr);
+    expect_ehash_matches(table, ref);
+  }
+}
+
+TEST(SocketTableTest, LookupInEmptyTableMisses) {
+  SocketTable table;
+  EXPECT_EQ(table.ehash_lookup(ehash_key(0, 80, 0, 1000)), nullptr);
+  EXPECT_EQ(table.ehash_capacity(), 0u);
 }
 
 }  // namespace

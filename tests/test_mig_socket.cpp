@@ -256,12 +256,12 @@ TEST(TranslationTest, DstCacheReplacedOnInstall) {
   auto [peer, mig_sock] = h.connect(h.c, h.a, kAddrA, 45000);
   peer->send(Buffer(10, 1));
   h.engine.run();
-  ASSERT_EQ(h.c.dst_cache_lookup(peer->sock_id()), kAddrA);
+  ASSERT_EQ(peer->dst_cache(), kAddrA);
 
   TranslationManager trans(h.c);
   trans.install(TranslationRule{net::IpProto::tcp, peer->local(), peer->remote(),
                                 kAddrB});
-  EXPECT_EQ(h.c.dst_cache_lookup(peer->sock_id()), kAddrB);
+  EXPECT_EQ(peer->dst_cache(), kAddrB);
 }
 
 TEST(TranslationTest, WithoutDstCacheFixFramesGoToOldNode) {

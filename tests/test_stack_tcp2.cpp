@@ -309,7 +309,7 @@ struct DetachAttach : ::testing::Test {
   void expect_detached(const NetStack& st, const Socket& s) {
     EXPECT_EQ(membership_of(st, s), Membership{});
     EXPECT_TRUE(s.migration_disabled());
-    EXPECT_EQ(st.dst_cache_lookup(s.sock_id()), net::Ipv4Addr::any());
+    EXPECT_EQ(s.dst_cache(), net::Ipv4Addr::any());
     if (s.type() == SocketType::tcp) {
       EXPECT_FALSE(static_cast<const TcpSocket&>(s).any_timer_pending());
     }

@@ -196,10 +196,10 @@ TEST(StackTest, DstCachePopulatedForConnectedSocketsAndSteersFrames) {
   auto client = h.a.make_udp();
   client->connect(net::Endpoint{kAddrB, 5000});  // connected: per-socket route
   client->send(Buffer{1});
-  EXPECT_EQ(h.a.dst_cache_lookup(client->sock_id()), kAddrB);
+  EXPECT_EQ(client->dst_cache(), kAddrB);
   h.engine.run();  // let the first (unowned) datagram drain away
   // Poison the cache: frames go to the cached hop, not the header destination.
-  h.a.dst_cache_replace(client->sock_id(), net::Ipv4Addr::octets(10, 0, 0, 99));
+  client->set_dst_cache(net::Ipv4Addr::octets(10, 0, 0, 99));
   auto server = h.b.make_udp();
   server->bind(kAddrB, 5000);
   client->send(Buffer{2});
