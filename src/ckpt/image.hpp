@@ -84,8 +84,10 @@ struct MemoryDelta {
     io.seq(d.added_areas);
     io.seq(d.removed_areas, [](Io& rio, auto& start) { rio.u64(start); });
     io.seq(d.modified_areas);
-    // Page payloads: the simulator stores no page contents, so a zero-filled
-    // page-sized payload per dirty page keeps the transfer size honest.
+    // Page payloads: the simulator stores no page contents, so each dirty
+    // page carries a page-sized zero fill that keeps the transfer size
+    // honest. The fill is one run from here to the destination's skip
+    // (DESIGN.md §12.8): sized and checksummed, never written out.
     io.seq(d.dirty_pages, [](Io& pio, auto& page) {
       pio.u64(page);
       pio.pad(proc::kPageSize, 0);

@@ -16,16 +16,17 @@
 #include <vector>
 
 #include "src/common/assert.hpp"
+#include "src/common/bytes.hpp"
 
 namespace dvemig {
 
-using Buffer = std::vector<std::uint8_t>;
-
-/// Appends fixed-width little-endian values to a growable buffer.
+/// Appends fixed-width little-endian values to a growable buffer. Fill
+/// (`fill`, `Put::pad`) is kept as runs beside the real bytes and leaves as
+/// runs of the Bytes that take_bytes() returns; buffer(), span_from() and
+/// take(), which hand out flat bytes, expand them.
 class BinaryWriter {
  public:
   BinaryWriter() = default;
-  explicit BinaryWriter(Buffer buf) : buf_(std::move(buf)) {}
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v) { append_le(v); }
@@ -40,9 +41,14 @@ class BinaryWriter {
   }
 
   void bytes(std::span<const std::uint8_t> data);
+  /// `data`'s real chunks copied, its runs kept as runs.
+  void append(const Bytes& data);
 
-  /// `n` copies of `v` (structure padding whose size, not content, is measured).
+  /// `n` copies of `v` (structure padding whose size, not content, is
+  /// measured), kept as a run.
   void fill(std::size_t n, std::uint8_t v);
+  /// `n` real copies of `v` (a message body its reader takes as bytes).
+  void repeat(std::size_t n, std::uint8_t v);
 
   /// Length-prefixed byte blob.
   void blob(std::span<const std::uint8_t> data) {
@@ -56,48 +62,73 @@ class BinaryWriter {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
-  std::size_t size() const { return buf_.size(); }
-  const Buffer& buffer() const { return buf_; }
-  Buffer take() { return std::move(buf_); }
+  std::size_t size() const { return buf_.size() + run_bytes_; }
+  /// Everything written, flat: expands the runs in place.
+  const Buffer& buffer() {
+    expand();
+    return buf_;
+  }
+  /// Everything written, flat (runs expanded); leaves the writer empty.
+  Buffer take() {
+    expand();
+    return std::move(buf_);
+  }
+  /// Everything written, runs kept; leaves the writer empty.
+  Bytes take_bytes();
 
-  /// Pre-size the backing buffer (the collective-subtraction path sizes the
-  /// unified transfer buffer from the previous round so a freeze-phase dump
-  /// never reallocates mid-serialization).
+  /// Pre-size the real bytes (fill runs take no space here).
   void reserve(std::size_t n) { buf_.reserve(n); }
 
   /// Drop the contents but keep the capacity, so one writer can be reused
   /// across precopy rounds without re-paying the allocation.
-  void clear() { buf_.clear(); }
+  void clear() {
+    buf_.clear();
+    runs_.clear();
+    run_bytes_ = 0;
+  }
 
   /// Current write position — take a mark before a section, then `patch_*` a
   /// placeholder at it or `truncate_to` it to roll the section back.
-  std::size_t mark() const { return buf_.size(); }
+  std::size_t mark() const { return size(); }
 
   /// Discard everything written at or after `pos` (e.g. a delta section that
   /// hashed identical to the previous round and need not go on the wire).
-  void truncate_to(std::size_t pos) {
-    DVEMIG_EXPECTS(pos <= buf_.size());
-    buf_.resize(pos);
-  }
+  void truncate_to(std::size_t pos);
 
   /// Overwrite previously written bytes in place — size prefixes and flag
   /// bytes are written blind up front and back-patched once known, so records
-  /// serialize straight into the final buffer with no intermediate copy.
+  /// serialize straight into the final buffer with no intermediate copy. The
+  /// patched bytes must be real bytes, not fill.
   void patch_u8(std::uint8_t v, std::size_t pos) {
-    DVEMIG_EXPECTS(pos + 1 <= buf_.size());
-    buf_[pos] = v;
+    buf_[real_at(pos, 1)] = v;
   }
   void patch_u32(std::uint32_t v, std::size_t pos) { patch_le(v, pos); }
   void patch_u64(std::uint64_t v, std::size_t pos) { patch_le(v, pos); }
 
-  /// View of the bytes written since `pos` (for hashing a section in place).
+  /// View of the bytes written since `pos`, flat: expands the runs in place.
   /// Aliases the backing buffer: invalidated by any subsequent write.
-  std::span<const std::uint8_t> span_from(std::size_t pos) const {
-    DVEMIG_EXPECTS(pos <= buf_.size());
+  std::span<const std::uint8_t> span_from(std::size_t pos) {
+    DVEMIG_EXPECTS(pos <= size());
+    expand();
     return std::span<const std::uint8_t>(buf_).subspan(pos);
   }
 
+  /// FNV-1a over the canonical form of the bytes written since `pos`: real
+  /// bytes as themselves, each run as its u64 length and fill byte. Equal
+  /// output of one field list hashes equal however long its runs are, and
+  /// no run is expanded.
+  std::uint64_t hash_from(std::size_t pos) const;
+
  private:
+  /// A run of `len` fill bytes at logical position `at`, which sits at
+  /// `real` in buf_ (so `at - real` fill bytes come before it).
+  struct Run {
+    std::size_t at{0};
+    std::size_t real{0};
+    std::size_t len{0};
+    std::uint8_t fill{0};
+  };
+
   template <typename T>
   void append_le(T v) {
     for (std::size_t i = 0; i < sizeof(T); ++i) {
@@ -107,24 +138,41 @@ class BinaryWriter {
 
   template <typename T>
   void patch_le(T v, std::size_t pos) {
-    DVEMIG_EXPECTS(pos + sizeof(T) <= buf_.size());
+    const std::size_t at = real_at(pos, sizeof(T));
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_[pos + i] = static_cast<std::uint8_t>(v >> (8 * i));
+      buf_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
   }
 
-  Buffer buf_;
+  /// The first run that ends after logical position `pos`.
+  std::vector<Run>::const_iterator run_after(std::size_t pos) const;
+  /// Index into buf_ of the `n` real bytes at logical position `pos`.
+  std::size_t real_at(std::size_t pos, std::size_t n) const;
+  /// Write the runs out into buf_.
+  void expand();
+
+  Buffer buf_;              // the real bytes, runs left out
+  std::vector<Run> runs_;   // ascending, never adjacent with one fill
+  std::size_t run_bytes_{0};
 };
 
-/// Reads values written by BinaryWriter. Out-of-bounds reads are contract violations:
-/// a checkpoint image that underflows is corrupt and continuing would fabricate state.
+/// Reads values written by BinaryWriter, from flat bytes or across the chunks
+/// of a Bytes value. Out-of-bounds reads are contract violations: a
+/// checkpoint image that underflows is corrupt and continuing would fabricate
+/// state.
 class BinaryReader {
  public:
-  explicit BinaryReader(std::span<const std::uint8_t> data) : data_(data) {}
+  explicit BinaryReader(std::span<const std::uint8_t> data)
+      : cur_(data.data()), avail_(data.size()), size_(data.size()) {}
+  explicit BinaryReader(const Buffer& data)
+      : BinaryReader(std::span<const std::uint8_t>(data)) {}
+  /// Reads `data` in place; it must outlive the reader.
+  explicit BinaryReader(const Bytes& data);
+  explicit BinaryReader(Bytes&&) = delete;
 
   std::uint8_t u8() {
-    DVEMIG_EXPECTS(pos_ + 1 <= data_.size());
-    return data_[pos_++];
+    DVEMIG_EXPECTS(pos_ + 1 <= size_);
+    return next_byte();
   }
   std::uint16_t u16() { return read_le<std::uint16_t>(); }
   std::uint32_t u32() { return read_le<std::uint32_t>(); }
@@ -148,39 +196,63 @@ class BinaryReader {
     return std::string(reinterpret_cast<const char*>(b.data()), b.size());
   }
 
-  /// View of the next `n` bytes without copying; advances the cursor. The view
-  /// aliases the reader's backing storage and must not outlive it.
-  std::span<const std::uint8_t> span(std::size_t n) {
-    DVEMIG_EXPECTS(pos_ + n <= data_.size());
-    auto out = data_.subspan(pos_, n);
-    pos_ += n;
-    return out;
-  }
+  /// View of the next `n` bytes; advances the cursor. Inside one real chunk
+  /// it aliases the reader's source, which it must not outlive; bytes that
+  /// cross chunks or cover fill are first copied into storage the reader
+  /// keeps (and the fill counted as materialized).
+  std::span<const std::uint8_t> span(std::size_t n);
 
-  /// Skip `n` bytes (e.g. page payloads whose content the simulator ignores).
-  void skip(std::size_t n) {
-    DVEMIG_EXPECTS(pos_ + n <= data_.size());
-    pos_ += n;
-  }
+  /// The next `n` bytes as a value of their own, sharing the source's blocks
+  /// (fill stays runs); advances the cursor. From flat bytes, a copy.
+  Bytes bytes(std::size_t n);
 
-  std::size_t remaining() const { return data_.size() - pos_; }
-  bool at_end() const { return pos_ == data_.size(); }
+  /// Skip `n` bytes (e.g. page payloads whose content the simulator ignores);
+  /// a run is passed over without being expanded.
+  void skip(std::size_t n);
+
+  std::size_t remaining() const { return size_ - pos_; }
+  bool at_end() const { return pos_ == size_; }
   std::size_t position() const { return pos_; }
 
  private:
   template <typename T>
   T read_le() {
-    DVEMIG_EXPECTS(pos_ + sizeof(T) <= data_.size());
+    DVEMIG_EXPECTS(pos_ + sizeof(T) <= size_);
     T v{};
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(static_cast<T>(data_[pos_ + i]) << (8 * i));
+    if (cur_ != nullptr && avail_ >= sizeof(T)) {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        v |= static_cast<T>(static_cast<T>(cur_[i]) << (8 * i));
+      }
+      cur_ += sizeof(T);
+      avail_ -= sizeof(T);
+      pos_ += sizeof(T);
+      return v;
     }
-    pos_ += sizeof(T);
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(static_cast<T>(next_byte()) << (8 * i));
+    }
     return v;
   }
 
-  std::span<const std::uint8_t> data_;
+  std::uint8_t next_byte() {
+    if (avail_ == 0) load_next();
+    avail_ -= 1;
+    pos_ += 1;
+    return cur_ != nullptr ? *cur_++ : fill_;
+  }
+  /// Make chunk `k` of src_ the current one.
+  void load(std::size_t k);
+  void load_next() { load(chunk_ + 1); }
+
+  // The current chunk: real bytes at cur_, or (cur_ null) a run of fill_.
+  const std::uint8_t* cur_{nullptr};
+  std::size_t avail_{0};  // bytes left in the current chunk
+  std::uint8_t fill_{0};
+  const Bytes* src_{nullptr};  // null when reading flat bytes
+  std::size_t chunk_{0};       // index of the current chunk in src_
   std::size_t pos_{0};
+  std::size_t size_{0};
+  std::vector<Buffer> copies_;  // flat copies span() handed out
 };
 
 // ------------------------------------------------------------ field lists
@@ -203,7 +275,8 @@ class BinaryReader {
 //  - integers are fixed-width little-endian; a member of another integral or
 //    enum type (a size_t, an IpProto) converts with static_cast;
 //  - `boolean` is one byte, written 0/1 and read as != 0;
-//  - `pad(n, fill)` is n fill bytes on write and n skipped bytes on read;
+//  - `pad(n, fill)` is n fill bytes on write (one run, never expanded) and n
+//    skipped bytes on read;
 //  - `seq` is a u32 count, then the elements; a map's keys go out ascending
 //    and must come back strictly ascending; a read nests at most
 //    Get::kMaxSeqDepth sequences.
@@ -224,6 +297,10 @@ class Put {
   void boolean(bool v) { w_.u8(v ? 1 : 0); }
   void str(const std::string& s) { w_.str(s); }
   void blob(const Buffer& b) { w_.blob(b); }
+  void blob(const Bytes& b) {
+    w_.u32(static_cast<std::uint32_t>(b.size()));
+    w_.append(b);
+  }
   void pad(std::size_t n, std::uint8_t fill) { w_.fill(n, fill); }
 
   /// A nested record: its own field list, inline.
@@ -242,11 +319,14 @@ class Put {
 };
 
 /// Put's counting twin: `size_of(rec)` is the exact length `put(w, rec)`
-/// appends, so a writer can be sized once before a multi-megabyte record
-/// (a page delta) instead of growing by doubling.
+/// appends, and `bytes() - fill_bytes()` bounds the real bytes among them,
+/// so a writer can be sized once before a multi-megabyte record (a page
+/// delta) instead of growing by doubling.
 class Size {
  public:
   std::size_t bytes() const { return n_; }
+  /// The bytes that `pad` adds, which a writer keeps as runs.
+  std::size_t fill_bytes() const { return fill_; }
 
   template <class T> void u8(const T&) { n_ += 1; }
   template <class T> void u16(const T&) { n_ += 2; }
@@ -258,7 +338,11 @@ class Size {
   void boolean(bool) { n_ += 1; }
   void str(const std::string& s) { n_ += 4 + s.size(); }
   void blob(const Buffer& b) { n_ += 4 + b.size(); }
-  void pad(std::size_t n, std::uint8_t /*fill*/) { n_ += n; }
+  void blob(const Bytes& b) { n_ += 4 + b.size(); }
+  void pad(std::size_t n, std::uint8_t /*fill*/) {
+    n_ += n;
+    fill_ += n;
+  }
 
   template <class R> void rec(const R& r) { R::fields(*this, r); }
 
@@ -272,6 +356,7 @@ class Size {
 
  private:
   std::size_t n_{0};
+  std::size_t fill_{0};
 };
 
 class Get {
@@ -305,6 +390,13 @@ class Get {
     const auto v = sized();
     b.assign(v.begin(), v.end());
   }
+  /// The blob's bytes shared with the reader's source, runs kept.
+  void blob(Bytes& b) {
+    std::uint32_t n = 0;
+    u32(n);
+    b = fits(n) ? r_.bytes(n) : Bytes{};
+  }
+  /// Skipped, a run without being expanded.
   void pad(std::size_t n, std::uint8_t /*fill*/) { if (fits(n)) r_.skip(n); }
 
   template <class R> void rec(R& r) { R::fields(*this, r); }

@@ -36,8 +36,9 @@ void UdpGameClient::stop() {
 
 void UdpGameClient::send_command() {
   BinaryWriter w;
+  w.reserve(4 + 48);
   w.u32(static_cast<std::uint32_t>(commands_sent_));
-  w.bytes(Buffer(48, 0x7E));  // usercmd-sized payload
+  w.repeat(48, 0x7E);  // usercmd-sized payload
   sock_->send(w.take());
   commands_sent_ += 1;
   cmd_timer_ = host_->stack().engine().schedule_after(cmd_period_,

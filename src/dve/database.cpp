@@ -50,9 +50,11 @@ void DatabaseServer::Session::process() {
         server->config_.processing_delay,
         [self = shared_from_this()] {
           if (self->sock->state() != stack::TcpState::established) return;
+          const std::size_t body = self->server->config_.response_bytes;
           BinaryWriter w;
-          w.u32(static_cast<std::uint32_t>(self->server->config_.response_bytes));
-          w.bytes(Buffer(self->server->config_.response_bytes, 0x42));
+          w.reserve(4 + body);
+          w.u32(static_cast<std::uint32_t>(body));
+          w.repeat(body, 0x42);
           self->sock->send(w.take());
         });
   }

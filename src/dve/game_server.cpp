@@ -91,8 +91,9 @@ void GameServerApp::tick() {
   snapshot_seq_ += 1;
   for (const ClientEntry& c : clients_) {
     BinaryWriter w;
+    w.reserve(cfg_.snapshot_bytes);
     w.u32(snapshot_seq_);
-    w.bytes(Buffer(cfg_.snapshot_bytes - 4, 0x3C));
+    w.repeat(cfg_.snapshot_bytes - 4, 0x3C);
     udp().send_to(c.endpoint, w.take());
     snapshots_sent_ += 1;
   }

@@ -168,9 +168,10 @@ void ZoneServerApp::tick() {
       (void)sock.read();
       socket_reads_.get().add(1);
       BinaryWriter w;
+      w.reserve(cfg_.update_bytes);
       w.u32(static_cast<std::uint32_t>(cfg_.update_bytes - 4));
       w.u32(update_seq_);
-      w.bytes(Buffer(cfg_.update_bytes - 8, 0x5A));
+      w.repeat(cfg_.update_bytes - 8, 0x5A);
       sock.send(w.take());
       sock.unlock_user();
       updates_sent_ += 1;
@@ -202,8 +203,9 @@ void ZoneServerApp::db_update() {
   if (db.state() == stack::TcpState::established ||
       db.state() == stack::TcpState::syn_sent) {
     BinaryWriter w;
+    w.reserve(4 + cfg_.db_query_bytes);
     w.u32(static_cast<std::uint32_t>(cfg_.db_query_bytes));
-    w.bytes(Buffer(cfg_.db_query_bytes, 0x51));
+    w.repeat(cfg_.db_query_bytes, 0x51);
     db.send(w.take());
     db_queries_sent_ += 1;
   }

@@ -10,8 +10,9 @@ namespace dvemig::mig {
 // the unified transfer buffer (the paper's "one buffer, one transfer"
 // collective design, DESIGN.md §12): the record header is written blind with
 // a zero flags placeholder, each section is serialized at the buffer tail and
-// hashed *in place*, and a section that turns out unchanged is rolled back
-// with truncate_to. No per-section scratch writers, no second copy.
+// hashed *in place* (its struct pads as runs, never expanded), and a section
+// that turns out unchanged is rolled back with truncate_to. No per-section
+// scratch writers, no second copy.
 
 namespace {
 
@@ -55,7 +56,7 @@ SectionFlags SocketDeltaTracker::emit(net::IpProto proto, const Image& img,
         e.hash[static_cast<std::size_t>(std::countr_zero(static_cast<unsigned>(bit)))];
     const std::size_t at = out.mark();
     fields(io, img);
-    const std::uint64_t h = fnv1a(out.span_from(at));
+    const std::uint64_t h = out.hash_from(at);
     if (keep_all || h != stored_hash) {
       flags = flags | bit;
     } else {

@@ -124,7 +124,7 @@ class Migd::DestSession : public Session<Migd::DestSession> {
         if (!ok || records != n) return teardown("malformed socket_state", true);
         BinaryWriter w;
         w.u32(n);
-        transport_->send(MsgType::socket_ack, w.buffer());
+        transport_->send(MsgType::socket_ack, w.take());
         return;
       }
       case MsgType::memory_delta: {
@@ -229,7 +229,7 @@ class Migd::DestSession : public Session<Migd::DestSession> {
     w.i64(engine().now().ns);
     w.u64(captured);
     w.u64(reinjected);
-    const Buffer done_payload = w.take();
+    const Bytes done_payload = w.take();
     transport_->send(MsgType::resume_done, done_payload);
     if (mutation() == ProtocolMutation::double_resume_done) {
       transport_->send(MsgType::resume_done, done_payload);

@@ -37,7 +37,7 @@ FrameChannel::~FrameChannel() {
   if (observer_) observer_->on_channel_closed(*this);
 }
 
-void FrameChannel::send(MsgType type, std::span<const std::uint8_t> payload) {
+void FrameChannel::send(MsgType type, Bytes payload) {
   // A poisoned receive side (fail_rx) must NOT block sending: answering
   // garbage with mig_abort is exactly how the migd fails fast. Only the
   // socket's state gates transmission — a killed channel aborted its socket,
@@ -67,19 +67,20 @@ void FrameChannel::send(MsgType type, std::span<const std::uint8_t> payload) {
   for (int i = 0; i < copies; ++i) {
     if (observer_) observer_->on_channel_frame(*this, /*outbound=*/true, type,
                                                payload.size());
-    BinaryWriter frame;
-    frame.reserve(payload.size() + 5);  // one allocation per frame
-    frame.u32(static_cast<std::uint32_t>(payload.size() + 1));
-    frame.u8(static_cast<std::uint8_t>(type));
-    frame.bytes(payload);
+    BinaryWriter header;
+    header.reserve(5);
+    header.u32(static_cast<std::uint32_t>(payload.size() + 1));
+    header.u8(static_cast<std::uint8_t>(type));
+    Bytes frame = header.take();
+    frame.append(payload);
     bytes_sent_ += frame.size();
-    sock_->send(frame.take());
+    sock_->send(std::move(frame));
   }
 }
 
 void FrameChannel::fail_rx(const char* reason) {
   errored_ = true;
-  rx_buffer_.clear();
+  rx_ = Bytes{};
   // Stop listening: anything after a framing error is unparseable noise.
   sock_->set_on_readable(nullptr);
   if (observer_) observer_->on_channel_error(*this, reason);
@@ -88,30 +89,29 @@ void FrameChannel::fail_rx(const char* reason) {
 
 void FrameChannel::on_readable() {
   if (errored_) return;
-  Buffer chunk = sock_->read();
-  rx_buffer_.insert(rx_buffer_.end(), chunk.begin(), chunk.end());
+  rx_.append(sock_->read_bytes());
 
+  // Frames are sliced out of rx_, sharing its chunks; rx_ drops them after.
+  BinaryReader in(rx_);
   std::size_t off = 0;
-  while (rx_buffer_.size() - off >= 4) {
-    BinaryReader len_reader({rx_buffer_.data() + off, 4});
-    const std::uint32_t len = len_reader.u32();
+  while (in.remaining() >= 4) {
+    const std::uint32_t len = in.u32();
     if (len == 0) return fail_rx("zero-length frame");
     if (len > kMaxFrameLen) return fail_rx("frame length exceeds cap");
-    if (rx_buffer_.size() - off - 4 < len) break;  // incomplete frame
-    BinaryReader body({rx_buffer_.data() + off + 4, len});
+    if (in.remaining() < len) break;  // incomplete frame
+    const Bytes frame = in.bytes(len);
+    off = in.position();
+    BinaryReader body(frame);
     const std::uint8_t raw_type = body.u8();
     if (!msg_type_valid(raw_type)) return fail_rx("unknown frame type");
     const auto type = static_cast<MsgType>(raw_type);
-    off += 4 + len;
     if (observer_) {
       observer_->on_channel_frame(*this, /*outbound=*/false, type, len - 1);
     }
     if (on_frame_) on_frame_(type, body);
     if (errored_) return;  // the frame callback tore the channel down
   }
-  if (off > 0) {
-    rx_buffer_.erase(rx_buffer_.begin(), rx_buffer_.begin() + static_cast<std::ptrdiff_t>(off));
-  }
+  rx_.remove_prefix(off);
 }
 
 // ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ StripeSender::StripeSender(std::vector<FrameChannel*> channels, std::uint64_t mi
     if (i == 0) continue;  // the primary channel already spoke mig_begin
     BinaryWriter hello;
     put(hello, StripeHello{mig_id, static_cast<std::uint8_t>(i)});
-    channels_[i]->send(MsgType::stripe_hello, hello.buffer());
+    channels_[i]->send(MsgType::stripe_hello, hello.take());
   }
 }
 
@@ -139,21 +139,23 @@ void StripeSender::detach_callbacks() {
   on_all_drained_ = nullptr;
 }
 
-void StripeSender::send(MsgType inner, std::span<const std::uint8_t> payload) {
+void StripeSender::send(MsgType inner, const Bytes& payload) {
   DVEMIG_EXPECTS(payload.size() < kMaxFrameLen);
   FrameChannel::notify_frame(*channels_[0], /*outbound=*/true, inner, payload.size());
   const std::uint64_t seq = next_seq_++;
   const auto total = static_cast<std::uint32_t>(payload.size());
+  BinaryReader cut(payload);
   std::uint32_t off = 0;
   std::size_t ch = 0;
   // An empty payload still travels as one (empty) segment so the sequence
   // number is consumed and the peer delivers the frame.
   do {
     const std::uint32_t chunk = std::min(kStripeChunkBytes, total - off);
-    BinaryWriter seg;
-    put(seg, StripeSegHeader{seq, static_cast<std::uint8_t>(inner), total, off});
-    seg.bytes(std::span<const std::uint8_t>(payload.data() + off, chunk));
-    queues_[ch].push_back(seg.take());
+    BinaryWriter header;
+    put(header, StripeSegHeader{seq, static_cast<std::uint8_t>(inner), total, off});
+    Bytes seg = header.take();
+    seg.append(cut.bytes(chunk));
+    queues_[ch].push_back(std::move(seg));
     ch = (ch + 1) % channels_.size();
     off += chunk;
   } while (off < total);
@@ -164,12 +166,12 @@ void StripeSender::send(MsgType inner, std::span<const std::uint8_t> payload) {
 void StripeSender::pump(std::size_t channel) {
   auto& q = queues_[channel];
   while (in_flight_[channel] < kStripePipelineDepth && !q.empty()) {
-    Buffer seg = std::move(q.front());
+    Bytes seg = std::move(q.front());
     q.pop_front();
     in_flight_[channel] += 1;
     segments_ += 1;
     segment_bytes_ += seg.size();
-    channels_[channel]->send(MsgType::stripe_seg, seg);
+    channels_[channel]->send(MsgType::stripe_seg, std::move(seg));
   }
 }
 
@@ -231,18 +233,16 @@ void StripeReassembler::on_segment(BinaryReader& r) {
     if (pending_.size() >= kMaxPendingStripeFrames) {
       return fail("stripe reassembly backlog");
     }
-    // `total` was bounds-checked against kMaxFrameLen above.
     PendingFrame fresh;
     fresh.type = inner;
     fresh.total = total;
-    fresh.data = Buffer(total);
     it = pending_.emplace(seq, std::move(fresh)).first;
   }
   PendingFrame& p = it->second;
   if (p.type != inner || p.total != total) {
     return fail("stripe segments disagree on frame header");
   }
-  auto [slot, inserted] = p.chunks.emplace(offset, chunk_len);
+  auto [slot, inserted] = p.chunks.try_emplace(offset, r.bytes(chunk_len));
   if (!inserted) return fail("duplicate stripe segment");
   if (auto next = std::next(slot);
       next != p.chunks.end() && offset + chunk_len > next->first) {
@@ -250,11 +250,10 @@ void StripeReassembler::on_segment(BinaryReader& r) {
   }
   if (slot != p.chunks.begin()) {
     auto prev = std::prev(slot);
-    if (prev->first + prev->second > offset) return fail("overlapping stripe segments");
+    if (prev->first + prev->second.size() > offset) {
+      return fail("overlapping stripe segments");
+    }
   }
-  const auto chunk = r.span(chunk_len);
-  std::copy(chunk.begin(), chunk.end(),
-            p.data.begin() + static_cast<std::ptrdiff_t>(offset));
   p.received += chunk_len;
 
   // Deliver every complete frame at the head of the sequence. The deliver
@@ -268,7 +267,9 @@ void StripeReassembler::on_segment(BinaryReader& r) {
     pending_.erase(head);
     next_deliver_ += 1;
     delivered_ += 1;
-    BinaryReader body({done.data.data(), done.data.size()});
+    Bytes frame;
+    for (auto& [at, chunk] : done.chunks) frame.append(std::move(chunk));
+    BinaryReader body(frame);
     deliver_(static_cast<MsgType>(done.type), body);
     if (!*alive || errored_) return;
   }

@@ -12,7 +12,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -193,10 +192,10 @@ class FrameChannel {
   /// Invoked (at most once) when the receive stream is malformed.
   void set_on_error(ErrorFn fn) { on_error_ = std::move(fn); }
 
-  /// The payload is copied into the frame before returning; callers may reuse
-  /// (or let die) the backing storage immediately.
-  void send(MsgType type, std::span<const std::uint8_t> payload);
-  void send(MsgType type, BinaryWriter&& payload) { send(type, payload.buffer()); }
+  /// The 5-byte frame header goes in front of `payload` as a chunk of its
+  /// own; the payload's bytes are not copied.
+  void send(MsgType type, Bytes payload);
+  void send(MsgType type, BinaryWriter&& payload) { send(type, payload.take_bytes()); }
 
   stack::TcpSocket& socket() { return *sock_; }
 
@@ -212,7 +211,7 @@ class FrameChannel {
   static inline FaultHook* fault_hook_ = nullptr;
 
   stack::TcpSocket::Ptr sock_;
-  Buffer rx_buffer_;
+  Bytes rx_;  // received bytes not yet parsed into frames
   FrameFn on_frame_;
   ErrorFn on_error_;
   std::uint64_t bytes_sent_{0};
@@ -245,9 +244,10 @@ class StripeSender {
   StripeSender& operator=(const StripeSender&) = delete;
   ~StripeSender();
 
-  /// Queue one logical frame for striped transfer. Reported to the protocol
-  /// observer as an outbound logical frame on the primary channel.
-  void send(MsgType inner, std::span<const std::uint8_t> payload);
+  /// Queue one logical frame for striped transfer, cut into segments that
+  /// share its bytes. Reported to the protocol observer as an outbound
+  /// logical frame on the primary channel.
+  void send(MsgType inner, const Bytes& payload);
 
   /// Invoke `fn` once every queue is empty and every channel socket has fully
   /// drained (all segments ACKed). One waiter at most; replaces any previous.
@@ -265,7 +265,7 @@ class StripeSender {
   void check_drained();
 
   std::vector<FrameChannel*> channels_;
-  std::vector<std::deque<Buffer>> queues_;   // pre-built stripe_seg payloads
+  std::vector<std::deque<Bytes>> queues_;    // stripe_seg payloads, not yet sent
   std::vector<int> in_flight_;               // segments sent since last drain
   std::function<void()> on_all_drained_;
   std::uint64_t next_seq_{0};
@@ -309,9 +309,8 @@ class StripeReassembler {
   struct PendingFrame {
     std::uint8_t type{0};
     std::uint32_t total{0};
-    Buffer data;
     std::uint64_t received{0};
-    std::map<std::uint32_t, std::uint32_t> chunks;  // offset -> length
+    std::map<std::uint32_t, Bytes> chunks;  // by offset; joined on completion
   };
 
   void fail(const char* reason);

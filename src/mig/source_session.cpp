@@ -16,20 +16,21 @@ namespace dvemig::mig {
 namespace {
 
 /// Capacity hint per socket when pre-reserving the unified buffer for a full
-/// dump (struct pads dominate: ~2.9 KB TCP + queues; generous is fine, the
-/// buffer is recycled).
-constexpr std::size_t kFullDumpReserveBytes = 4096;
+/// dump: the real bytes of a TCP record with a short queue (its ~2.9 KB of
+/// struct pads are fill runs and take no buffer space).
+constexpr std::size_t kFullDumpReserveBytes = 256;
 
-/// `rec`'s encoding in a buffer sized once: a page delta is ~100 MiB of
-/// page records, which a writer growing by doubling would fault in twice.
+/// `rec`'s encoding in a writer whose real bytes are sized once: a page
+/// delta's 8-byte page numbers are real, its 4 KiB page payloads fill runs.
 template <class R>
-Buffer encode_sized(const R& rec) {
-  const std::size_t reserved = size_of(rec);
+Bytes encode_sized(const R& rec) {
+  Size size;
+  size.rec(rec);
   BinaryWriter w;
-  w.reserve(reserved);
+  w.reserve(size.bytes() - size.fill_bytes());
   put(w, rec);
-  DVEMIG_ASSERT(w.size() == reserved);
-  return w.take();
+  DVEMIG_ASSERT(w.size() == size.bytes());
+  return w.take_bytes();
 }
 
 /// The unified socket_state buffer, cut into self-contained frames at record
@@ -39,11 +40,7 @@ Buffer encode_sized(const R& rec) {
 /// chunk — the common case — is byte-for-byte the pre-chunking single frame.
 class SockStateChunks {
  public:
-  SockStateChunks(Buffer spare, std::size_t limit)
-      : buf_(std::move(spare)), limit_(limit) {
-    buf_.clear();
-    open();
-  }
+  explicit SockStateChunks(std::size_t limit) : limit_(limit) { open(); }
 
   BinaryWriter& writer() { return buf_; }
   void reserve(std::size_t n) { buf_.reserve(n); }
@@ -82,7 +79,7 @@ class SockStateChunks {
     buf_.patch_u32(open_records_, starts_.back());
   }
 
-  Buffer take() { return buf_.take(); }
+  Bytes take() { return buf_.take_bytes(); }
 
  private:
   void open() {
@@ -315,10 +312,9 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
 
   // ---------------- socket dumps ----------------
 
-  /// A fresh unified socket_state buffer on the recycled allocation.
+  /// A fresh unified socket_state buffer.
   SockStateChunks open_dump() {
-    return SockStateChunks(std::move(sock_spare_),
-                           static_cast<std::size_t>(cm().socket_chunk_bytes));
+    return SockStateChunks(static_cast<std::size_t>(cm().socket_chunk_bytes));
   }
 
   /// Serialize one socket's record into `chunks`. `force_all` distinguishes
@@ -338,18 +334,12 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
   }
 
   /// Close a dump and ship it as socket_state frames, one per chunk, adding
-  /// its wire bytes to `stat`; an empty dump sends nothing. The allocation
-  /// goes back to sock_spare_ for the next dump.
+  /// its wire bytes to `stat`; an empty dump sends nothing.
   void send_dump(SockStateChunks& chunks, std::uint64_t& stat) {
-    if (chunks.total_records() > 0) {
-      chunks.finish();
-      stat += chunks.wire_bytes();
-      sock_spare_ = transport_->send(MsgType::socket_state, chunks.take(),
-                                     chunks.starts());
-    } else {
-      sock_spare_ = chunks.take();
-    }
-    sock_spare_.clear();  // keep only the capacity
+    if (chunks.total_records() == 0) return;
+    chunks.finish();
+    stat += chunks.wire_bytes();
+    transport_->send(MsgType::socket_state, chunks.take(), chunks.starts());
   }
 
   // ---------------- precopy ----------------
@@ -598,9 +588,8 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
     // The unified transfer buffer — the paper's "one buffer, one transfer"
     // collective design, literally: every socket serializes straight into it
     // (no per-socket intermediates), behind a record-count prefix that is
-    // back-patched before send. The allocation is recycled from the precopy
-    // rounds, and full dumps pre-reserve so a 10^5-socket freeze never
-    // reallocates mid-serialization.
+    // back-patched before send. Full dumps pre-reserve so a 10^5-socket
+    // freeze never reallocates mid-serialization.
     SockStateChunks chunks = open_dump();
     if (!incremental) {
       chunks.reserve(sizeof(std::uint32_t) + (end - begin) * kFullDumpReserveBytes);
@@ -732,10 +721,6 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
 
   ckpt::DirtyTracker mem_tracker_;
   SocketDeltaTracker sock_tracker_;
-  // Recycled allocation for the unified socket_state buffer: each precopy
-  // round / freeze dump takes it, serializes in place, and puts the (cleared)
-  // storage back once the transport has copied the frame out.
-  Buffer sock_spare_;
   std::int64_t loop_timeout_ns_{0};
 
   std::vector<MigSocket> sockets_;

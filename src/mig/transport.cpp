@@ -62,27 +62,27 @@ void SourceTransport::on_stripe_connected() {
   if (on_drained_) stripes_->when_drained(std::exchange(on_drained_, nullptr));
 }
 
-Buffer SourceTransport::send(MsgType type, Buffer payload,
-                             std::span<const std::size_t> starts) {
-  static constexpr std::size_t kWhole[] = {0};
-  if (starts.empty()) starts = kWhole;
-  const std::span<const std::uint8_t> all(payload);
-  for (std::size_t i = 0; i < starts.size(); ++i) {
-    const std::size_t end = i + 1 < starts.size() ? starts[i + 1] : all.size();
-    const auto frame = all.subspan(starts[i], end - starts[i]);
+void SourceTransport::send(MsgType type, Bytes payload, std::span<const std::size_t> starts) {
+  const auto send_frame = [this, type](Bytes frame) {
     logical_bytes_ += frame.size() + 5;
     if (stripes_) {
       stripes_->send(type, frame);
     } else if (stripe_socks_.empty()) {
-      primary_->send(type, frame);
-    } else if (starts.size() == 1) {
-      pending_.emplace_back(type, std::move(payload));
-      return {};
+      primary_->send(type, std::move(frame));
     } else {
-      pending_.emplace_back(type, Buffer(frame.begin(), frame.end()));
+      pending_.emplace_back(type, std::move(frame));
     }
+  };
+  if (starts.size() <= 1) {
+    DVEMIG_EXPECTS(starts.empty() || starts[0] == 0);
+    return send_frame(std::move(payload));
   }
-  return payload;
+  BinaryReader cut(payload);
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    const std::size_t end = i + 1 < starts.size() ? starts[i + 1] : payload.size();
+    cut.skip(starts[i] - cut.position());
+    send_frame(cut.bytes(end - starts[i]));
+  }
 }
 
 void SourceTransport::when_drained(std::function<void()> fn) {
@@ -197,9 +197,9 @@ void DestTransport::open(std::unique_ptr<FrameChannel> primary, int stripe_count
       return fail("stripe index past stripe count", /*notify_peer=*/true);
     }
   }
-  for (const Buffer& seg : std::exchange(parked_, {})) {
+  for (const Bytes& seg : std::exchange(parked_, {})) {
     if (state_ != State::receiving) break;
-    BinaryReader r({seg.data(), seg.size()});
+    BinaryReader r(seg);
     on_segment(r);
   }
 }
@@ -224,8 +224,7 @@ void DestTransport::on_stripe_frame(Stripe& s, MsgType type, BinaryReader& r) {
   if (parked_.size() >= kMaxParkedSegments) {
     return end_stripe(s, "stripe segment backlog before mig_begin", /*notify_peer=*/false);
   }
-  const auto rest = r.span(r.remaining());
-  parked_.emplace_back(rest.begin(), rest.end());
+  parked_.push_back(r.bytes(r.remaining()));
 }
 
 void DestTransport::on_segment(BinaryReader& r) {
@@ -247,8 +246,8 @@ void DestTransport::end_stripe(Stripe& s, const char* why, bool notify_peer) {
   });
 }
 
-void DestTransport::send(MsgType type, std::span<const std::uint8_t> payload) {
-  if (primary_) primary_->send(type, payload);
+void DestTransport::send(MsgType type, Bytes payload) {
+  if (primary_) primary_->send(type, std::move(payload));
 }
 
 void DestTransport::stop_receiving() {

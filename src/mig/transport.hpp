@@ -50,10 +50,9 @@ class SourceTransport {
                     std::uint32_t obs_track);
 
   /// Send `payload` as one logical frame per slice [starts[i], starts[i+1])
-  /// — one frame for the whole buffer when `starts` is empty. Returns the
-  /// buffer for reuse once its bytes are copied out; a whole-buffer frame
-  /// queued while the stripes connect keeps it, and the return is empty.
-  Buffer send(MsgType type, Buffer payload, std::span<const std::size_t> starts = {});
+  /// — one frame for the whole payload when `starts` is empty. The frames
+  /// share the payload's bytes.
+  void send(MsgType type, Bytes payload, std::span<const std::size_t> starts = {});
 
   /// Invoke `fn` once every frame sent so far has left the send queues and
   /// been ACKed. One waiter at most; replaces any previous.
@@ -81,7 +80,7 @@ class SourceTransport {
   std::vector<std::unique_ptr<FrameChannel>> stripe_channels_;
   // Declared after the channels it references so destruction detaches it first.
   std::unique_ptr<StripeSender> stripes_;
-  std::vector<std::pair<MsgType, Buffer>> pending_;  // sent before the stripes are up
+  std::vector<std::pair<MsgType, Bytes>> pending_;  // sent before the stripes are up
   std::function<void()> on_drained_;
   std::uint64_t mig_id_{0};
   std::uint64_t logical_bytes_{0};
@@ -122,7 +121,7 @@ class DestTransport : public std::enable_shared_from_this<DestTransport> {
             FrameChannel::FrameFn deliver, FailFn on_fail);
 
   /// Reply on the primary channel.
-  void send(MsgType type, std::span<const std::uint8_t> payload);
+  void send(MsgType type, Bytes payload);
   /// The migration ended on this side: drop every later frame.
   void stop_receiving();
   /// After a commit the source's FIN is the normal end of the primary
@@ -159,7 +158,7 @@ class DestTransport : public std::enable_shared_from_this<DestTransport> {
   int stripe_count_{1};
   std::unique_ptr<FrameChannel> primary_;
   std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::vector<Buffer> parked_;
+  std::vector<Bytes> parked_;
   std::unique_ptr<StripeReassembler> reasm_;
   FrameChannel::FrameFn deliver_;
   FailFn fail_;

@@ -48,6 +48,15 @@ std::uint32_t checksum_accumulate(std::span<const std::uint8_t> data, std::uint3
   return fold16(std::uint64_t{folded} + sum);
 }
 
+std::uint32_t checksum_accumulate_run(std::size_t n, std::uint8_t fill, std::uint32_t sum) {
+  // At most 2^63 words of at most 0xFFFF: fold the count first so the product
+  // cannot wrap.
+  const std::uint64_t words = fold16(n / 2);
+  std::uint64_t acc = words * (std::uint64_t{fill} * 0x0101);
+  if (n % 2 != 0) acc += std::uint64_t{fill} << 8;
+  return fold16(fold16(acc) + std::uint64_t{sum});
+}
+
 std::uint16_t fold_checksum(std::uint32_t sum) {
   return static_cast<std::uint16_t>(~fold16(sum) & 0xFFFF);
 }

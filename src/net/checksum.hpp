@@ -2,6 +2,7 @@
 // used by the in-cluster translation filter when it rewrites an IP address.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -17,6 +18,10 @@ std::uint16_t fold_checksum(std::uint32_t sum);
 /// zero), to the running ones'-complement sum `sum`; returns the sum folded to
 /// 16 bits. The only summing loop in the tree: it adds 8 bytes per step.
 std::uint32_t checksum_accumulate(std::span<const std::uint8_t> data, std::uint32_t sum);
+
+/// checksum_accumulate over `n` copies of `fill`, in O(1): n/2 words of
+/// fill * 0x0101, plus `fill` in a high byte when n is odd.
+std::uint32_t checksum_accumulate_run(std::size_t n, std::uint8_t fill, std::uint32_t sum);
 
 /// RFC 1624 incremental update: given the old checksum and a 32-bit field that changed
 /// from `old_value` to `new_value`, return the corrected checksum without re-summing

@@ -20,8 +20,6 @@ std::uint64_t next_packet_id() {
   return ++counter;
 }
 
-std::uint64_t g_payload_bytes_summed = 0;
-
 // Widest checksum header: 12 pseudo-header + 25 TCP header-field bytes.
 constexpr std::size_t kMaxChecksumHeader = 40;
 
@@ -57,17 +55,6 @@ std::string Packet::describe() const {
   s += " len=" + std::to_string(payload.size());
   return s;
 }
-
-std::uint32_t SharedPayload::sum() const {
-  if (!block_) return 0;
-  if (block_->sum == kNoSum) {
-    block_->sum = checksum_accumulate(block_->bytes, 0);
-    g_payload_bytes_summed += block_->bytes.size();
-  }
-  return block_->sum;
-}
-
-std::uint64_t payload_bytes_summed() { return g_payload_bytes_summed; }
 
 // The checksum input stream is the historical BinaryWriter-based encoding:
 // addresses big-endian as on the wire (so the RFC 1624 incremental update over
@@ -123,7 +110,7 @@ void finalize(Packet& p) {
   p.id = next_packet_id();
 }
 
-Packet make_udp(Endpoint from, Endpoint to, Buffer payload) {
+Packet make_udp(Endpoint from, Endpoint to, Bytes payload) {
   Packet p;
   p.src = from.addr;
   p.dst = to.addr;
@@ -134,7 +121,7 @@ Packet make_udp(Endpoint from, Endpoint to, Buffer payload) {
   return p;
 }
 
-Packet make_tcp(Endpoint from, Endpoint to, TcpHeader hdr, Buffer payload) {
+Packet make_tcp(Endpoint from, Endpoint to, TcpHeader hdr, Bytes payload) {
   Packet p;
   p.src = from.addr;
   p.dst = to.addr;

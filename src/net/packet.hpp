@@ -7,8 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <string>
 
 #include "src/common/serial.hpp"
@@ -45,101 +43,19 @@ struct UdpHeader {
   Port dport{0};
 };
 
-/// Copy-on-write payload bytes, with their checksum sum memoized.
-///
-/// Copying a Packet shares the payload allocation instead of cloning it: the
-/// single-IP router broadcasts every client packet to all N nodes (Section
-/// V-B), and the capture queue stores stolen packets until reinjection — both
-/// were N deep copies of the same bytes. Readers see plain byte access;
-/// mutation (`operator[]`, `push_back`) detaches from any sharers first, so a
-/// hook rewriting one broadcast copy never bleeds into the others.
-///
-/// The shared block also memoizes `sum()`, the payload's ones'-complement sum,
-/// so the sender's `finalize`, every broadcast copy's receive check and every
-/// reinjection reuse one pass over the bytes. Every mutable accessor clears
-/// the memo, the sole-owner path (no copy made) included. A mutable byte
-/// reference held across a checksum is unsupported: a write through it after
-/// the memo refilled leaves the memo stale.
-class SharedPayload {
- public:
-  SharedPayload() = default;
-  SharedPayload(Buffer b)  // NOLINT(google-explicit-constructor)
-      : block_(b.empty() ? nullptr : std::make_shared<Block>(std::move(b))) {}
-
-  std::size_t size() const { return block_ ? block_->bytes.size() : 0; }
-  bool empty() const { return size() == 0; }
-  std::span<const std::uint8_t> view() const {
-    return block_ ? std::span<const std::uint8_t>(block_->bytes)
-                  : std::span<const std::uint8_t>{};
-  }
-  operator std::span<const std::uint8_t>() const {  // NOLINT
-    return view();
-  }
-  const std::uint8_t& operator[](std::size_t i) const { return block_->bytes[i]; }
-
-  /// Mutable access: detaches from sharers first (copy-on-write).
-  std::uint8_t& operator[](std::size_t i) { return (*detach())[i]; }
-  void push_back(std::uint8_t b) { detach()->push_back(b); }
-
-  /// `checksum_accumulate(view(), 0)`: the sum as if the bytes began at an
-  /// even offset of the checksummed stream. Summed on first use per block.
-  std::uint32_t sum() const;
-
-  /// Deep copy into an owned Buffer (e.g. a socket receive queue keeping the
-  /// bytes past the packet's lifetime).
-  Buffer copy() const { return block_ ? block_->bytes : Buffer{}; }
-
-  /// Take the bytes out, leaving the payload empty — moves when this is the
-  /// sole owner, copies otherwise.
-  Buffer take() {
-    if (!block_) return {};
-    Buffer out = block_.use_count() == 1 ? std::move(block_->bytes) : block_->bytes;
-    block_.reset();
-    return out;
-  }
-
-  /// Introspection for tests: do two payloads alias one allocation?
-  bool shares_storage_with(const SharedPayload& o) const {
-    return block_ != nullptr && block_ == o.block_;
-  }
-
- private:
-  static constexpr std::uint32_t kNoSum = 0xFFFFFFFF;  // sums fold to 16 bits
-
-  struct Block {
-    explicit Block(Buffer b) : bytes(std::move(b)) {}
-    Buffer bytes;
-    std::uint32_t sum{kNoSum};
-  };
-
-  Buffer* detach() {
-    if (!block_) {
-      block_ = std::make_shared<Block>(Buffer{});
-    } else if (block_.use_count() > 1) {
-      block_ = std::make_shared<Block>(block_->bytes);
-    }
-    block_->sum = kNoSum;
-    return &block_->bytes;
-  }
-
-  std::shared_ptr<Block> block_;
-};
-
-/// Payload bytes summed into a `SharedPayload` memo since the process began:
-/// each fill adds the payload's size once, so with every copy reusing the
-/// memo this equals the payload bytes created.
-std::uint64_t payload_bytes_summed();
+using dvemig::payload_bytes_materialized;
+using dvemig::payload_bytes_summed;
 
 struct Packet {
+  // Packets move by value through several sinks per link hop, so the members
+  // are ordered to pack into 88 bytes: headers, metadata, then the payload.
   Ipv4Addr src{};
   Ipv4Addr dst{};
   IpProto proto{IpProto::udp};
   std::uint8_t ttl{64};
+  std::uint16_t checksum{0};  // transport checksum (pseudo-header included)
   TcpHeader tcp{};
   UdpHeader udp{};
-  SharedPayload payload;      // COW: packet copies share the allocation
-  std::uint16_t checksum{0};  // transport checksum (pseudo-header included)
-  std::uint64_t id{0};        // trace id, unique per packet creation
 
   // --- link-layer / kernel metadata, NOT part of the wire image or checksum ---
 
@@ -149,8 +65,19 @@ struct Packet {
   /// to the old node (the Section V-D bug) until the cache entry is replaced too.
   Ipv4Addr link_dst{};  // 0.0.0.0 = "route by dst"
 
+  std::uint64_t id{0};  // trace id, unique per packet creation
+
   /// sock_id of the local socket that emitted this packet (dst-cache key), 0 if none.
   std::uint64_t origin_sock_id{0};
+
+  // --- the payload ---
+
+  // Copy-on-write: packet copies share the blocks and the checksum memo.
+  // The single-IP router broadcasts every client packet to all N nodes
+  // (Section V-B) and the capture queue holds stolen packets until
+  // reinjection; none of them copies the bytes, and a hook rewriting one copy
+  // detaches that copy only.
+  Bytes payload;
 
   Port sport() const { return proto == IpProto::tcp ? tcp.sport : udp.sport; }
   Port dport() const { return proto == IpProto::tcp ? tcp.dport : udp.dport; }
@@ -166,7 +93,7 @@ struct Packet {
 };
 
 /// Compute the transport checksum over pseudo-header + header fields + payload.
-/// The payload's part is its memoized `SharedPayload::sum()`.
+/// The payload's part is its memoized `Bytes::sum()`.
 std::uint16_t compute_checksum(const Packet& p);
 
 /// True when p.checksum matches compute_checksum(p).
@@ -176,7 +103,7 @@ bool checksum_ok(const Packet& p);
 void finalize(Packet& p);
 
 /// Make packets; finalize() is applied.
-Packet make_udp(Endpoint from, Endpoint to, Buffer payload);
-Packet make_tcp(Endpoint from, Endpoint to, TcpHeader hdr, Buffer payload);
+Packet make_udp(Endpoint from, Endpoint to, Bytes payload);
+Packet make_tcp(Endpoint from, Endpoint to, TcpHeader hdr, Bytes payload);
 
 }  // namespace dvemig::net

@@ -6,8 +6,11 @@
 // each incremental loop. The dirty bits are one bitmap per area, as a page table
 // keeps them beside its mappings (DESIGN.md §12.7).
 //
-// Page *contents* are not stored — the simulator transfers synthetic bytes of the
-// right size — so a multi-gigabyte simulated cluster fits in host memory.
+// Page *contents* are not stored, here or on the wire: a page delta carries a
+// fill run of the page's size per dirty page, which every layer from the
+// serializer to the destination's parser slices, sums and skips without
+// writing it out (DESIGN.md §12.8). So a multi-gigabyte simulated cluster,
+// and a 100 MB precopy round, fit in host memory.
 #pragma once
 
 #include <cstdint>

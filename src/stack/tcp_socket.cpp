@@ -103,37 +103,38 @@ void TcpSocket::connect(net::Endpoint remote) {
   try_send();
 }
 
-void TcpSocket::send(Buffer data) {
+void TcpSocket::send(Bytes data) {
   DVEMIG_EXPECTS(!migration_disabled());
   DVEMIG_EXPECTS(cb_.state == TcpState::established ||
                  cb_.state == TcpState::close_wait ||
                  cb_.state == TcpState::syn_sent || cb_.state == TcpState::syn_rcvd);
   DVEMIG_EXPECTS(!cb_.fin_queued);
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const std::size_t n = std::min(kTcpMss, data.size() - off);
-    Buffer chunk(data.begin() + static_cast<std::ptrdiff_t>(off),
-                 data.begin() + static_cast<std::ptrdiff_t>(off + n));
-    const bool last = off + n == data.size();
-    queue_segment(last ? net::tcp_flags::psh : 0, std::move(chunk));
-    off += n;
+  if (data.size() <= kTcpMss) {
+    if (!data.empty()) queue_segment(net::tcp_flags::psh, std::move(data));
+    return try_send();
+  }
+  BinaryReader cut(data);
+  while (!cut.at_end()) {
+    const std::size_t n = std::min(kTcpMss, cut.remaining());
+    const bool last = n == cut.remaining();
+    queue_segment(last ? net::tcp_flags::psh : 0, cut.bytes(n));
   }
   try_send();
 }
 
-Buffer TcpSocket::read(std::size_t max) {
+Bytes TcpSocket::read_bytes(std::size_t max) {
   const bool was_pinched = advertised_window() < kTcpMss;
-  Buffer out;
+  Bytes out;
   while (!cb_.receive_queue.empty() && out.size() < max) {
     TcpRxSegment& seg = cb_.receive_queue.front();
     const std::size_t take = std::min(seg.data.size(), max - out.size());
-    out.insert(out.end(), seg.data.begin(),
-               seg.data.begin() + static_cast<std::ptrdiff_t>(take));
     cb_.receive_queue_bytes -= take;
     if (take == seg.data.size()) {
+      out.append(std::move(seg.data));
       cb_.receive_queue.pop_front();
     } else {
-      seg.data.erase(seg.data.begin(), seg.data.begin() + static_cast<std::ptrdiff_t>(take));
+      out.append(seg.data.slice(0, take));
+      seg.data.remove_prefix(take);
       seg.seq += static_cast<std::uint32_t>(take);
     }
   }
@@ -471,7 +472,7 @@ void TcpSocket::handle_payload(net::Packet& p) {
   if (seq_gt(seq, cb_.rcv_nxt)) {
     // Out of order: buffer if in window, then duplicate-ACK to hint the gap.
     if (seq - cb_.rcv_nxt < cb_.rcv_wnd_max && !cb_.ooo_queue.contains(seq)) {
-      cb_.ooo_queue.emplace(seq, TcpRxSegment{seq, p.payload.copy(), fin});
+      cb_.ooo_queue.emplace(seq, TcpRxSegment{seq, p.payload, fin});
     }
     send_ack();
     return;
@@ -480,14 +481,14 @@ void TcpSocket::handle_payload(net::Packet& p) {
   // In order (possibly with an already-received head to trim).
   bool delivered = false;
   bool fin_now = false;
-  auto deliver = [&](std::uint32_t sseq, Buffer data, bool sfin) {
+  auto deliver = [&](std::uint32_t sseq, Bytes data, bool sfin) {
     const std::uint32_t head = cb_.rcv_nxt - sseq;
     if (head < data.size()) {
-      Buffer fresh(data.begin() + head, data.end());
-      cb_.rcv_nxt += static_cast<std::uint32_t>(fresh.size());
-      cb_.receive_queue_bytes += fresh.size();
-      cb_.bytes_in += fresh.size();
-      cb_.receive_queue.push_back(TcpRxSegment{sseq + head, std::move(fresh), false});
+      data.remove_prefix(head);
+      cb_.rcv_nxt += static_cast<std::uint32_t>(data.size());
+      cb_.receive_queue_bytes += data.size();
+      cb_.bytes_in += data.size();
+      cb_.receive_queue.push_back(TcpRxSegment{sseq + head, std::move(data), false});
       delivered = true;
     }
     if (sfin) {
@@ -495,7 +496,7 @@ void TcpSocket::handle_payload(net::Packet& p) {
       fin_now = true;
     }
   };
-  deliver(seq, p.payload.take(), fin);
+  deliver(seq, std::move(p.payload), fin);
 
   // Drain the out-of-order queue while it is contiguous.
   while (!cb_.ooo_queue.empty()) {
@@ -616,7 +617,7 @@ void TcpSocket::notify_listener_established() {
 
 // ---------------------------------------------------------------- transmit path
 
-void TcpSocket::queue_segment(std::uint8_t flags, Buffer data) {
+void TcpSocket::queue_segment(std::uint8_t flags, Bytes data) {
   TcpTxSegment seg;
   seg.seq = cb_.write_queue.empty() ? cb_.snd_nxt : cb_.write_queue.back().end_seq();
   seg.flags = flags;

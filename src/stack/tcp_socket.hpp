@@ -68,7 +68,7 @@ inline constexpr std::int64_t kPrequeueDrainNs = 30'000;
 struct TcpTxSegment {
   std::uint32_t seq{0};
   std::uint8_t flags{0};  // extra flags beyond ACK (syn/fin/psh)
-  Buffer data;
+  Bytes data;             // shared with the packets that carry it
   std::uint32_t retrans{0};
   std::int64_t sent_at_local_ns{-1};  // host-local clock stamp (adjusted on migration)
   std::uint32_t sent_tsval{0};
@@ -81,7 +81,7 @@ struct TcpTxSegment {
 /// One entry of the receive or out-of-order queue.
 struct TcpRxSegment {
   std::uint32_t seq{0};
-  Buffer data;
+  Bytes data;  // shared with the packet that brought it
   bool fin{false};  // segment carried FIN (relevant when buffered out of order)
   bool operator==(const TcpRxSegment&) const = default;
 };
@@ -168,10 +168,13 @@ class TcpSocket final : public Socket {
   void listen(std::uint32_t backlog_limit = 128);
   void connect(net::Endpoint remote);
 
-  /// Queue data for transmission (the send buffer is unbounded in this stack).
-  void send(Buffer data);
-  /// Read up to `max` bytes of in-order received data.
-  Buffer read(std::size_t max = SIZE_MAX);
+  /// Queue data for transmission (the send buffer is unbounded in this
+  /// stack). Segments are slices of `data`: its bytes are not copied.
+  void send(Bytes data);
+  /// Read up to `max` bytes of in-order received data, flat.
+  Buffer read(std::size_t max = SIZE_MAX) { return read_bytes(max).take(); }
+  /// As read(), but the segments' bytes are handed on, not copied.
+  Bytes read_bytes(std::size_t max = SIZE_MAX);
   std::size_t bytes_available() const { return cb_.receive_queue_bytes; }
 
   /// Pop a fully established connection from the accept queue (nullptr if empty).
@@ -258,7 +261,7 @@ class TcpSocket final : public Socket {
   void unhash();
 
   // Transmit internals.
-  void queue_segment(std::uint8_t flags, Buffer data);
+  void queue_segment(std::uint8_t flags, Bytes data);
   void transmit_segment(TcpTxSegment& seg);
   void send_ack();
   void send_control(std::uint8_t flags, std::uint32_t seq, std::uint32_t ack);

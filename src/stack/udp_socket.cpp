@@ -22,7 +22,7 @@ void UdpSocket::connect(net::Endpoint remote) {
   cb_.connected = true;
 }
 
-void UdpSocket::send_to(net::Endpoint to, Buffer data) {
+void UdpSocket::send_to(net::Endpoint to, Bytes data) {
   DVEMIG_EXPECTS(!migration_disabled());
   if (!cb_.bound) bind(stack_->primary_addr(), 0);
   net::Ipv4Addr src = local_.addr;
@@ -32,7 +32,7 @@ void UdpSocket::send_to(net::Endpoint to, Buffer data) {
   stack_->send_from(*this, std::move(p));
 }
 
-void UdpSocket::send(Buffer data) {
+void UdpSocket::send(Bytes data) {
   DVEMIG_EXPECTS(cb_.connected);
   send_to(remote_, std::move(data));
 }

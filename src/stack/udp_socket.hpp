@@ -44,8 +44,8 @@ class UdpSocket final : public Socket {
   /// Set the default remote and filter incoming datagrams to it.
   void connect(net::Endpoint remote);
 
-  void send_to(net::Endpoint to, Buffer data);
-  void send(Buffer data);  // connected form
+  void send_to(net::Endpoint to, Bytes data);
+  void send(Bytes data);  // connected form
 
   /// Pop the oldest datagram, if any.
   std::optional<UdpDatagram> recv();

@@ -246,6 +246,60 @@ class NoLinearFilterScan(unittest.TestCase):
         self.assertNotIn("[no-linear-filter-scan]", out)
 
 
+class NoMaterialize(unittest.TestCase):
+    """A flat-byte accessor on the transfer path would expand page fill again;
+    it is flagged outside the allow-list, where the same call passes."""
+
+    EXPAND = (
+        "void StripeSender::send(MsgType inner, const Bytes& payload) {\n"
+        "  const auto flat = payload.view();\n"
+        "  (void)flat;\n"
+        "}\n"
+    )
+
+    def test_expanding_accessor_on_transfer_path_is_flagged(self) -> None:
+        code, out = lint_tree({"src/mig/protocol.cpp": self.EXPAND})
+        self.assertNotEqual(code, 0)
+        self.assertIn("src/mig/protocol.cpp:2: [no-materialize]", out)
+
+    def test_each_accessor_is_flagged(self) -> None:
+        for call in (
+            "p.payload.copy()",
+            "w.buffer()",
+            "w.span_from(at)",
+            "r.span(r.remaining())",
+            "seg->view()",
+        ):
+            with self.subTest(call=call):
+                code, out = lint_tree(
+                    {"src/stack/tcp_socket.cpp": "void f() {\n  use(" + call + ");\n}\n"}
+                )
+                self.assertNotEqual(code, 0)
+                self.assertIn("[no-materialize]", out)
+
+    def test_chunk_wise_reads_pass(self) -> None:
+        code, out = lint_tree(
+            {
+                "src/mig/transport.cpp": (
+                    "void f(BinaryReader& r, Bytes& b) {\n"
+                    "  parked_.push_back(r.bytes(r.remaining()));\n"
+                    "  r.skip(4096);\n"
+                    "  std::span<const std::uint8_t> s(hdr);\n"
+                    "}\n"
+                )
+            }
+        )
+        self.assertEqual(code, 0, out)
+
+    def test_same_call_in_allowed_file_passes(self) -> None:
+        code, out = lint_tree({"src/common/serial.cpp": self.EXPAND})
+        self.assertNotIn("[no-materialize]", out)
+
+    def test_real_tree_expands_only_where_allowed(self) -> None:
+        _, out = run_lint(REPO)
+        self.assertNotIn("[no-materialize]", out)
+
+
 class SocketTableOwner(unittest.TestCase):
     """Only src/stack edits ehash/bhash; everything else detaches/attaches."""
 

@@ -835,5 +835,105 @@ TEST(DestStriping, BrokenStripeChannelAbortsTheMigration) {
   t.expect_quiescent();
 }
 
+// ============================================== page fill stays virtual
+
+/// bulk_precopy at its --selftest size: one zone server with an 8 MiB heap
+/// and one active client, moved live node 0 -> node 1 at parallelism 4 over
+/// 4-rail links.
+struct BulkMove {
+  dve::Testbed bed{config()};
+  Pid pid{};
+  std::optional<dve::TcpDveClient> client;
+
+  BulkMove() {
+    dve::ZoneServerConfig zs;
+    zs.zone = 1;
+    zs.active_updates = true;
+    zs.heap_bytes = 8ull << 20;
+    zs.use_db = false;
+    pid = dve::ZoneServerApp::launch(bed.node(0).node, zs)->pid();
+    client.emplace(bed.make_client_host(), bed.public_ip());
+    client->set_active(SimTime::milliseconds(50), 48);
+    client->connect_to_zone(1);
+    bed.run_for(SimTime::milliseconds(500));
+  }
+
+  static dve::TestbedConfig config() {
+    dve::TestbedConfig cfg;
+    cfg.dve_nodes = 2;
+    cfg.with_db = false;
+    cfg.start_conductors = false;
+    cfg.cluster_link.rails = 4;
+    cfg.cost_model.initial_loop_timeout_ns = 80'000'000;
+    return cfg;
+  }
+
+  mig::MigrationStats migrate() {
+    mig::MigrateOptions opts;
+    opts.strategy = mig::SocketMigStrategy::incremental_collective;
+    opts.config.parallelism = 4;
+    mig::MigrationStats out;
+    EXPECT_TRUE(bed.node(0).migd.migrate(pid, bed.node(1).node.local_addr(), opts,
+                                         [&](const mig::MigrationStats& s) { out = s; }));
+    bed.run_for(SimTime::seconds(2));
+    return out;
+  }
+};
+
+// The page payloads cross the serializer, the stripes, TCP, the packets and
+// the reassembler as fill runs: not one fill byte is written out. The
+// migration itself is the one it was when every page was 4,096 real zero
+// bytes (these values were read off that implementation).
+TEST(MigrationTest, PageFillStaysVirtual) {
+  BulkMove m;
+  const std::uint64_t before = net::payload_bytes_materialized();
+  const mig::MigrationStats s = m.migrate();
+  EXPECT_EQ(net::payload_bytes_materialized() - before, 0u);
+  ASSERT_TRUE(s.success);
+  EXPECT_EQ(s.precopy_rounds, 3);
+  EXPECT_EQ(s.precopy_channel_bytes, 8'707'657u);
+  EXPECT_EQ(s.precopy_socket_bytes, 6'943u);
+  EXPECT_EQ(s.freeze_channel_bytes, 17'736u);
+  EXPECT_EQ(s.freeze_socket_bytes, 390u);
+  EXPECT_EQ(s.socket_count, 2u);
+  EXPECT_EQ((s.t_freeze_begin - s.t_start).ns, 161'385'622);
+  EXPECT_EQ((s.t_resume - s.t_start).ns, 162'064'325);
+}
+
+// The corruption gate: a byte flipped inside the page fill of one in-flight
+// segment makes that packet fail its checksum at the receiver, which drops
+// it; TCP retransmits and the migration still completes.
+TEST(MigrationTest, FlippedPageFillByteFailsTheChecksum) {
+  BulkMove m;
+  stack::NetStack& dst = m.bed.node(1).node.stack();
+  bool flipped = false;
+  stack::HookHandle hook = dst.netfilter().register_hook(
+      stack::Hook::local_in, 0, [&](net::Packet& p) {
+        const net::Packet& seen = p;
+        if (flipped || seen.proto != net::IpProto::tcp || seen.tcp.dport != mig::kMigdPort ||
+            seen.payload.size() != stack::kTcpMss) {
+          return stack::Verdict::accept;
+        }
+        // Inside a page payload: the middle of 64 zero bytes.
+        for (std::size_t at = 0; at + 64 <= seen.payload.size(); at += 64) {
+          bool zeros = true;
+          for (std::size_t i = at; i < at + 64 && zeros; ++i) zeros = seen.payload[i] == 0;
+          if (!zeros) continue;
+          EXPECT_TRUE(net::checksum_ok(seen));
+          p.payload[at + 32] ^= 0x10;
+          EXPECT_FALSE(net::checksum_ok(seen));
+          flipped = true;
+          break;
+        }
+        return stack::Verdict::accept;
+      });
+  const std::uint64_t bad_before = dst.stats().rx_bad_checksum;
+  const mig::MigrationStats s = m.migrate();
+  hook.release();
+  EXPECT_TRUE(flipped);
+  EXPECT_EQ(dst.stats().rx_bad_checksum - bad_before, 1u);
+  EXPECT_TRUE(s.success);
+}
+
 }  // namespace
 }  // namespace dvemig

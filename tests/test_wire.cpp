@@ -4,8 +4,16 @@
 // change made on both the write and the read side; these do not. Each record
 // must also decode and re-encode to the very same bytes, and `size_of` (the
 // length migd reserves before it encodes a record) must count exactly them.
+// WireSplit then reads the same records, and hostile variants of them, from
+// chunks split at random points with their fill as runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <optional>
+#include <random>
+
+#include "src/ckpt/dirty_tracker.hpp"
 #include "src/ckpt/image.hpp"
 #include "src/dve/game_server.hpp"
 #include "src/dve/zone_server.hpp"
@@ -427,6 +435,253 @@ TEST(WireGolden, StripeSegment) {
   EXPECT_EQ(r.remaining(), chunk.size());
   EXPECT_EQ(encode([&](BinaryWriter& w) { put(w, back); }),
             Buffer(bytes.begin(), bytes.begin() + 17));
+}
+
+// ------------------------------------------------- split chunks, hostile input
+
+/// A record's encoding as its writer left it (fill as runs) and a decoder
+/// that returns the decoded record re-encoded flat, or nullopt on rejection.
+struct WireCase {
+  std::string name;
+  Bytes bytes;
+  std::function<std::optional<Buffer>(BinaryReader&)> decode;
+  bool checked{true};  // the decoder rejects bad input instead of aborting
+};
+
+template <class Encode>
+Bytes encode_runs(const Encode& fn) {
+  BinaryWriter w;
+  fn(w);
+  return w.take_bytes();
+}
+
+template <class R>
+WireCase payload_case(std::string name, const R& rec) {
+  return {std::move(name), encode_runs([&](BinaryWriter& w) { put(w, rec); }),
+          [](BinaryReader& r) -> std::optional<Buffer> {
+            R back;
+            if (!get_payload(r, back)) return std::nullopt;
+            return encode([&](BinaryWriter& w) { put(w, back); });
+          }};
+}
+
+/// Section `k` of an Image, alone: decoded checked, then re-encoded.
+template <class Image>
+WireCase section_case(std::string name, const Image& img, std::size_t k) {
+  const auto run_section = [k](auto& io, auto& image) {
+    std::size_t i = 0;
+    Image::sections([&](mig::SectionFlags, const auto& fields) {
+      if (i++ == k) fields(io, image);
+    });
+  };
+  return {std::move(name), encode_runs([&](BinaryWriter& w) {
+            Put io(w);
+            run_section(io, img);
+          }),
+          [run_section](BinaryReader& r) -> std::optional<Buffer> {
+            Image back;
+            Get io = Get::checked(r);
+            run_section(io, back);
+            if (!io.ok() || !r.at_end()) return std::nullopt;
+            return encode([&](BinaryWriter& w) {
+              Put pio(w);
+              run_section(pio, back);
+            });
+          }};
+}
+
+/// Socket records as the destination reads them: optionally behind a u32
+/// record count (a socket_state frame), then records to the end. The staging
+/// they leave is re-encoded in key order.
+std::optional<Buffer> decode_socket_records(BinaryReader& r, bool counted) {
+  std::uint32_t n = 0;
+  if (counted) {
+    Get io = Get::checked(r);
+    io.u32(n);
+    if (!io.ok()) return std::nullopt;
+  }
+  mig::SocketStaging staging;
+  std::uint32_t records = 0;
+  bool ok = true;
+  for (; ok && !r.at_end(); ++records) ok = mig::read_socket_record(r, staging);
+  if (!ok || (counted && records != n)) return std::nullopt;
+  std::vector<std::uint64_t> keys;
+  for (const auto& [key, staged] : staging) keys.push_back(key);
+  std::sort(keys.begin(), keys.end());
+  mig::SocketDeltaTracker tracker;
+  BinaryWriter w;
+  for (const std::uint64_t key : keys) {
+    const mig::StagedSocket& staged = staging.at(key);
+    w.u8(static_cast<std::uint8_t>(staged.have));
+    if (staged.proto == net::IpProto::tcp) {
+      tracker.emit_tcp(staged.tcp, w, /*force_all=*/true);
+    } else {
+      tracker.emit_udp(staged.udp, w, /*force_all=*/true);
+    }
+  }
+  return w.take();
+}
+
+/// A memory_delta frame as the source's dirty tracker produces it: the
+/// first round over a small address space ships every page.
+ckpt::MemoryDelta recorded_delta() {
+  proc::AddressSpace mem;
+  mem.mmap(16 * proc::kPageSize, proc::prot_read | proc::prot_write, "[heap]");
+  mem.mmap(4 * proc::kPageSize, proc::prot_read, "libc.so");
+  ckpt::DirtyTracker tracker;
+  return tracker.round(mem);
+}
+
+std::vector<WireCase> wire_cases() {
+  std::vector<WireCase> cases;
+  cases.push_back(payload_case("CaptureSpec",
+                               CaptureSpec{net::IpProto::udp, true, ep(9, 40001), 27960}));
+  cases.push_back(payload_case(
+      "TranslationRule", mig::TranslationRule{net::IpProto::tcp, ep(20, 3306), ep(1, 41000),
+                                              net::Ipv4Addr::octets(10, 1, 0, 2)}));
+  const TcpImage tcp = sample_tcp(40, 3, /*listening=*/true);
+  const UdpImage udp = sample_udp();
+  for (std::size_t k = 0; k < 3; ++k) {
+    cases.push_back(section_case("TcpSection" + std::to_string(k), tcp, k));
+  }
+  for (std::size_t k = 0; k < 2; ++k) {
+    cases.push_back(section_case("UdpSection" + std::to_string(k), udp, k));
+  }
+  const auto emit_both = [&](BinaryWriter& w) {
+    mig::SocketDeltaTracker tracker;
+    tracker.emit_tcp(tcp, w, /*force_all=*/true);
+    tracker.emit_udp(udp, w, /*force_all=*/true);
+  };
+  cases.push_back({"SocketRecords", encode_runs(emit_both),
+                   [](BinaryReader& r) { return decode_socket_records(r, false); }});
+  cases.push_back({"socket_state frame", encode_runs([&](BinaryWriter& w) {
+                     w.u32(2);
+                     emit_both(w);
+                   }),
+                   [](BinaryReader& r) { return decode_socket_records(r, true); }});
+  cases.push_back(payload_case("ProcessImage", sample_process()));
+  cases.push_back(payload_case("MemoryDelta", sample_delta()));
+  cases.push_back(payload_case("memory_delta frame", recorded_delta()));
+  cases.push_back(payload_case("LoadInfo", sample_load()));
+  cases.push_back({"MigBegin", Bytes(mig_begin_bytes()),
+                   [](BinaryReader& r) -> std::optional<Buffer> {
+                     mig::MigBegin back;
+                     if (!get_payload(r, back)) return std::nullopt;
+                     return encode([&](BinaryWriter& w) { put(w, back); });
+                   }});
+  cases.push_back(payload_case("StripeHello", mig::StripeHello{.mig_id = 0x0A01000100007ULL,
+                                                              .index = 3}));
+  cases.push_back({"StripeSegment", encode_runs([](BinaryWriter& w) {
+                     put(w, mig::StripeSegHeader{.seq = 0x1122334455ULL,
+                                                 .inner_type = 5,
+                                                 .total = 1000,
+                                                 .offset = 512});
+                     w.bytes(blob(200, 9));
+                     w.fill(300, 0);
+                   }),
+                   [](BinaryReader& r) -> std::optional<Buffer> {
+                     mig::StripeSegHeader h;
+                     Get io = Get::checked(r);
+                     io.rec(h);
+                     if (!io.ok()) return std::nullopt;
+                     BinaryWriter w;
+                     put(w, h);
+                     w.append(r.bytes(r.remaining()));
+                     return w.take();
+                   }});
+  // The apps' readers are strict (a checkpoint that underflows is corrupt):
+  // they take split input, not hostile input.
+  for (const auto& [kind, bytes] : {std::pair{dve::ZoneServerApp::kKind, zone_server_bytes()},
+                                    std::pair{dve::GameServerApp::kKind, game_server_bytes()}}) {
+    cases.push_back({kind, Bytes(bytes),
+                     [kind = std::string(kind)](BinaryReader& r) -> std::optional<Buffer> {
+                       const auto app = proc::AppLogic::create(kind, r);
+                       if (!r.at_end()) return std::nullopt;
+                       return encode([&](BinaryWriter& w) { app->serialize(w); });
+                     },
+                     /*checked=*/false});
+  }
+  return cases;
+}
+
+Buffer flatten(const Bytes& b) {
+  Buffer out;
+  b.for_each_chunk(
+      [&](std::span<const std::uint8_t> real) { out.insert(out.end(), real.begin(), real.end()); },
+      [&](std::size_t n, std::uint8_t fill) { out.insert(out.end(), n, fill); });
+  return out;
+}
+
+/// `flat` cut at random points, mostly a few bytes apart so that integer
+/// fields straddle chunks; a piece of one repeated byte becomes a run, any
+/// other piece a block of its own.
+Bytes split(const Buffer& flat, std::mt19937_64& rng) {
+  Bytes out;
+  std::size_t at = 0;
+  while (at < flat.size()) {
+    const std::size_t most = rng() % 4 == 0 ? 5000 : 13;
+    const std::size_t n = std::min<std::size_t>(flat.size() - at, 1 + rng() % most);
+    const auto first = flat.begin() + static_cast<std::ptrdiff_t>(at);
+    const auto last = first + static_cast<std::ptrdiff_t>(n);
+    if (n > 1 && std::all_of(first, last, [&](std::uint8_t v) { return v == *first; })) {
+      out.append_run(n, *first);
+    } else {
+      out.append(Bytes(Buffer(first, last)));
+    }
+    at += n;
+  }
+  return out;
+}
+
+std::optional<Buffer> decode_flat(const WireCase& c, const Buffer& flat) {
+  BinaryReader r(flat);
+  return c.decode(r);
+}
+
+std::optional<Buffer> decode_split(const WireCase& c, const Bytes& bytes) {
+  BinaryReader r(bytes);
+  return c.decode(r);
+}
+
+TEST(WireSplit, AnySplitDecodesLikeFlat) {
+  dve::ZoneServerApp::register_kind();
+  dve::GameServerApp::register_kind();
+  const std::vector<WireCase> cases = wire_cases();
+  std::mt19937_64 rng(1071);
+
+  // Every record as written (runs and all) and at random splits.
+  for (const WireCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Buffer flat = flatten(c.bytes);
+    const auto want = decode_flat(c, flat);
+    ASSERT_TRUE(want.has_value());
+    EXPECT_EQ(decode_split(c, c.bytes), want);
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(decode_split(c, split(flat, rng)), want);
+  }
+
+  // 1,000 byte-flipped or truncated variants, each decoded from flat bytes
+  // and from two random splits: the same record or the same rejection.
+  std::vector<const WireCase*> hostile;
+  for (const WireCase& c : cases) {
+    if (c.checked) hostile.push_back(&c);
+  }
+  int rejected = 0;
+  for (int v = 0; v < 1'000; ++v) {
+    const WireCase& c = *hostile[rng() % hostile.size()];
+    Buffer flat = flatten(c.bytes);
+    if (rng() % 3 == 0) {
+      flat.resize(rng() % flat.size());
+    } else {
+      for (std::uint64_t k = 1 + rng() % 3; k > 0; --k) {
+        flat[rng() % flat.size()] ^= static_cast<std::uint8_t>(1 + rng() % 255);
+      }
+    }
+    SCOPED_TRACE(c.name + " variant " + std::to_string(v));
+    const auto want = decode_flat(c, flat);
+    rejected += want ? 0 : 1;
+    for (int i = 0; i < 2; ++i) ASSERT_EQ(decode_split(c, split(flat, rng)), want);
+  }
+  EXPECT_GT(rejected, 100);  // the variants do reach the rejection paths
 }
 
 }  // namespace

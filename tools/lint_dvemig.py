@@ -66,6 +66,21 @@ one-field-list
     a pair. The golden-bytes test (tests/test_wire.cpp) catches a format
     change made through the field list itself.
 
+no-materialize
+    Page payloads and structure pads travel as fill runs (``dvemig::Bytes``,
+    DESIGN.md §12.8) from the serializer to the parser. The accessors that
+    hand out flat bytes expand every run they cover: ``.view()`` and
+    ``.copy()`` of a Bytes value, ``BinaryWriter::buffer()``/``span_from()``
+    and ``BinaryReader::span()``. In ``src/`` they may be called only in the
+    files of ``MATERIALIZE_ALLOWED``: the Bytes/serializer implementation
+    itself, and the UDP receive path, which queues each datagram flat for
+    the application (datagrams carry application messages, never pads).
+    Anywhere else such a call would quietly expand ~100 MiB of page fill per
+    precopy round again. (A writer's ``take()`` also returns flat bytes; it is
+    left to the test ``MigrationTest.PageFillStaysVirtual``, which counts
+    every expanded byte of a striped precopy, because control messages take
+    it legitimately everywhere.)
+
 design-inventory
     Every ``src/`` subdirectory that contains sources must be named in
     DESIGN.md's §3 module inventory (``src/<dir>/``). The inventory is the
@@ -132,6 +147,18 @@ RE_LINEAR_FILTER_SCAN = re.compile(
 )
 # capture.cpp: drop_from_index's per-session teardown loop only (see above).
 LINEAR_SCAN_ALLOWED = {"src/mig/capture.cpp"}
+
+# no-materialize: calls of the run-expanding accessors (see above).
+RE_MATERIALIZE = re.compile(
+    r"(?:\.|->)\s*(?:(?:view|copy|buffer)\s*\(\s*\)|(?:span_from|span)\s*\()"
+)
+MATERIALIZE_ALLOWED = {
+    "src/common/bytes.hpp",
+    "src/common/bytes.cpp",
+    "src/common/serial.hpp",
+    "src/common/serial.cpp",
+    "src/stack/udp_socket.cpp",
+}
 
 # one-field-list: function definitions taking a BinaryWriter&/BinaryReader&
 # whose name marks them as one half of a wire-format pair.
@@ -275,6 +302,17 @@ def lint_file(path: pathlib.Path, rel: str, problems: list[str]) -> None:
                 "(DESIGN.md §12); the only exempt loop is capture.cpp's "
                 "session teardown"
             )
+
+    # --- no-materialize ---
+    if rel.startswith("src/") and rel not in MATERIALIZE_ALLOWED:
+        for i, line in enumerate(lines, 1):
+            if RE_MATERIALIZE.search(line):
+                problems.append(
+                    f"{rel}:{i}: [no-materialize] flat-byte accessor expands "
+                    "fill runs — slice, skip or read the Bytes chunk by chunk "
+                    "(BinaryReader::bytes/skip, Bytes::for_each_chunk) instead "
+                    "(DESIGN.md §12.8)"
+                )
 
     # --- one-field-list ---
     # Per pair key: the halves present, and where a half first calls a
