@@ -13,15 +13,10 @@
 //                                 old node: session stalls.
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "src/common/cli.hpp"
-#include "src/dve/client.hpp"
-#include "src/dve/population.hpp"
-#include "src/dve/testbed.hpp"
-#include "src/dve/zone_server.hpp"
+#include "src/dve/scenario.hpp"
 #include "src/obs/bench_report.hpp"
 #include "src/obs/runtime.hpp"
 
@@ -47,46 +42,29 @@ RunResult run_case(bool live, bool adjust_timestamps, bool fix_dst_cache,
   zs.zone = 5;
   zs.active_updates = true;
   zs.heap_bytes = heap_bytes;
-  zs.db_addr = bed.db_node()->local_addr();
   zs.db_update_period = SimTime::milliseconds(100);
   // Migrate node3 -> node2: the destination's jiffies lag the source's, the
   // worst case for unadjusted timestamps.
-  auto proc = dve::ZoneServerApp::launch(bed.node(2).node, zs);
-
-  std::vector<std::unique_ptr<dve::TcpDveClient>> clients;
-  for (int i = 0; i < 8; ++i) {
-    auto c = std::make_unique<dve::TcpDveClient>(bed.make_client_host(),
-                                                 bed.public_ip());
-    c->set_active(SimTime::milliseconds(50), 48);
-    c->connect_to_zone(zs.zone);
-    clients.push_back(std::move(c));
-  }
+  const dve::ZoneServerPoint world(bed, zs, {.count = 8}, 2);
   bed.run_for(SimTime::seconds(2));
 
   RunResult result;
-  bool done = false;
-  bed.node(2).migd.migrate(
-      proc->pid(), bed.node(1).node.local_addr(),
-      mig::MigrateOptions{mig::SocketMigStrategy::incremental_collective, live},
-      [&](const mig::MigrationStats& s) {
-        result.stats = s;
-        done = true;
-      });
-  bed.run_for(SimTime::seconds(4));
-  if (!done || !result.stats.success) {
+  const auto stats = dve::migrate_and_wait(
+      bed, world.proc->pid(), 2, 1,
+      {mig::SocketMigStrategy::incremental_collective, live}, SimTime::seconds(4));
+  if (!stats || !stats->success) {
     std::fprintf(stderr, "ablation run failed\n");
     std::abort();
   }
+  result.stats = *stats;
 
-  std::uint64_t updates_at_move = 0;
-  for (const auto& c : clients) updates_at_move += c->updates_received();
-  auto moved = bed.node(1).node.find(proc->pid());
+  const std::uint64_t updates_at_move = world.updates_received();
+  auto moved = bed.node(1).node.find(world.proc->pid());
   const auto* app = static_cast<const dve::ZoneServerApp*>(moved->app().get());
   const std::uint64_t db_at_move = app->db_responses();
 
   bed.run_for(SimTime::seconds(3));
-  for (const auto& c : clients) result.updates_after += c->updates_received();
-  result.updates_after -= updates_at_move;
+  result.updates_after = world.updates_received() - updates_at_move;
   result.db_after = app->db_responses() - db_at_move;
   return result;
 }

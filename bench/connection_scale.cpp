@@ -23,8 +23,7 @@
 #include <vector>
 
 #include "src/common/cli.hpp"
-#include "src/dve/testbed.hpp"
-#include "src/dve/zone_server.hpp"
+#include "src/dve/scenario.hpp"
 #include "src/mig/capture.hpp"
 #include "src/mig/translation.hpp"
 #include "src/obs/bench_report.hpp"
@@ -176,56 +175,34 @@ SweepResult run_migration(std::size_t connections, mig::SocketMigStrategy strate
   dve::ZoneServerConfig zs;
   zs.zone = 1;
   zs.active_updates = true;
-  zs.db_addr = bed.db_node()->local_addr();
   zs.per_client_cores = std::min(0.0002, 0.5 / static_cast<double>(connections));
-  auto proc = dve::ZoneServerApp::launch(bed.node(0).node, zs);
-
   // Client hosts are shared (each holds one NetStack): enough hosts for port
-  // diversity, far fewer than connections so 100k fits in memory.
-  const std::size_t host_n = std::min<std::size_t>(connections, 256);
-  std::vector<dve::ClientHost*> hosts;
-  hosts.reserve(host_n);
-  for (std::size_t i = 0; i < host_n; ++i) hosts.push_back(&bed.make_client_host());
-
-  std::vector<std::unique_ptr<dve::TcpDveClient>> clients;
-  clients.reserve(connections);
-  for (std::size_t i = 0; i < connections; ++i) {
-    auto c = std::make_unique<dve::TcpDveClient>(*hosts[i % host_n], bed.public_ip());
-    if (i < 256) c->set_active(SimTime::milliseconds(50), 48);  // a hot subset
-    clients.push_back(std::move(c));
-  }
-  // Ramp fast enough that 100k connects fit in ~1s of sim time.
+  // diversity, far fewer than connections so 100k fits in memory. Only a hot
+  // subset sends. The ramp fits 100k connects into ~1s of sim time.
   const std::int64_t interval_us =
       std::max<std::int64_t>(5, 1'000'000 / static_cast<std::int64_t>(connections));
-  for (std::size_t i = 0; i < connections; ++i) {
-    bed.engine().schedule_after(
-        SimTime::microseconds(interval_us * static_cast<std::int64_t>(i)),
-        [&clients, i, &zs] { clients[i]->connect_to_zone(zs.zone); });
-  }
+  const dve::ZoneServerPoint world(bed, zs,
+                                   {.count = connections,
+                                    .active = 256,
+                                    .hosts = 256,
+                                    .ramp = SimTime::microseconds(interval_us)});
   bed.run_for(SimTime::microseconds(interval_us * static_cast<std::int64_t>(connections)) +
               SimTime::milliseconds(400));
 
-  mig::MigrationStats stats;
-  bool done = false;
-  bed.node(0).migd.migrate(proc->pid(), bed.node(1).node.local_addr(), strategy,
-                           [&](const mig::MigrationStats& s) {
-                             stats = s;
-                             done = true;
-                           });
-  // Bounded wait, in slices: break as soon as the migration reports back
-  // (plus one settle slice so reinjection/teardown traffic drains). The slice
-  // grid is sim-deterministic, so every run of one point sees one schedule.
-  for (int slice = 0; slice < 2400 && !done; ++slice) {
-    bed.run_for(SimTime::milliseconds(250));
-  }
-  if (done) bed.run_for(SimTime::milliseconds(250));
-  if (!done || !stats.success) {
+  // Bounded wait, in slices: stop as soon as the migration reports back (plus
+  // one settle slice so reinjection/teardown traffic drains). The slice grid
+  // is sim-deterministic, so every run of one point sees one schedule.
+  const auto stats = dve::migrate_and_wait(bed, world.proc->pid(), 0, 1, {strategy},
+                                           SimTime::seconds(600),
+                                           SimTime::milliseconds(250));
+  if (stats) bed.run_for(SimTime::milliseconds(250));
+  if (!stats || !stats->success) {
     std::fprintf(stderr, "connection_scale: migration failed (n=%zu, %s)\n",
                  connections, mig::strategy_name(strategy));
     std::abort();
   }
   SweepResult r;
-  r.stats = stats;
+  r.stats = *stats;
   r.wall_s = elapsed_s(t0);
   r.rss_mib = proc_status_mib("VmRSS");
   return r;

@@ -9,13 +9,10 @@
 // post-migration packet group relative to the expected 50 ms cadence, zero loss.
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "src/common/cli.hpp"
-#include "src/dve/client.hpp"
-#include "src/dve/game_server.hpp"
-#include "src/dve/testbed.hpp"
+#include "src/dve/scenario.hpp"
 #include "src/obs/bench_report.hpp"
 #include "src/obs/runtime.hpp"
 
@@ -26,40 +23,24 @@ int main(int argc, char** argv) {
   dve::TestbedConfig cfg;
   cfg.dve_nodes = 2;
   dve::Testbed bed(cfg);
-
-  dve::GameServerConfig gs;
-  auto proc = dve::GameServerApp::launch(bed.node(0).node, gs);
-
-  std::vector<std::unique_ptr<dve::UdpGameClient>> clients;
-  for (int i = 0; i < 24; ++i) {
-    auto c = std::make_unique<dve::UdpGameClient>(
-        bed.make_client_host(), net::Endpoint{bed.public_ip(), gs.port});
-    c->start();
-    clients.push_back(std::move(c));
-  }
+  const dve::OpenArenaPoint world(bed, 24);
   bed.run_for(SimTime::seconds(3));
 
-  mig::MigrationStats stats;
-  bool done = false;
-  bed.node(0).migd.migrate(proc->pid(), bed.node(1).node.local_addr(),
-                           mig::SocketMigStrategy::incremental_collective,
-                           [&](const mig::MigrationStats& s) {
-                             stats = s;
-                             done = true;
-                           });
-  bed.run_for(SimTime::seconds(3));
-  if (!done || !stats.success) {
+  const auto migrated = dve::migrate_and_wait(
+      bed, world.proc->pid(), 0, 1, {mig::SocketMigStrategy::incremental_collective},
+      SimTime::seconds(3));
+  if (!migrated || !migrated->success) {
     std::fprintf(stderr, "fig4: migration failed\n");
     return 1;
   }
+  const mig::MigrationStats& stats = *migrated;
 
   // Merge all clients' packet arrivals into one ordered timeline.
   std::vector<dve::PacketRecord> all;
-  std::size_t missing = 0;
-  for (const auto& c : clients) {
+  for (const auto& c : world.clients) {
     all.insert(all.end(), c->received().begin(), c->received().end());
-    missing += c->missing_snapshots();
   }
+  const std::size_t missing = world.missing_snapshots();
   std::sort(all.begin(), all.end(),
             [](const dve::PacketRecord& a, const dve::PacketRecord& b) {
               return a.t < b.t;

@@ -20,9 +20,7 @@
 #include <vector>
 
 #include "src/common/cli.hpp"
-#include "src/dve/population.hpp"
-#include "src/dve/testbed.hpp"
-#include "src/dve/zone_server.hpp"
+#include "src/dve/scenario.hpp"
 #include "src/obs/bench_report.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/runtime.hpp"
@@ -54,27 +52,16 @@ SimResult run_dve(bool lb_enabled, std::uint32_t clients, std::int64_t duration_
   dve::TestbedConfig cfg;
   cfg.dve_nodes = kNodes;
   dve::Testbed bed(cfg);
-  dve::ZoneGrid grid;
-
-  for (std::uint32_t n = 0; n < kNodes; ++n) {
-    for (const dve::ZoneId z : grid.zones_of_node(n, kNodes)) {
-      dve::ZoneServerConfig zs;
-      zs.zone = z;
-      zs.base_cores = 0.010;
-      zs.per_client_cores = 0.0007;
-      zs.db_addr = bed.db_node()->local_addr();
-      dve::ZoneServerApp::launch(bed.node(n).node, zs);
-    }
-  }
-
+  dve::ZoneServerConfig zs;
+  zs.base_cores = 0.010;
+  zs.per_client_cores = 0.0007;
   dve::PopulationConfig pc;
   pc.client_count = clients;
   pc.move_start = SimTime::seconds(60);
   pc.move_end = SimTime::seconds(duration_s * 4 / 5);
   pc.move_step_prob = 0.08;
-  dve::Population pop(bed, grid, pc);
-  pop.populate();
-  pop.start_movement();
+  dve::Dve world(bed, dve::ZoneGrid{}, zs, pc);
+  const dve::Population& pop = world.population();
 
   SimResult result;
   for (std::uint32_t n = 0; n < kNodes; ++n) {
@@ -108,8 +95,8 @@ SimResult run_dve(bool lb_enabled, std::uint32_t clients, std::int64_t duration_
   result.socket_reads = reads.value() - reads_before;
   for (std::uint32_t n = 0; n < kNodes; ++n) {
     for (const auto& [pid, p] : bed.node(n).node.processes()) {
-      if (const auto* zs = dynamic_cast<const dve::ZoneServerApp*>(p->app().get())) {
-        result.ticks += zs->ticks();
+      if (const auto* app = dynamic_cast<const dve::ZoneServerApp*>(p->app().get())) {
+        result.ticks += app->ticks();
       }
     }
   }

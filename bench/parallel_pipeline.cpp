@@ -15,8 +15,7 @@
 #include <vector>
 
 #include "src/common/cli.hpp"
-#include "src/dve/testbed.hpp"
-#include "src/dve/zone_server.hpp"
+#include "src/dve/scenario.hpp"
 #include "src/obs/bench_report.hpp"
 #include "src/obs/runtime.hpp"
 
@@ -53,34 +52,22 @@ DegreePoint run_degree(int degree, std::uint64_t heap_bytes,
   zs.use_db = false;
   zs.active_updates = true;
   zs.heap_bytes = heap_bytes;
-  auto proc = dve::ZoneServerApp::launch(bed.node(0).node, zs);
-
-  dve::TcpDveClient client(bed.make_client_host(), bed.public_ip());
-  client.connect_to_zone(1);
-  client.set_active(SimTime::milliseconds(50), 48);
+  // One passive client: it receives the zone's updates and sends nothing.
+  const dve::ZoneServerPoint world(bed, zs, {.count = 1, .active = 0});
   bed.run_for(SimTime::milliseconds(400));
 
   mig::MigrateOptions opts;
   opts.strategy = mig::SocketMigStrategy::incremental_collective;
   opts.live = true;
   opts.config.parallelism = degree;
-
-  mig::MigrationStats stats;
-  bool done = false;
-  if (!bed.node(0).migd.migrate(proc->pid(), bed.node(1).node.local_addr(),
-                                opts, [&](const mig::MigrationStats& s) {
-                                  stats = s;
-                                  done = true;
-                                })) {
-    std::fprintf(stderr, "parallel_pipeline: migd busy\n");
-    std::abort();
-  }
-  bed.run_for(SimTime::seconds(30));
-  if (!done || !stats.success) {
+  const auto migrated =
+      dve::migrate_and_wait(bed, world.proc->pid(), 0, 1, opts, SimTime::seconds(30));
+  if (!migrated || !migrated->success) {
     std::fprintf(stderr, "parallel_pipeline: migration failed at degree %d\n",
                  degree);
     std::abort();
   }
+  const mig::MigrationStats& stats = *migrated;
 
   DegreePoint p;
   p.degree = degree;

@@ -11,9 +11,7 @@
 #include <vector>
 
 #include "src/common/cli.hpp"
-#include "src/dve/population.hpp"
-#include "src/dve/testbed.hpp"
-#include "src/dve/zone_server.hpp"
+#include "src/dve/scenario.hpp"
 #include "src/obs/runtime.hpp"
 
 using namespace dvemig;
@@ -24,50 +22,33 @@ int main(int argc, char** argv) {
   cfg.dve_nodes = 3;
   dve::Testbed bed(cfg);
 
-  // Three zone servers on the node to be evacuated (node 1).
-  std::vector<Pid> pids;
+  // Three zone servers on the node to be evacuated (node 1), six clients each.
+  std::vector<dve::ZoneServerPoint> zones;
+  zones.reserve(3);
   for (dve::ZoneId z = 1; z <= 3; ++z) {
     dve::ZoneServerConfig zs;
     zs.zone = z;
     zs.active_updates = true;
-    zs.db_addr = bed.db_node()->local_addr();
     zs.db_update_period = SimTime::milliseconds(200);
-    pids.push_back(dve::ZoneServerApp::launch(bed.node(0).node, zs)->pid());
-  }
-
-  // Six clients per zone.
-  std::vector<std::unique_ptr<dve::TcpDveClient>> clients;
-  for (dve::ZoneId z = 1; z <= 3; ++z) {
-    for (int i = 0; i < 6; ++i) {
-      auto c = std::make_unique<dve::TcpDveClient>(bed.make_client_host(),
-                                                   bed.public_ip());
-      c->set_active(SimTime::milliseconds(50), 48);
-      c->connect_to_zone(z);
-      clients.push_back(std::move(c));
-    }
+    zones.emplace_back(bed, zs, dve::ZoneClients{.count = 6});
   }
   bed.run_for(SimTime::seconds(2));
   std::printf("node1 hosts %zu processes; beginning evacuation\n",
               bed.node(0).node.processes().size());
 
   // Drain node1: round-robin the processes to nodes 2 and 3.
-  for (std::size_t i = 0; i < pids.size(); ++i) {
+  for (std::size_t i = 0; i < zones.size(); ++i) {
+    const Pid pid = zones[i].proc->pid();
     const std::size_t target = 1 + i % 2;
-    mig::MigrationStats stats;
-    bool done = false;
-    bed.node(0).migd.migrate(pids[i], bed.node(target).node.local_addr(),
-                             mig::SocketMigStrategy::incremental_collective,
-                             [&](const mig::MigrationStats& s) {
-                               stats = s;
-                               done = true;
-                             });
-    bed.run_for(SimTime::seconds(4));
-    if (!done || !stats.success) {
-      std::printf("evacuation of pid %u FAILED\n", pids[i].value);
+    const auto stats = dve::migrate_and_wait(
+        bed, pid, 0, target, {mig::SocketMigStrategy::incremental_collective},
+        SimTime::seconds(4));
+    if (!stats || !stats->success) {
+      std::printf("evacuation of pid %u FAILED\n", pid.value);
       return 1;
     }
-    std::printf("  pid %u -> %s (freeze %.2f ms)\n", pids[i].value,
-                bed.node(target).node.name().c_str(), stats.freeze_time().to_ms());
+    std::printf("  pid %u -> %s (freeze %.2f ms)\n", pid.value,
+                bed.node(target).node.name().c_str(), stats->freeze_time().to_ms());
   }
 
   std::printf("node1 now hosts %zu processes (safe to power off)\n",
@@ -76,9 +57,9 @@ int main(int argc, char** argv) {
   bed.run_for(SimTime::seconds(3));
   std::uint64_t resets = 0;
   std::uint64_t updates = 0;
-  for (const auto& c : clients) {
-    resets += c->resets_seen();
-    updates += c->updates_received();
+  for (const auto& zone : zones) {
+    resets += zone.resets_seen();
+    updates += zone.updates_received();
   }
   std::printf("clients: %llu updates received, %llu resets; DB sessions alive: %zu\n",
               static_cast<unsigned long long>(updates),

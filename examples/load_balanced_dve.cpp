@@ -9,9 +9,7 @@
 #include <cstdio>
 
 #include "src/common/cli.hpp"
-#include "src/dve/population.hpp"
-#include "src/dve/testbed.hpp"
-#include "src/dve/zone_server.hpp"
+#include "src/dve/scenario.hpp"
 #include "src/obs/runtime.hpp"
 
 using namespace dvemig;
@@ -23,19 +21,10 @@ int main(int argc, char** argv) {
   cfg.policy.calm_down = SimTime::seconds(5);
   cfg.policy.imbalance_threshold = 0.08;
   dve::Testbed bed(cfg);
-  dve::ZoneGrid grid(6, 5);  // 30 zones: rows 0-1 -> node1, 2-3 -> node2, 4-5 -> node3
-
-  for (std::uint32_t n = 0; n < 3; ++n) {
-    for (const dve::ZoneId z : grid.zones_of_node(n, 3)) {
-      dve::ZoneServerConfig zs;
-      zs.zone = z;
-      zs.base_cores = 0.015;
-      zs.per_client_cores = 0.004;
-      zs.db_addr = bed.db_node()->local_addr();
-      dve::ZoneServerApp::launch(bed.node(n).node, zs);
-    }
-  }
-
+  // 30 zones: rows 0-1 -> node1, 2-3 -> node2, 4-5 -> node3.
+  dve::ZoneServerConfig zs;
+  zs.base_cores = 0.015;
+  zs.per_client_cores = 0.004;
   dve::PopulationConfig pc;
   pc.client_count = 900;
   pc.middle_row_min = 2;
@@ -45,9 +34,8 @@ int main(int argc, char** argv) {
   pc.move_end = SimTime::seconds(160);
   pc.move_step_prob = 0.25;
   pc.corner_region = 2;
-  dve::Population pop(bed, grid, pc);
-  pop.populate();
-  pop.start_movement();
+  dve::Dve world(bed, dve::ZoneGrid(6, 5), zs, pc);
+  const dve::Population& pop = world.population();
 
   for (std::uint32_t n = 0; n < 3; ++n) {
     bed.node(n).conductor.set_enabled(true);

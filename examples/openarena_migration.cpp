@@ -7,13 +7,9 @@
 //
 //   ./build/examples/openarena_migration [--log-level=debug] [--trace-out=trace.json]
 #include <cstdio>
-#include <memory>
-#include <vector>
 
 #include "src/common/cli.hpp"
-#include "src/dve/client.hpp"
-#include "src/dve/game_server.hpp"
-#include "src/dve/testbed.hpp"
+#include "src/dve/scenario.hpp"
 #include "src/obs/runtime.hpp"
 
 using namespace dvemig;
@@ -24,21 +20,12 @@ int main(int argc, char** argv) {
   cfg.dve_nodes = 2;
   dve::Testbed bed(cfg);
 
-  dve::GameServerConfig gs;
-  auto proc = dve::GameServerApp::launch(bed.node(0).node, gs);
-  std::printf("OpenArena server (pid %u) on %s, port %u\n", proc->pid().value,
-              bed.node(0).node.name().c_str(), gs.port);
-
-  std::vector<std::unique_ptr<dve::UdpGameClient>> clients;
-  for (int i = 0; i < 24; ++i) {
-    auto c = std::make_unique<dve::UdpGameClient>(
-        bed.make_client_host(), net::Endpoint{bed.public_ip(), gs.port});
-    c->start();
-    clients.push_back(std::move(c));
-  }
+  const dve::OpenArenaPoint world(bed, 24);
+  std::printf("OpenArena server (pid %u) on %s, port %u\n", world.proc->pid().value,
+              bed.node(0).node.name().c_str(), world.config.port);
   bed.run_for(SimTime::seconds(5));
   {
-    const auto* app = static_cast<const dve::GameServerApp*>(proc->app().get());
+    const auto* app = static_cast<const dve::GameServerApp*>(world.proc->app().get());
     std::printf("t=5s   %zu players in game, %llu snapshots sent\n",
                 app->client_count(),
                 static_cast<unsigned long long>(app->snapshots_sent()));
@@ -46,19 +33,14 @@ int main(int argc, char** argv) {
 
   std::printf("live-migrating to %s (incremental collective sockets)...\n",
               bed.node(1).node.name().c_str());
-  mig::MigrationStats stats;
-  bool done = false;
-  bed.node(0).migd.migrate(proc->pid(), bed.node(1).node.local_addr(),
-                           mig::SocketMigStrategy::incremental_collective,
-                           [&](const mig::MigrationStats& s) {
-                             stats = s;
-                             done = true;
-                           });
-  bed.run_for(SimTime::seconds(5));
-  if (!done || !stats.success) {
+  const auto migrated = dve::migrate_and_wait(
+      bed, world.proc->pid(), 0, 1, {mig::SocketMigStrategy::incremental_collective},
+      SimTime::seconds(5));
+  if (!migrated || !migrated->success) {
     std::printf("migration FAILED\n");
     return 1;
   }
+  const mig::MigrationStats& stats = *migrated;
 
   std::printf("  precopy: %d rounds, %.1f MB over the cluster network\n",
               stats.precopy_rounds,
@@ -77,8 +59,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const auto* app = static_cast<const dve::GameServerApp*>(moved->app().get());
-  std::size_t lost = 0;
-  for (const auto& c : clients) lost += c->missing_snapshots();
+  const std::size_t lost = world.missing_snapshots();
   std::printf("t=13s  %zu players still in game on %s, snapshots lost: %zu\n",
               app->client_count(), bed.node(1).node.name().c_str(), lost);
   const bool ok = app->client_count() == 24 && lost == 0;

@@ -9,9 +9,7 @@
 #include <cstdio>
 
 #include "src/common/cli.hpp"
-#include "src/dve/population.hpp"
-#include "src/dve/testbed.hpp"
-#include "src/dve/zone_server.hpp"
+#include "src/dve/scenario.hpp"
 #include "src/obs/runtime.hpp"
 
 using namespace dvemig;
@@ -22,28 +20,18 @@ int main(int argc, char** argv) {
   cfg.dve_nodes = 2;
   dve::Testbed bed(cfg);
 
-  // A zone server on node 1, updating its clients 20 times per second.
+  // A zone server on node 1, updating its clients 20 times per second, and
+  // eight clients that connect to the zone's port on the shared public IP and
+  // chat with the server at 20 Hz.
   dve::ZoneServerConfig zs;
   zs.zone = 7;
   zs.active_updates = true;
-  zs.db_addr = bed.db_node()->local_addr();
-  auto proc = dve::ZoneServerApp::launch(bed.node(0).node, zs);
-  const Pid pid = proc->pid();
-
-  // Eight clients connect to the zone's port on the shared public IP and chat
-  // with the server at 20 Hz.
-  std::vector<std::unique_ptr<dve::TcpDveClient>> clients;
-  for (int i = 0; i < 8; ++i) {
-    auto& host = bed.make_client_host();
-    auto client = std::make_unique<dve::TcpDveClient>(host, bed.public_ip());
-    client->set_active(SimTime::milliseconds(50), 64);
-    client->connect_to_zone(zs.zone);
-    clients.push_back(std::move(client));
-  }
+  const dve::ZoneServerPoint world(bed, zs, {.count = 8, .message_bytes = 64});
+  const Pid pid = world.proc->pid();
 
   bed.run_for(SimTime::seconds(3));
   const auto* app =
-      static_cast<const dve::ZoneServerApp*>(proc->app().get());
+      static_cast<const dve::ZoneServerApp*>(world.proc->app().get());
   std::printf("t=3s   zone server on %s: %zu clients, %llu updates sent, "
               "%llu DB responses\n",
               bed.node(0).node.name().c_str(), app->client_count(),
@@ -51,20 +39,14 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(app->db_responses()));
 
   // Live-migrate the zone server to node 2 (incremental collective sockets).
-  mig::MigrationStats stats;
-  bool done = false;
-  bed.node(0).migd.migrate(pid, bed.node(1).node.local_addr(),
-                           mig::SocketMigStrategy::incremental_collective,
-                           [&](const mig::MigrationStats& s) {
-                             stats = s;
-                             done = true;
-                           });
-  bed.run_for(SimTime::seconds(3));
-
-  if (!done || !stats.success) {
+  const auto migrated = dve::migrate_and_wait(
+      bed, pid, 0, 1, {mig::SocketMigStrategy::incremental_collective},
+      SimTime::seconds(3));
+  if (!migrated || !migrated->success) {
     std::printf("migration FAILED\n");
     return 1;
   }
+  const mig::MigrationStats& stats = *migrated;
 
   auto moved = bed.node(1).node.find(pid);
   const auto* app2 =
@@ -86,11 +68,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(app2->db_responses()));
   }
 
-  std::uint64_t updates = 0, resets = 0;
-  for (const auto& c : clients) {
-    updates += c->updates_received();
-    resets += c->resets_seen();
-  }
+  const std::uint64_t updates = world.updates_received();
+  const std::uint64_t resets = world.resets_seen();
   std::printf("clients: %llu updates received, %llu connection resets\n",
               static_cast<unsigned long long>(updates),
               static_cast<unsigned long long>(resets));

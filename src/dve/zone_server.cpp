@@ -165,7 +165,7 @@ void ZoneServerApp::tick() {
       if (sock.state() != stack::TcpState::established) continue;
       // Drain whatever the client sent since the last tick (the "events").
       sock.lock_user();  // the app is inside a recv/send syscall pair
-      (void)sock.read();
+      (void)sock.read_bytes();
       socket_reads_.get().add(1);
       BinaryWriter w;
       w.reserve(cfg_.update_bytes);
@@ -187,7 +187,7 @@ void ZoneServerApp::tick() {
     });
     for (const Fd fd : ready_) {
       slots_[static_cast<std::size_t>(fd)].ready = false;
-      (void)tcp_at(fd).read();
+      (void)tcp_at(fd).read_bytes();
     }
     socket_reads_.get().add(ready_.size());
     ready_.clear();

@@ -234,7 +234,8 @@ void Conductor::handle_accept(std::uint64_t offer_id) {
   initiated_ += 1;
   LbMetrics::get().initiated.add(1);
   const bool started = migd_->migrate(
-      offer.pid, offer.dest, strategy_, [this, offer](const mig::MigrationStats& s) {
+      offer.pid, offer.dest, mig::MigrateOptions{strategy_},
+      [this, offer](const mig::MigrationStats& s) {
         pending_offer_.reset();
         calm_until_ = engine().now() + cfg_.calm_down;
         send_ctrl(offer.dest, MsgType::mig_release, offer.offer_id);

@@ -134,8 +134,6 @@ class Migd {
 
   /// Migrate `pid` to the node whose cluster-local address is `dest_local`.
   /// Returns false if this migd is already busy sending.
-  bool migrate(Pid pid, net::Ipv4Addr dest_local, SocketMigStrategy strategy,
-               DoneFn done);
   bool migrate(Pid pid, net::Ipv4Addr dest_local, MigrateOptions options,
                DoneFn done);
 

@@ -746,11 +746,6 @@ void Migd::detach_source_session() {
   if (src_session_) src_session_->detach_callbacks();
 }
 
-bool Migd::migrate(Pid pid, net::Ipv4Addr dest_local, SocketMigStrategy strategy,
-                   DoneFn done) {
-  return migrate(pid, dest_local, MigrateOptions{strategy, true}, std::move(done));
-}
-
 bool Migd::migrate(Pid pid, net::Ipv4Addr dest_local, MigrateOptions options,
                    DoneFn done) {
   if (src_session_ != nullptr) return false;

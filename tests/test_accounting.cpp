@@ -6,7 +6,7 @@
 #include <algorithm>
 #include <map>
 
-#include "src/dve/testbed.hpp"
+#include "src/dve/scenario.hpp"
 #include "src/dve/zone_server.hpp"
 
 namespace dvemig {
@@ -63,7 +63,7 @@ TEST(MigrationAccounting, KernelWorkChargedToCpuMeters) {
 
   bool done = false;
   bed.node(0).migd.migrate(proc->pid(), bed.node(1).node.local_addr(),
-                           mig::SocketMigStrategy::collective,
+                           {mig::SocketMigStrategy::collective},
                            [&](const mig::MigrationStats&) { done = true; });
   // The meter reports completed 1 s windows: sample the kernel pseudo-pid's
   // usage across the run and keep the peak.
@@ -97,12 +97,9 @@ TEST(MigrationAccounting, FdTableIdenticalAfterMigration) {
   ASSERT_EQ(proc->files().socket_count(), 2u);  // listener + DB session
   ASSERT_EQ(before.size(), 3u);                 // + the log file
 
-  bool done = false;
-  bed.node(0).migd.migrate(proc->pid(), bed.node(1).node.local_addr(),
-                           mig::SocketMigStrategy::incremental_collective,
-                           [&](const mig::MigrationStats&) { done = true; });
-  bed.run_for(SimTime::seconds(3));
-  ASSERT_TRUE(done);
+  ASSERT_TRUE(dve::migrate_and_wait(bed, proc->pid(), 0, 1,
+                                    {mig::SocketMigStrategy::incremental_collective},
+                                    SimTime::seconds(3)));
 
   auto moved = bed.node(1).node.find(proc->pid());
   ASSERT_NE(moved, nullptr);
@@ -142,16 +139,10 @@ TEST(MigrationAccounting, ConnectedUdpInClusterMigratesWithTranslation) {
   bed.run_for(SimTime::milliseconds(100));
   ASSERT_EQ(peer->pending(), 1u);
 
-  bool done = false;
-  mig::MigrationStats stats;
-  bed.node(0).migd.migrate(proc->pid(), bed.node(1).node.local_addr(),
-                           mig::SocketMigStrategy::collective,
-                           [&](const mig::MigrationStats& s) {
-                             stats = s;
-                             done = true;
-                           });
-  bed.run_for(SimTime::seconds(3));
-  ASSERT_TRUE(done && stats.success);
+  const auto stats =
+      dve::migrate_and_wait(bed, proc->pid(), 0, 1, {mig::SocketMigStrategy::collective},
+                            SimTime::seconds(3));
+  ASSERT_TRUE(stats && stats->success);
 
   auto moved = bed.node(1).node.find(proc->pid());
   ASSERT_NE(moved, nullptr);
@@ -179,24 +170,18 @@ TEST(MigrationAccounting, StatsBytesAreConsistent) {
   auto proc = dve::ZoneServerApp::launch(bed.node(0).node, zs);
   bed.run_for(SimTime::milliseconds(500));
 
-  mig::MigrationStats stats;
-  bool done = false;
-  bed.node(0).migd.migrate(proc->pid(), bed.node(1).node.local_addr(),
-                           mig::SocketMigStrategy::collective,
-                           [&](const mig::MigrationStats& s) {
-                             stats = s;
-                             done = true;
-                           });
-  bed.run_for(SimTime::seconds(3));
-  ASSERT_TRUE(done);
-  EXPECT_GE(stats.t_freeze_begin, stats.t_start);
-  EXPECT_GE(stats.t_resume, stats.t_freeze_begin);
+  const auto stats =
+      dve::migrate_and_wait(bed, proc->pid(), 0, 1, {mig::SocketMigStrategy::collective},
+                            SimTime::seconds(3));
+  ASSERT_TRUE(stats);
+  EXPECT_GE(stats->t_freeze_begin, stats->t_start);
+  EXPECT_GE(stats->t_resume, stats->t_freeze_begin);
   // The 4 MiB heap rides the precopy; freeze moves only deltas + metadata.
-  EXPECT_GT(stats.precopy_channel_bytes, 4u << 20);
-  EXPECT_LT(stats.freeze_channel_bytes, stats.precopy_channel_bytes);
-  EXPECT_LE(stats.freeze_socket_bytes, stats.freeze_channel_bytes);
-  EXPECT_EQ(stats.socket_count, 1u);  // just the listener
-  EXPECT_EQ(stats.reinjected, stats.captured);
+  EXPECT_GT(stats->precopy_channel_bytes, 4u << 20);
+  EXPECT_LT(stats->freeze_channel_bytes, stats->precopy_channel_bytes);
+  EXPECT_LE(stats->freeze_socket_bytes, stats->freeze_channel_bytes);
+  EXPECT_EQ(stats->socket_count, 1u);  // just the listener
+  EXPECT_EQ(stats->reinjected, stats->captured);
 }
 
 TEST(MigrationAccounting, WorkerThreadsRideTheImage) {
@@ -212,12 +197,9 @@ TEST(MigrationAccounting, WorkerThreadsRideTheImage) {
   const auto tid_regs = proc->threads()[3].gp_regs;
   bed.run_for(SimTime::milliseconds(300));
 
-  bool done = false;
-  bed.node(0).migd.migrate(proc->pid(), bed.node(1).node.local_addr(),
-                           mig::SocketMigStrategy::incremental_collective,
-                           [&](const mig::MigrationStats&) { done = true; });
-  bed.run_for(SimTime::seconds(3));
-  ASSERT_TRUE(done);
+  ASSERT_TRUE(dve::migrate_and_wait(bed, proc->pid(), 0, 1,
+                                    {mig::SocketMigStrategy::incremental_collective},
+                                    SimTime::seconds(3)));
   auto moved = bed.node(1).node.find(proc->pid());
   ASSERT_NE(moved, nullptr);
   ASSERT_EQ(moved->threads().size(), 8u);

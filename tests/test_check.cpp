@@ -9,7 +9,7 @@
 #include <string_view>
 
 #include "src/check/verifier.hpp"
-#include "src/dve/testbed.hpp"
+#include "src/dve/scenario.hpp"
 #include "src/dve/zone_server.hpp"
 #include "src/net/switch.hpp"
 #include "src/stack/net_stack.hpp"
@@ -330,19 +330,13 @@ TEST(VerifiedMigration, LiveMigrationRunsCleanUnderAuditor) {
   const Pid pid = proc->pid();
   bed.run_for(SimTime::seconds(1));
 
-  mig::MigrationStats stats;
-  bool done = false;
-  ASSERT_TRUE(bed.node(0).migd.migrate(
-      pid, bed.node(1).node.local_addr(),
-      mig::SocketMigStrategy::incremental_collective,
-      [&](const mig::MigrationStats& s) {
-        stats = s;
-        done = true;
-      }));
-  bed.run_for(SimTime::seconds(5));
+  const auto stats =
+      dve::migrate_and_wait(bed, pid, 0, 1,
+                            {mig::SocketMigStrategy::incremental_collective},
+                            SimTime::seconds(5));
 
-  ASSERT_TRUE(done);
-  EXPECT_TRUE(stats.success);
+  ASSERT_TRUE(stats);
+  EXPECT_TRUE(stats->success);
   EXPECT_GT(verify.audits_run(), 0u);
   EXPECT_GT(verify.checks_run(), 0u);
   // The live channels really were observed end to end.

@@ -3,8 +3,7 @@
 // benchmark in bench/ relies on.
 #include <gtest/gtest.h>
 
-#include "src/dve/population.hpp"
-#include "src/dve/testbed.hpp"
+#include "src/dve/scenario.hpp"
 #include "src/dve/zone_server.hpp"
 #include "src/stack/tracer.hpp"
 
@@ -20,25 +19,12 @@ std::string run_traced_scenario() {
   dve::ZoneServerConfig zs;
   zs.zone = 3;
   zs.active_updates = true;
-  zs.db_addr = bed.db_node()->local_addr();
-  auto proc = dve::ZoneServerApp::launch(bed.node(0).node, zs);
-
-  std::vector<std::unique_ptr<dve::TcpDveClient>> clients;
-  for (int i = 0; i < 6; ++i) {
-    auto c = std::make_unique<dve::TcpDveClient>(bed.make_client_host(),
-                                                 bed.public_ip());
-    c->set_active(SimTime::milliseconds(50), 40);
-    c->connect_to_zone(zs.zone);
-    clients.push_back(std::move(c));
-  }
+  const dve::ZoneServerPoint world(bed, zs, {.count = 6, .message_bytes = 40});
   bed.run_for(SimTime::seconds(1));
 
-  bool done = false;
-  bed.node(0).migd.migrate(proc->pid(), bed.node(1).node.local_addr(),
-                           mig::SocketMigStrategy::incremental_collective,
-                           [&](const mig::MigrationStats&) { done = true; });
-  bed.run_for(SimTime::seconds(3));
-  EXPECT_TRUE(done);
+  EXPECT_TRUE(dve::migrate_and_wait(bed, world.proc->pid(), 0, 1,
+                                    {mig::SocketMigStrategy::incremental_collective},
+                                    SimTime::seconds(3)));
   return tracer.dump();
 }
 
@@ -59,17 +45,9 @@ TEST(DeterminismTest, MigrationStatsBitIdenticalAcrossRuns) {
     zs.db_addr = bed.db_node()->local_addr();
     auto proc = dve::ZoneServerApp::launch(bed.node(0).node, zs);
     bed.run_for(SimTime::seconds(1));
-    mig::MigrationStats stats;
-    bool done = false;
-    bed.node(0).migd.migrate(proc->pid(), bed.node(1).node.local_addr(),
-                             mig::SocketMigStrategy::collective,
-                             [&](const mig::MigrationStats& s) {
-                               stats = s;
-                               done = true;
-                             });
-    bed.run_for(SimTime::seconds(3));
-    EXPECT_TRUE(done);
-    return stats;
+    return dve::migrate_and_wait(bed, proc->pid(), 0, 1,
+                                 {mig::SocketMigStrategy::collective}, SimTime::seconds(3))
+        .value();
   };
   const mig::MigrationStats a = run_once();
   const mig::MigrationStats b = run_once();
@@ -87,23 +65,15 @@ TEST(DeterminismTest, PopulationMovementReproducible) {
     cfg.dve_nodes = 5;
     cfg.with_db = false;
     dve::Testbed bed(cfg);
-    dve::ZoneGrid grid;
-    for (std::uint32_t n = 0; n < 5; ++n) {
-      for (const dve::ZoneId z : grid.zones_of_node(n, 5)) {
-        dve::ZoneServerConfig zs;
-        zs.zone = z;
-        zs.use_db = false;
-        zs.heap_bytes = 1 << 20;
-        dve::ZoneServerApp::launch(bed.node(n).node, zs);
-      }
-    }
+    dve::ZoneServerConfig zs;
+    zs.use_db = false;
+    zs.heap_bytes = 1 << 20;
     dve::PopulationConfig pc;
     pc.client_count = 400;
     pc.move_start = SimTime::seconds(3);
     pc.move_step_prob = 0.3;
-    dve::Population pop(bed, grid, pc);
-    pop.populate();
-    pop.start_movement();
+    dve::Dve world(bed, dve::ZoneGrid{}, zs, pc);
+    const dve::Population& pop = world.population();
     bed.run_for(SimTime::seconds(20));
     return pop.clients_per_zone();
   };

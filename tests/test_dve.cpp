@@ -4,8 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/dve/game_server.hpp"
-#include "src/dve/population.hpp"
-#include "src/dve/testbed.hpp"
+#include "src/dve/scenario.hpp"
 #include "src/dve/zone_server.hpp"
 #include "src/obs/metrics.hpp"
 
@@ -350,20 +349,11 @@ TEST(GameServerTest, SnapshotsAtTwentyHertz) {
   TestbedConfig cfg;
   cfg.dve_nodes = 1;
   Testbed bed(cfg);
-  GameServerConfig gs;
-  auto proc = GameServerApp::launch(bed.node(0).node, gs);
-
-  std::vector<std::unique_ptr<UdpGameClient>> clients;
-  for (int i = 0; i < 4; ++i) {
-    auto c = std::make_unique<UdpGameClient>(
-        bed.make_client_host(), net::Endpoint{bed.public_ip(), gs.port});
-    c->start();
-    clients.push_back(std::move(c));
-  }
+  const OpenArenaPoint world(bed, 4);
   bed.run_for(SimTime::seconds(2));
-  const auto* app = static_cast<const GameServerApp*>(proc->app().get());
+  const auto* app = static_cast<const GameServerApp*>(world.proc->app().get());
   EXPECT_EQ(app->client_count(), 4u);
-  for (const auto& c : clients) {
+  for (const auto& c : world.clients) {
     EXPECT_NEAR(static_cast<double>(c->received().size()), 39.0, 4.0);  // 20/s
     EXPECT_EQ(c->missing_snapshots(), 0u);
   }
@@ -393,21 +383,14 @@ TEST(PopulationTest, UniformInitialDistribution) {
   TestbedConfig cfg;
   cfg.dve_nodes = 5;
   Testbed bed(cfg);
-  ZoneGrid grid;
   // Zone servers for all 100 zones (idle, no DB, small heaps to keep this fast).
-  for (std::uint32_t n = 0; n < 5; ++n) {
-    for (const ZoneId z : grid.zones_of_node(n, 5)) {
-      ZoneServerConfig zs;
-      zs.zone = z;
-      zs.use_db = false;
-      zs.heap_bytes = 1 << 20;
-      ZoneServerApp::launch(bed.node(n).node, zs);
-    }
-  }
+  ZoneServerConfig zs;
+  zs.use_db = false;
+  zs.heap_bytes = 1 << 20;
   PopulationConfig pc;
   pc.client_count = 500;
-  Population pop(bed, grid, pc);
-  pop.populate();
+  Dve world(bed, ZoneGrid{}, zs, pc);
+  const Population& pop = world.population();
   bed.run_for(SimTime::seconds(12));
 
   const auto counts = pop.clients_per_zone();
@@ -428,27 +411,20 @@ TEST(PopulationTest, MovementDriftsTowardCorners) {
   TestbedConfig cfg;
   cfg.dve_nodes = 5;
   Testbed bed(cfg);
-  ZoneGrid grid;
-  for (std::uint32_t n = 0; n < 5; ++n) {
-    for (const ZoneId z : grid.zones_of_node(n, 5)) {
-      ZoneServerConfig zs;
-      zs.zone = z;
-      zs.use_db = false;
-      zs.heap_bytes = 1 << 20;
-      ZoneServerApp::launch(bed.node(n).node, zs);
-    }
-  }
+  ZoneServerConfig zs;
+  zs.use_db = false;
+  zs.heap_bytes = 1 << 20;
   PopulationConfig pc;
   pc.client_count = 1000;
   pc.move_start = SimTime::seconds(5);
   pc.move_end = SimTime::seconds(120);
   pc.move_step_prob = 0.5;  // accelerated drift for the test
-  Population pop(bed, grid, pc);
-  pop.populate();
-  pop.start_movement();
+  Dve world(bed, ZoneGrid{}, zs, pc);
+  const Population& pop = world.population();
   bed.run_for(SimTime::seconds(60));
 
   // The corner regions gained population; the middle thinned out.
+  const ZoneGrid grid;
   const auto counts = pop.clients_per_zone();
   std::uint32_t corner_mass = 0;
   for (std::uint32_t r = 0; r < 3; ++r) {

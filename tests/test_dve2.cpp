@@ -3,8 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/dve/game_server.hpp"
-#include "src/dve/population.hpp"
-#include "src/dve/testbed.hpp"
+#include "src/dve/scenario.hpp"
 #include "src/dve/zone_server.hpp"
 
 namespace dvemig::dve {
@@ -134,31 +133,22 @@ TEST(ZoneConsistency, PopulationAndServersAgreeUnderChurn) {
   cfg.dve_nodes = 5;
   cfg.with_db = false;
   Testbed bed(cfg);
-  ZoneGrid grid;
-  std::vector<std::shared_ptr<proc::Process>> procs;
-  for (std::uint32_t n = 0; n < 5; ++n) {
-    for (const ZoneId z : grid.zones_of_node(n, 5)) {
-      ZoneServerConfig zs;
-      zs.zone = z;
-      zs.use_db = false;
-      zs.heap_bytes = 1 << 20;
-      procs.push_back(ZoneServerApp::launch(bed.node(n).node, zs));
-    }
-  }
+  ZoneServerConfig zs;
+  zs.use_db = false;
+  zs.heap_bytes = 1 << 20;
   PopulationConfig pc;
   pc.client_count = 600;
   pc.move_start = SimTime::seconds(3);
   pc.move_step_prob = 0.4;
-  Population pop(bed, grid, pc);
-  pop.populate();
-  pop.start_movement();
+  Dve world(bed, ZoneGrid{}, zs, pc);
+  const Population& pop = world.population();
   bed.run_for(SimTime::seconds(30));
   // Let in-flight handoffs settle, then compare the two views of the world.
   bed.run_for(SimTime::seconds(2));
 
   const auto by_population = pop.clients_per_zone();
   std::size_t total_on_servers = 0;
-  for (const auto& proc : procs) {
+  for (const auto& proc : world.servers()) {
     const auto* app = static_cast<const ZoneServerApp*>(proc->app().get());
     EXPECT_EQ(app->client_count(), by_population[app->config().zone])
         << "zone " << app->config().zone;

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "filter_oracles.hpp"
-#include "src/dve/testbed.hpp"
+#include "src/dve/scenario.hpp"
 #include "src/dve/zone_server.hpp"
 #include "src/mig/capture.hpp"
 #include "src/mig/protocol.hpp"
@@ -939,35 +939,22 @@ MigrationStats run_collective_with_chunk_limit(std::int64_t chunk_bytes,
   dve::ZoneServerConfig zs;
   zs.zone = 4;
   zs.use_db = false;
-  auto proc = dve::ZoneServerApp::launch(bed.node(0).node, zs);
-  std::vector<std::unique_ptr<dve::TcpDveClient>> clients;
-  for (int i = 0; i < 8; ++i) {
-    auto c = std::make_unique<dve::TcpDveClient>(bed.make_client_host(),
-                                                 bed.public_ip());
-    c->connect_to_zone(zs.zone);
-    clients.push_back(std::move(c));
-  }
+  const dve::ZoneServerPoint world(bed, zs, {.count = 8, .active = 0});
   bed.run_for(SimTime::seconds(1));
 
   FrameCounter counter;
   FrameChannel::set_observer(&counter);
-  MigrationStats stats;
-  bool done = false;
-  bed.node(0).migd.migrate(
-      proc->pid(), bed.node(1).node.local_addr(), SocketMigStrategy::collective,
-      [&](const MigrationStats& s) {
-        stats = s;
-        done = true;
-      });
-  bed.run_for(SimTime::seconds(5));
+  const auto stats =
+      dve::migrate_and_wait(bed, world.proc->pid(), 0, 1, {SocketMigStrategy::collective},
+                            SimTime::seconds(5));
   FrameChannel::set_observer(nullptr);
-  EXPECT_TRUE(done);
-  for (const auto& c : clients) {
+  EXPECT_TRUE(stats);
+  for (const auto& c : world.clients) {
     EXPECT_TRUE(c->connected());
     EXPECT_EQ(c->resets_seen(), 0u);
   }
   *socket_state_frames = counter.socket_state_frames;
-  return stats;
+  return stats.value_or(MigrationStats{});
 }
 
 TEST(SocketChunkTest, TinyChunkLimitSplitsDumpWithoutChangingOutcome) {

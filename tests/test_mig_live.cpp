@@ -9,10 +9,7 @@
 #include "json_lint.hpp"
 #include "src/check/verifier.hpp"
 #include "src/obs/span.hpp"
-#include "src/dve/game_server.hpp"
-#include "src/dve/population.hpp"
-#include "src/dve/testbed.hpp"
-#include "src/dve/zone_server.hpp"
+#include "src/dve/scenario.hpp"
 #include "src/obs/metrics.hpp"
 
 namespace dvemig {
@@ -50,22 +47,6 @@ struct LiveMigrationFixture : ::testing::Test {
           << verify->violations().front().detail;
     }
   }
-
-  MigrationStats migrate(Pid pid, std::size_t from, std::size_t to,
-                         SocketMigStrategy strategy,
-                         SimDuration budget = SimTime::seconds(5)) {
-    MigrationStats stats;
-    bool done = false;
-    EXPECT_TRUE(bed->node(from).migd.migrate(
-        pid, bed->node(to).node.local_addr(), strategy,
-        [&](const MigrationStats& s) {
-          stats = s;
-          done = true;
-        }));
-    bed->run_for(budget);
-    EXPECT_TRUE(done);
-    return stats;
-  }
 };
 
 TEST_F(LiveMigrationFixture, IdleZoneServerMigrates) {
@@ -77,7 +58,8 @@ TEST_F(LiveMigrationFixture, IdleZoneServerMigrates) {
   bed->run_for(SimTime::seconds(1));
 
   const MigrationStats stats =
-      migrate(pid, 0, 1, SocketMigStrategy::incremental_collective);
+      dve::migrate_and_wait(*bed, pid, 0, 1, {SocketMigStrategy::incremental_collective},
+                            SimTime::seconds(5)).value();
   EXPECT_TRUE(stats.success);
   EXPECT_EQ(bed->node(0).node.find(pid), nullptr);
   ASSERT_NE(bed->node(1).node.find(pid), nullptr);
@@ -99,7 +81,9 @@ TEST_F(LiveMigrationFixture, SourceProcessGoneAfterMigration) {
   zs.use_db = false;
   auto proc = dve::ZoneServerApp::launch(bed->node(0).node, zs);
   bed->run_for(SimTime::milliseconds(500));
-  const MigrationStats stats = migrate(proc->pid(), 0, 2, SocketMigStrategy::collective);
+  const MigrationStats stats =
+      dve::migrate_and_wait(*bed, proc->pid(), 0, 2, {SocketMigStrategy::collective},
+                            SimTime::seconds(5)).value();
   EXPECT_TRUE(stats.success);
   // No residual dependencies: the source node holds neither the process nor any
   // of its sockets in the lookup tables.
@@ -122,21 +106,13 @@ TEST_P(StrategyTransparency, ActiveClientsSurviveUnharmed) {
   dve::ZoneServerConfig zs;
   zs.zone = 9;
   zs.active_updates = true;
-  zs.db_addr = bed->db_node()->local_addr();
-  auto proc = dve::ZoneServerApp::launch(bed->node(0).node, zs);
-  const Pid pid = proc->pid();
-
-  std::vector<std::unique_ptr<dve::TcpDveClient>> clients;
-  for (int i = 0; i < 12; ++i) {
-    auto& host = bed->make_client_host();
-    auto c = std::make_unique<dve::TcpDveClient>(host, bed->public_ip());
-    c->set_active(SimTime::milliseconds(50), 48);
-    c->connect_to_zone(zs.zone);
-    clients.push_back(std::move(c));
-  }
+  const dve::ZoneServerPoint world(*bed, zs, {.count = 12});
+  const Pid pid = world.proc->pid();
+  const auto& clients = world.clients;
   bed->run_for(SimTime::seconds(2));
 
-  const MigrationStats stats = migrate(pid, 0, 1, GetParam());
+  const MigrationStats stats =
+      dve::migrate_and_wait(*bed, pid, 0, 1, {GetParam()}, SimTime::seconds(5)).value();
   EXPECT_TRUE(stats.success);
   EXPECT_EQ(stats.socket_count, 14u);  // listener + 12 clients + DB session
 
@@ -185,30 +161,13 @@ TEST_F(LiveMigrationFixture, FreezeTimeOrdering) {
     dve::ZoneServerConfig zs;
     zs.zone = 3;
     zs.active_updates = true;
-    zs.db_addr = local_bed.db_node()->local_addr();
-    auto proc = dve::ZoneServerApp::launch(local_bed.node(0).node, zs);
-
-    std::vector<std::unique_ptr<dve::TcpDveClient>> clients;
-    for (int i = 0; i < 64; ++i) {
-      auto& host = local_bed.make_client_host();
-      auto c = std::make_unique<dve::TcpDveClient>(host, local_bed.public_ip());
-      c->set_active(SimTime::milliseconds(50), 48);
-      c->connect_to_zone(zs.zone);
-      clients.push_back(std::move(c));
-    }
+    const dve::ZoneServerPoint world(local_bed, zs, {.count = 64});
     local_bed.run_for(SimTime::seconds(2));
 
-    MigrationStats stats;
-    bool done = false;
-    local_bed.node(0).migd.migrate(proc->pid(),
-                                   local_bed.node(1).node.local_addr(), strategy,
-                                   [&](const MigrationStats& s) {
-                                     stats = s;
-                                     done = true;
-                                   });
-    local_bed.run_for(SimTime::seconds(5));
-    ASSERT_TRUE(done && stats.success);
-    freeze_ms[strategy] = stats.freeze_time().to_ms();
+    const auto stats = dve::migrate_and_wait(local_bed, world.proc->pid(), 0, 1,
+                                             {strategy}, SimTime::seconds(5));
+    ASSERT_TRUE(stats && stats->success);
+    freeze_ms[strategy] = stats->freeze_time().to_ms();
   }
   EXPECT_GT(freeze_ms[SocketMigStrategy::iterative],
             freeze_ms[SocketMigStrategy::collective]);
@@ -220,22 +179,13 @@ TEST_F(LiveMigrationFixture, PacketsDuringFreezeCapturedNotLost) {
   // UDP game server with chatty clients: during the freeze window the clients
   // keep sending commands; the capture filter must hand every one of them to
   // the restored socket.
-  dve::GameServerConfig gs;
-  auto proc = dve::GameServerApp::launch(bed->node(0).node, gs);
-  const Pid pid = proc->pid();
-
-  std::vector<std::unique_ptr<dve::UdpGameClient>> clients;
-  for (int i = 0; i < 24; ++i) {
-    auto& host = bed->make_client_host();
-    auto c = std::make_unique<dve::UdpGameClient>(
-        host, net::Endpoint{bed->public_ip(), gs.port}, SimTime::milliseconds(5));
-    c->start();
-    clients.push_back(std::move(c));
-  }
+  const dve::OpenArenaPoint world(*bed, 24, SimTime::milliseconds(5));
+  const Pid pid = world.proc->pid();
   bed->run_for(SimTime::seconds(2));
 
   const MigrationStats stats =
-      migrate(pid, 0, 1, SocketMigStrategy::incremental_collective);
+      dve::migrate_and_wait(*bed, pid, 0, 1, {SocketMigStrategy::incremental_collective},
+                            SimTime::seconds(5)).value();
   EXPECT_TRUE(stats.success);
   // 24 clients at 5 ms cadence: the freeze window (>= a few hundred us) must
   // have seen client packets — all captured and reinjected, none dropped.
@@ -256,7 +206,9 @@ TEST_F(LiveMigrationFixture, ListenerAcceptsNewClientsAfterMigration) {
   auto proc = dve::ZoneServerApp::launch(bed->node(0).node, zs);
   const Pid pid = proc->pid();
   bed->run_for(SimTime::milliseconds(500));
-  const MigrationStats stats = migrate(pid, 0, 2, SocketMigStrategy::collective);
+  const MigrationStats stats =
+      dve::migrate_and_wait(*bed, pid, 0, 2, {SocketMigStrategy::collective},
+                            SimTime::seconds(5)).value();
   ASSERT_TRUE(stats.success);
 
   // A brand-new client connects to the zone port after the move — the restored
@@ -299,7 +251,7 @@ TEST_F(LiveMigrationFixture, RestoredUnreadClientBytesDrainOnFirstTick) {
 
   bool done = false;
   ASSERT_TRUE(bed->node(0).migd.migrate(pid, bed->node(1).node.local_addr(),
-                                        SocketMigStrategy::incremental_collective,
+                                        {SocketMigStrategy::incremental_collective},
                                         [&](const MigrationStats& s) {
                                           EXPECT_TRUE(s.success);
                                           done = true;
@@ -338,7 +290,8 @@ TEST_F(LiveMigrationFixture, DbSessionContinuesViaTranslation) {
   bed->run_for(SimTime::seconds(1));
 
   const MigrationStats stats =
-      migrate(pid, 0, 1, SocketMigStrategy::incremental_collective);
+      dve::migrate_and_wait(*bed, pid, 0, 1, {SocketMigStrategy::incremental_collective},
+                            SimTime::seconds(5)).value();
   ASSERT_TRUE(stats.success);
 
   auto moved = bed->node(1).node.find(pid);
@@ -362,11 +315,17 @@ TEST_F(LiveMigrationFixture, ChainedMigrationsKeepWorking) {
   bed->run_for(SimTime::seconds(1));
 
   // 0 -> 1 -> 2 -> 0: translation rules must compose across hops.
-  ASSERT_TRUE(migrate(pid, 0, 1, SocketMigStrategy::incremental_collective).success);
+  ASSERT_TRUE(dve::migrate_and_wait(*bed, pid, 0, 1,
+                                    {SocketMigStrategy::incremental_collective},
+                                    SimTime::seconds(5)).value().success);
   bed->run_for(SimTime::seconds(1));
-  ASSERT_TRUE(migrate(pid, 1, 2, SocketMigStrategy::incremental_collective).success);
+  ASSERT_TRUE(dve::migrate_and_wait(*bed, pid, 1, 2,
+                                    {SocketMigStrategy::incremental_collective},
+                                    SimTime::seconds(5)).value().success);
   bed->run_for(SimTime::seconds(1));
-  ASSERT_TRUE(migrate(pid, 2, 0, SocketMigStrategy::incremental_collective).success);
+  ASSERT_TRUE(dve::migrate_and_wait(*bed, pid, 2, 0,
+                                    {SocketMigStrategy::incremental_collective},
+                                    SimTime::seconds(5)).value().success);
 
   auto home = bed->node(0).node.find(pid);
   ASSERT_NE(home, nullptr);
@@ -395,16 +354,9 @@ TEST_F(LiveMigrationFixture, AblationNoTimestampAdjustmentStallsTraffic) {
   bed->run_for(SimTime::seconds(2));
 
   bed->node(1).migd.set_adjust_timestamps(false);  // the ablation
-  MigrationStats stats;
-  bool done = false;
-  bed->node(2).migd.migrate(pid, bed->node(1).node.local_addr(),
-                            SocketMigStrategy::incremental_collective,
-                            [&](const MigrationStats& s) {
-                              stats = s;
-                              done = true;
-                            });
-  bed->run_for(SimTime::seconds(2));
-  ASSERT_TRUE(done && stats.success);
+  const auto stats = dve::migrate_and_wait(
+      *bed, pid, 2, 1, {SocketMigStrategy::incremental_collective}, SimTime::seconds(2));
+  ASSERT_TRUE(stats && stats->success);
 
   const std::uint64_t updates_at_migration = client.updates_received();
   bed->run_for(SimTime::seconds(3));
@@ -429,7 +381,8 @@ TEST_F(LiveMigrationFixture, AblationNoDstCacheFixStallsDbSession) {
   bed->db_transd().set_fix_dst_cache(false);
 
   const MigrationStats stats =
-      migrate(pid, 0, 1, SocketMigStrategy::incremental_collective);
+      dve::migrate_and_wait(*bed, pid, 0, 1, {SocketMigStrategy::incremental_collective},
+                            SimTime::seconds(5)).value();
   ASSERT_TRUE(stats.success);
 
   auto moved = bed->node(1).node.find(pid);
@@ -452,11 +405,11 @@ TEST_F(LiveMigrationFixture, MigdRefusesConcurrentSends) {
 
   bool done1 = false;
   ASSERT_TRUE(bed->node(0).migd.migrate(p1->pid(), bed->node(1).node.local_addr(),
-                                        SocketMigStrategy::collective,
+                                        {SocketMigStrategy::collective},
                                         [&](const MigrationStats&) { done1 = true; }));
   EXPECT_TRUE(bed->node(0).migd.busy_sending());
   EXPECT_FALSE(bed->node(0).migd.migrate(p2->pid(), bed->node(1).node.local_addr(),
-                                         SocketMigStrategy::collective,
+                                         {SocketMigStrategy::collective},
                                          [](const MigrationStats&) {}));
   bed->run_for(SimTime::seconds(3));
   EXPECT_TRUE(done1);
@@ -469,7 +422,9 @@ TEST_F(LiveMigrationFixture, StatsAccounting) {
   zs.use_db = false;
   auto proc = dve::ZoneServerApp::launch(bed->node(0).node, zs);
   bed->run_for(SimTime::milliseconds(300));
-  const MigrationStats stats = migrate(proc->pid(), 0, 1, SocketMigStrategy::collective);
+  const MigrationStats stats =
+      dve::migrate_and_wait(*bed, proc->pid(), 0, 1, {SocketMigStrategy::collective},
+                            SimTime::seconds(5)).value();
   ASSERT_TRUE(stats.success);
   EXPECT_EQ(stats.proc_name, "zone_3");
   EXPECT_EQ(stats.src_node, bed->node(0).node.local_addr());
@@ -496,7 +451,9 @@ TEST_F(LiveMigrationFixture, FreezeSpanMatchesStatsAndTraceExports) {
   auto proc = dve::ZoneServerApp::launch(bed->node(0).node, zs);
   bed->run_for(SimTime::seconds(1));
   const MigrationStats stats =
-      migrate(proc->pid(), 0, 1, SocketMigStrategy::incremental_collective);
+      dve::migrate_and_wait(*bed, proc->pid(), 0, 1,
+                            {SocketMigStrategy::incremental_collective},
+                            SimTime::seconds(5)).value();
   ASSERT_TRUE(stats.success);
 
   const obs::Span* freeze = tracer.last_completed("mig.freeze");

@@ -5,10 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/check/verifier.hpp"
-#include "src/dve/client.hpp"
-#include "src/dve/game_server.hpp"
-#include "src/dve/testbed.hpp"
-#include "src/dve/zone_server.hpp"
+#include "src/dve/scenario.hpp"
 
 namespace dvemig {
 namespace {
@@ -25,20 +22,6 @@ struct Live2Fixture : ::testing::Test {
     cfg.dve_nodes = 3;
     bed = std::make_unique<dve::Testbed>(cfg);
   }
-
-  MigrationStats migrate_opts(Pid pid, std::size_t from, std::size_t to,
-                              MigrateOptions options) {
-    MigrationStats stats;
-    bool done = false;
-    EXPECT_TRUE(bed->node(from).migd.migrate(pid, bed->node(to).node.local_addr(),
-                                             options, [&](const MigrationStats& s) {
-                                               stats = s;
-                                               done = true;
-                                             }));
-    bed->run_for(SimTime::seconds(6));
-    EXPECT_TRUE(done);
-    return stats;
-  }
 };
 
 TEST_F(Live2Fixture, StopAndCopyWorksButDowntimeScalesWithMemory) {
@@ -49,9 +32,10 @@ TEST_F(Live2Fixture, StopAndCopyWorksButDowntimeScalesWithMemory) {
   auto proc = dve::ZoneServerApp::launch(bed->node(0).node, zs);
   bed->run_for(SimTime::seconds(1));
 
-  const MigrationStats cold = migrate_opts(
-      proc->pid(), 0, 1,
-      MigrateOptions{SocketMigStrategy::incremental_collective, /*live=*/false});
+  const MigrationStats cold =
+      dve::migrate_and_wait(*bed, proc->pid(), 0, 1,
+                            {SocketMigStrategy::incremental_collective, /*live=*/false},
+                            SimTime::seconds(6)).value();
   ASSERT_TRUE(cold.success);
   EXPECT_FALSE(cold.live);
   EXPECT_EQ(cold.precopy_rounds, 0);
@@ -78,11 +62,14 @@ TEST_F(Live2Fixture, LiveBeatsStopAndCopyByOrdersOfMagnitude) {
   auto p2 = dve::ZoneServerApp::launch(bed->node(0).node, zs);
   bed->run_for(SimTime::seconds(1));
 
-  const MigrationStats live = migrate_opts(
-      p1->pid(), 0, 1, MigrateOptions{SocketMigStrategy::incremental_collective, true});
-  const MigrationStats cold = migrate_opts(
-      p2->pid(), 0, 2,
-      MigrateOptions{SocketMigStrategy::incremental_collective, false});
+  const MigrationStats live =
+      dve::migrate_and_wait(*bed, p1->pid(), 0, 1,
+                            {SocketMigStrategy::incremental_collective, true},
+                            SimTime::seconds(6)).value();
+  const MigrationStats cold =
+      dve::migrate_and_wait(*bed, p2->pid(), 0, 2,
+                            {SocketMigStrategy::incremental_collective, false},
+                            SimTime::seconds(6)).value();
   ASSERT_TRUE(live.success && cold.success);
   EXPECT_LT(live.freeze_time().to_ms() * 20, cold.freeze_time().to_ms());
 }
@@ -98,7 +85,7 @@ TEST_F(Live2Fixture, UnreachableDestinationFailsAndSourceSurvives) {
   bool done = false;
   // The DB node runs transd but no migd: the connect times out.
   ASSERT_TRUE(bed->node(0).migd.migrate(proc->pid(), bed->db_node()->local_addr(),
-                                        SocketMigStrategy::collective,
+                                        {SocketMigStrategy::collective},
                                         [&](const MigrationStats& s) {
                                           stats = s;
                                           done = true;
@@ -173,16 +160,10 @@ TEST_F(Live2Fixture, UnacceptedChildMigratesInsideListener) {
   bed->run_for(SimTime::milliseconds(200));
   ASSERT_EQ(listener->accept_queue_length(), 1u);
 
-  MigrationStats stats;
-  bool done = false;
-  bed->node(0).migd.migrate(proc->pid(), bed->node(2).node.local_addr(),
-                            SocketMigStrategy::collective,
-                            [&](const MigrationStats& s) {
-                              stats = s;
-                              done = true;
-                            });
-  bed->run_for(SimTime::seconds(3));
-  ASSERT_TRUE(done && stats.success);
+  const auto stats =
+      dve::migrate_and_wait(*bed, proc->pid(), 0, 2, {SocketMigStrategy::collective},
+                            SimTime::seconds(3));
+  ASSERT_TRUE(stats && stats->success);
 
   auto moved = bed->node(2).node.find(proc->pid());
   ASSERT_NE(moved, nullptr);
@@ -228,17 +209,11 @@ TEST_F(Live2Fixture, IterativeWithMixedUdpAndTcpSockets) {
   ASSERT_NE(accepted, nullptr);
   const Fd afd = proc->files().attach_socket(accepted);
 
-  MigrationStats stats;
-  bool done = false;
-  bed->node(0).migd.migrate(proc->pid(), bed->node(1).node.local_addr(),
-                            SocketMigStrategy::iterative,
-                            [&](const MigrationStats& s) {
-                              stats = s;
-                              done = true;
-                            });
-  bed->run_for(SimTime::seconds(3));
-  ASSERT_TRUE(done && stats.success);
-  EXPECT_EQ(stats.socket_count, 3u);
+  const auto stats =
+      dve::migrate_and_wait(*bed, proc->pid(), 0, 1, {SocketMigStrategy::iterative},
+                            SimTime::seconds(3));
+  ASSERT_TRUE(stats && stats->success);
+  EXPECT_EQ(stats->socket_count, 3u);
 
   auto moved = bed->node(1).node.find(proc->pid());
   ASSERT_NE(moved, nullptr);
@@ -278,7 +253,9 @@ TEST_F(Live2Fixture, SocketlessProcessFreezesPerStrategy) {
     mig::FrameChannel::set_observer(&counter);
     MigrateOptions options;
     options.strategy = strategy;
-    const MigrationStats stats = migrate_opts(proc->pid(), 0, 1, options);
+    const MigrationStats stats =
+        dve::migrate_and_wait(*bed, proc->pid(), 0, 1, options,
+                              SimTime::seconds(6)).value();
     mig::FrameChannel::set_observer(nullptr);
     EXPECT_TRUE(stats.success);
     EXPECT_EQ(stats.socket_count, 0u);
@@ -299,8 +276,10 @@ TEST_F(Live2Fixture, BackToBackMigrationsReuseMigd) {
   }
   bed->run_for(SimTime::milliseconds(300));
   for (const Pid pid : pids) {
-    const MigrationStats s = migrate_opts(
-        pid, 0, 1, MigrateOptions{SocketMigStrategy::incremental_collective, true});
+    const MigrationStats s =
+        dve::migrate_and_wait(*bed, pid, 0, 1,
+                              {SocketMigStrategy::incremental_collective, true},
+                              SimTime::seconds(6)).value();
     ASSERT_TRUE(s.success);
   }
   EXPECT_EQ(bed->node(0).node.processes().size(), 0u);

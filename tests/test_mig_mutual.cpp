@@ -7,7 +7,7 @@
 // the restored socket, and clean up rules whose subject moved away.
 #include <gtest/gtest.h>
 
-#include "src/dve/testbed.hpp"
+#include "src/dve/scenario.hpp"
 
 namespace dvemig {
 namespace {
@@ -71,26 +71,13 @@ struct MutualFixture : ::testing::Test {
     bed->run_for(SimTime::milliseconds(50));
     EXPECT_EQ(sa.read().size(), 64u) << "B->A failed " << when;
   }
-
-  MigrationStats migrate(Pid pid, std::size_t from, std::size_t to) {
-    MigrationStats stats;
-    bool done = false;
-    EXPECT_TRUE(bed->node(from).migd.migrate(
-        pid, bed->node(to).node.local_addr(),
-        SocketMigStrategy::incremental_collective,
-        [&](const MigrationStats& s) {
-          stats = s;
-          done = true;
-        }));
-    bed->run_for(SimTime::seconds(3));
-    EXPECT_TRUE(done && stats.success);
-    return stats;
-  }
 };
 
 TEST_F(MutualFixture, OneEndMigrates) {
   expect_exchange("initially");
-  migrate(proc_a->pid(), 0, 2);
+  EXPECT_TRUE(dve::migrate_and_wait(*bed, proc_a->pid(), 0, 2,
+                                    {SocketMigStrategy::incremental_collective},
+                                    SimTime::seconds(3)).value().success);
   at_a = 2;
   expect_exchange("after A moved");
   // The filter lives on B's host and translates both directions.
@@ -99,13 +86,17 @@ TEST_F(MutualFixture, OneEndMigrates) {
 }
 
 TEST_F(MutualFixture, BothEndsMigrate) {
-  migrate(proc_a->pid(), 0, 2);
+  EXPECT_TRUE(dve::migrate_and_wait(*bed, proc_a->pid(), 0, 2,
+                                    {SocketMigStrategy::incremental_collective},
+                                    SimTime::seconds(3)).value().success);
   at_a = 2;
   expect_exchange("after A moved");
 
   // Now the *peer* of a translated connection migrates: its migd must resolve
   // A's current host from the local rule and install the new filter there.
-  migrate(proc_b->pid(), 1, 0);
+  EXPECT_TRUE(dve::migrate_and_wait(*bed, proc_b->pid(), 1, 0,
+                                    {SocketMigStrategy::incremental_collective},
+                                    SimTime::seconds(3)).value().success);
   at_b = 0;
   expect_exchange("after B moved too");
 
@@ -121,16 +112,24 @@ TEST_F(MutualFixture, BothEndsMigrate) {
 
 TEST_F(MutualFixture, RepeatedAlternatingMigrations) {
   expect_exchange("initially");
-  migrate(proc_a->pid(), 0, 2);
+  EXPECT_TRUE(dve::migrate_and_wait(*bed, proc_a->pid(), 0, 2,
+                                    {SocketMigStrategy::incremental_collective},
+                                    SimTime::seconds(3)).value().success);
   at_a = 2;
   expect_exchange("A: 1 -> 3");
-  migrate(proc_b->pid(), 1, 0);
+  EXPECT_TRUE(dve::migrate_and_wait(*bed, proc_b->pid(), 1, 0,
+                                    {SocketMigStrategy::incremental_collective},
+                                    SimTime::seconds(3)).value().success);
   at_b = 0;
   expect_exchange("B: 2 -> 1");
-  migrate(proc_a->pid(), 2, 1);
+  EXPECT_TRUE(dve::migrate_and_wait(*bed, proc_a->pid(), 2, 1,
+                                    {SocketMigStrategy::incremental_collective},
+                                    SimTime::seconds(3)).value().success);
   at_a = 1;
   expect_exchange("A: 3 -> 2");
-  migrate(proc_b->pid(), 0, 2);
+  EXPECT_TRUE(dve::migrate_and_wait(*bed, proc_b->pid(), 0, 2,
+                                    {SocketMigStrategy::incremental_collective},
+                                    SimTime::seconds(3)).value().success);
   at_b = 2;
   expect_exchange("B: 1 -> 3");
 
@@ -147,7 +146,9 @@ TEST_F(MutualFixture, RepeatedAlternatingMigrations) {
 
 TEST_F(MutualFixture, TrafficInFlightDuringPeerMigration) {
   // A steady stream A->B while B migrates; every byte must arrive exactly once.
-  migrate(proc_a->pid(), 0, 2);
+  EXPECT_TRUE(dve::migrate_and_wait(*bed, proc_a->pid(), 0, 2,
+                                    {SocketMigStrategy::incremental_collective},
+                                    SimTime::seconds(3)).value().success);
   at_a = 2;
 
   std::uint64_t sent = 0;
@@ -179,7 +180,7 @@ TEST_F(MutualFixture, TrafficInFlightDuringPeerMigration) {
   bool mig_done = false;
   bed->engine().schedule_after(SimTime::milliseconds(600), [&, this] {
     bed->node(1).migd.migrate(proc_b->pid(), bed->node(0).node.local_addr(),
-                              SocketMigStrategy::incremental_collective,
+                              {SocketMigStrategy::incremental_collective},
                               [&](const MigrationStats& s) {
                                 EXPECT_TRUE(s.success);
                                 at_b = 0;

@@ -22,8 +22,7 @@
 #include "src/common/log.hpp"
 #include "src/ckpt/dirty_tracker.hpp"
 #include "src/ckpt/image.hpp"
-#include "src/dve/testbed.hpp"
-#include "src/dve/zone_server.hpp"
+#include "src/dve/scenario.hpp"
 #include "src/mig/delta_tracker.hpp"
 #include "src/mig/migd.hpp"
 #include "src/mig/protocol.hpp"
@@ -377,20 +376,6 @@ struct StaticZone {
     return cfg;
   }
 
-  /// Migrate node 0 -> node 1 at `degree` and run to the 2 s mark.
-  std::optional<mig::MigrationStats> migrate(int degree, bool live) {
-    mig::MigrateOptions opts;
-    opts.strategy = mig::SocketMigStrategy::incremental_collective;
-    opts.live = live;
-    opts.config.parallelism = degree;
-    std::optional<mig::MigrationStats> out;
-    EXPECT_TRUE(bed.node(0).migd.migrate(
-        pid, bed.node(1).node.local_addr(), opts,
-        [&](const mig::MigrationStats& s) { out = s; }));
-    bed.run_until(SimTime::seconds(2));
-    return out;
-  }
-
   /// No migration state left on either daemon: no source session, no
   /// destination connection (primary or stripe), no armed capture session.
   void expect_quiescent() {
@@ -412,7 +397,10 @@ DegreeRun run_degree(int degree, bool live) {
   z.bed.node(1).migd.set_adjust_timestamps(false);
 
   DegreeRun out;
-  const auto stats = z.migrate(degree, live);
+  // Runs to the 2 s mark: StaticZone starts the move at 200 ms.
+  const auto stats = dve::migrate_and_wait(
+      z.bed, z.pid, 0, 1, {.live = live, .config = {.parallelism = degree}},
+      SimTime::milliseconds(1800));
   EXPECT_TRUE(stats.has_value()) << "degree " << degree;
   if (stats) out.stats = *stats;
   EXPECT_TRUE(out.stats.success) << "degree " << degree;
@@ -544,7 +532,8 @@ TEST(ParallelLifecycle, StripedMigrationLeavesBothDaemonsQuiescent) {
   obs::Tracer& tracer = obs::Tracer::instance();
   tracer.clear();
   StaticZone z;
-  const auto stats = z.migrate(4, /*live=*/true);
+  const auto stats = dve::migrate_and_wait(z.bed, z.pid, 0, 1, {.config = {.parallelism = 4}},
+                                           SimTime::milliseconds(1800));
   ASSERT_TRUE(stats.has_value());
   EXPECT_TRUE(stats->success);
   // The session and all four of its channels are released, whichever
@@ -583,7 +572,8 @@ TEST(ParallelLifecycle, KilledStripeChannelFailsCleanly) {
   StaticZone z;
   KillFirstStripeSeg hook;
   FrameChannel::set_fault_hook(&hook);
-  const auto stats = z.migrate(4, /*live=*/true);
+  const auto stats = dve::migrate_and_wait(z.bed, z.pid, 0, 1, {.config = {.parallelism = 4}},
+                                           SimTime::milliseconds(1800));
   FrameChannel::set_fault_hook(nullptr);
   EXPECT_EQ(hook.kills, 1);
   ASSERT_TRUE(stats.has_value());
@@ -867,17 +857,6 @@ struct BulkMove {
     cfg.cost_model.initial_loop_timeout_ns = 80'000'000;
     return cfg;
   }
-
-  mig::MigrationStats migrate() {
-    mig::MigrateOptions opts;
-    opts.strategy = mig::SocketMigStrategy::incremental_collective;
-    opts.config.parallelism = 4;
-    mig::MigrationStats out;
-    EXPECT_TRUE(bed.node(0).migd.migrate(pid, bed.node(1).node.local_addr(), opts,
-                                         [&](const mig::MigrationStats& s) { out = s; }));
-    bed.run_for(SimTime::seconds(2));
-    return out;
-  }
 };
 
 // The page payloads cross the serializer, the stripes, TCP, the packets and
@@ -887,7 +866,10 @@ struct BulkMove {
 TEST(MigrationTest, PageFillStaysVirtual) {
   BulkMove m;
   const std::uint64_t before = net::payload_bytes_materialized();
-  const mig::MigrationStats s = m.migrate();
+  const mig::MigrationStats s =
+      dve::migrate_and_wait(m.bed, m.pid, 0, 1, {.config = {.parallelism = 4}},
+                            SimTime::seconds(2))
+          .value_or(mig::MigrationStats{});
   EXPECT_EQ(net::payload_bytes_materialized() - before, 0u);
   ASSERT_TRUE(s.success);
   EXPECT_EQ(s.precopy_rounds, 3);
@@ -928,7 +910,10 @@ TEST(MigrationTest, FlippedPageFillByteFailsTheChecksum) {
         return stack::Verdict::accept;
       });
   const std::uint64_t bad_before = dst.stats().rx_bad_checksum;
-  const mig::MigrationStats s = m.migrate();
+  const mig::MigrationStats s =
+      dve::migrate_and_wait(m.bed, m.pid, 0, 1, {.config = {.parallelism = 4}},
+                            SimTime::seconds(2))
+          .value_or(mig::MigrationStats{});
   hook.release();
   EXPECT_TRUE(flipped);
   EXPECT_EQ(dst.stats().rx_bad_checksum - bad_before, 1u);

@@ -8,7 +8,7 @@
 #include <tuple>
 
 #include "src/dve/population.hpp"
-#include "src/dve/testbed.hpp"
+#include "src/dve/scenario.hpp"
 #include "src/dve/zone_server.hpp"
 #include "src/net/switch.hpp"
 #include "src/stack/tcp_socket.hpp"
@@ -100,28 +100,15 @@ TEST_P(MigrationScaling, TransparentForAnyClientCount) {
   zs.zone = 7;
   zs.active_updates = true;
   zs.per_client_cores = 0.0002;
-  zs.db_addr = bed.db_node()->local_addr();
-  auto proc = dve::ZoneServerApp::launch(bed.node(0).node, zs);
-
-  std::vector<std::unique_ptr<dve::TcpDveClient>> clients;
-  for (int i = 0; i < nclients; ++i) {
-    auto c = std::make_unique<dve::TcpDveClient>(bed.make_client_host(),
-                                                 bed.public_ip());
-    c->set_active(SimTime::milliseconds(50), 32);
-    c->connect_to_zone(zs.zone);
-    clients.push_back(std::move(c));
-  }
+  const dve::ZoneServerPoint world(
+      bed, zs, {.count = static_cast<std::size_t>(nclients), .message_bytes = 32});
+  const auto& proc = world.proc;
+  const auto& clients = world.clients;
   bed.run_for(SimTime::seconds(2));
 
-  mig::MigrationStats stats;
-  bool done = false;
-  bed.node(0).migd.migrate(proc->pid(), bed.node(1).node.local_addr(), strategy,
-                           [&](const mig::MigrationStats& s) {
-                             stats = s;
-                             done = true;
-                           });
-  bed.run_for(SimTime::seconds(5));
-  ASSERT_TRUE(done && stats.success);
+  const auto stats =
+      dve::migrate_and_wait(bed, proc->pid(), 0, 1, {strategy}, SimTime::seconds(5));
+  ASSERT_TRUE(stats && stats->success);
   bed.run_for(SimTime::seconds(1));
 
   auto moved = bed.node(1).node.find(proc->pid());

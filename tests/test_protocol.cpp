@@ -12,7 +12,7 @@
 
 #include "src/check/verifier.hpp"
 #include "src/common/log.hpp"
-#include "src/dve/testbed.hpp"
+#include "src/dve/scenario.hpp"
 #include "src/dve/zone_server.hpp"
 #include "src/mig/delta_tracker.hpp"
 #include "src/mig/protocol.hpp"
@@ -596,15 +596,9 @@ TEST(MalformedDatagram, StrayControlDatagramsLeaveMigrationIntact) {
 
   std::vector<std::string> lines;
   Log::set_sink([&](const std::string& line) { lines.push_back(line); });
-  MigrationStats stats;
-  bool done = false;
-  bed.node(0).migd.migrate(proc->pid(), bed.node(1).node.local_addr(),
-                           SocketMigStrategy::collective,
-                           [&](const MigrationStats& s) {
-                             stats = s;
-                             done = true;
-                           });
-  bed.run_for(SimTime::seconds(3));
+  const auto stats =
+      dve::migrate_and_wait(bed, proc->pid(), 0, 1, {SocketMigStrategy::collective},
+                            SimTime::seconds(3));
   Log::set_sink(nullptr);
   on_request.release();
   on_ack.release();
@@ -621,10 +615,10 @@ TEST(MalformedDatagram, StrayControlDatagramsLeaveMigrationIntact) {
   EXPECT_EQ(logged("unexpected translation ack 999999"), 1);
   EXPECT_EQ(logged("unexpected translation ack " + std::to_string(*acked)), 1);
 
-  ASSERT_TRUE(done);
-  EXPECT_TRUE(stats.success);
-  EXPECT_EQ(bed.node(0).node.find(stats.pid), nullptr);
-  auto moved = bed.node(1).node.find(stats.pid);
+  ASSERT_TRUE(stats);
+  EXPECT_TRUE(stats->success);
+  EXPECT_EQ(bed.node(0).node.find(stats->pid), nullptr);
+  auto moved = bed.node(1).node.find(stats->pid);
   ASSERT_NE(moved, nullptr);
   // Only the genuine request installed a rule, and the DB session runs on.
   EXPECT_EQ(bed.db_translation().active_rules(), 1u);

@@ -8,6 +8,7 @@
 //   dvemig help
 //
 // Every scenario is deterministic: the same flags reproduce the same output.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -16,10 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "src/dve/game_server.hpp"
-#include "src/dve/population.hpp"
-#include "src/dve/testbed.hpp"
-#include "src/dve/zone_server.hpp"
+#include "src/dve/scenario.hpp"
 #include "src/stack/tracer.hpp"
 
 using namespace dvemig;
@@ -88,18 +86,9 @@ int cmd_migrate(const Args& args) {
   zs.zone = 1;
   zs.active_updates = true;
   zs.heap_bytes = static_cast<std::uint64_t>(args.num("heap", 12)) << 20;
-  zs.db_addr = bed.db_node()->local_addr();
   zs.per_client_cores = 0.0002;
-  auto proc = dve::ZoneServerApp::launch(bed.node(0).node, zs);
-
-  std::vector<std::unique_ptr<dve::TcpDveClient>> clients;
-  for (long i = 0; i < nclients; ++i) {
-    auto c = std::make_unique<dve::TcpDveClient>(bed.make_client_host(),
-                                                 bed.public_ip());
-    c->set_active(SimTime::milliseconds(50), 48);
-    c->connect_to_zone(zs.zone);
-    clients.push_back(std::move(c));
-  }
+  const dve::ZoneServerPoint world(
+      bed, zs, {.count = static_cast<std::size_t>(std::max(0L, nclients))});
   bed.run_for(SimTime::seconds(2));
 
   std::unique_ptr<stack::PacketTracer> tracer;
@@ -111,19 +100,13 @@ int cmd_migrate(const Args& args) {
     });
   }
 
-  mig::MigrationStats stats;
-  bool done = false;
-  bed.node(0).migd.migrate(proc->pid(), bed.node(1).node.local_addr(),
-                           mig::MigrateOptions{strategy, live},
-                           [&](const mig::MigrationStats& s) {
-                             stats = s;
-                             done = true;
-                           });
-  bed.run_for(SimTime::seconds(8));
-  if (!done || !stats.success) {
+  const auto migrated = dve::migrate_and_wait(bed, world.proc->pid(), 0, 1,
+                                              {strategy, live}, SimTime::seconds(8));
+  if (!migrated || !migrated->success) {
     std::printf("migration FAILED\n");
     return 1;
   }
+  const mig::MigrationStats& stats = *migrated;
 
   std::printf("migrated %s (%ld clients, %s, %s)\n", stats.proc_name.c_str(),
               nclients, mig::strategy_name(strategy),
@@ -138,16 +121,12 @@ int cmd_migrate(const Args& args) {
               static_cast<unsigned long long>(stats.captured),
               static_cast<unsigned long long>(stats.reinjected));
 
-  std::uint64_t resets = 0;
-  for (const auto& c : clients) resets += c->resets_seen();
   std::printf("  client resets       : %llu\n",
-              static_cast<unsigned long long>(resets));
+              static_cast<unsigned long long>(world.resets_seen()));
 
   bed.run_for(SimTime::seconds(2));
-  std::uint64_t recent = 0;
-  for (const auto& c : clients) recent += c->updates_received();
   std::printf("  post-move updates   : %llu delivered in total\n",
-              static_cast<unsigned long long>(recent));
+              static_cast<unsigned long long>(world.updates_received()));
 
   if (tracer) {
     std::printf("\n--- packet trace at the destination (last 30) ---\n");
@@ -169,25 +148,16 @@ int cmd_dve(const Args& args) {
   cfg.dve_nodes = 5;
   cfg.policy.initiation = parse_initiation(args.get("initiation", "sender"));
   dve::Testbed bed(cfg);
-  dve::ZoneGrid grid;
-  for (std::uint32_t n = 0; n < 5; ++n) {
-    for (const dve::ZoneId z : grid.zones_of_node(n, 5)) {
-      dve::ZoneServerConfig zs;
-      zs.zone = z;
-      zs.base_cores = 0.010;
-      zs.per_client_cores = 0.0007 * 10000 / static_cast<double>(nclients);
-      zs.db_addr = bed.db_node()->local_addr();
-      dve::ZoneServerApp::launch(bed.node(n).node, zs);
-    }
-  }
+  dve::ZoneServerConfig zs;
+  zs.base_cores = 0.010;
+  zs.per_client_cores = 0.0007 * 10000 / static_cast<double>(nclients);
   dve::PopulationConfig pc;
   pc.client_count = static_cast<std::uint32_t>(nclients);
   pc.move_start = SimTime::seconds(seconds / 15);
   pc.move_end = SimTime::seconds(seconds * 4 / 5);
   pc.move_step_prob = 0.08;
-  dve::Population pop(bed, grid, pc);
-  pop.populate();
-  pop.start_movement();
+  dve::Dve world(bed, dve::ZoneGrid{}, zs, pc);
+  const dve::Population& pop = world.population();
 
   int migrations = 0;
   for (std::uint32_t n = 0; n < 5; ++n) {
@@ -226,35 +196,21 @@ int cmd_openarena(const Args& args) {
   dve::TestbedConfig cfg;
   cfg.dve_nodes = 2;
   dve::Testbed bed(cfg);
-  dve::GameServerConfig gs;
-  auto proc = dve::GameServerApp::launch(bed.node(0).node, gs);
-  std::vector<std::unique_ptr<dve::UdpGameClient>> clients;
-  for (long i = 0; i < nclients; ++i) {
-    auto c = std::make_unique<dve::UdpGameClient>(
-        bed.make_client_host(), net::Endpoint{bed.public_ip(), gs.port});
-    c->start();
-    clients.push_back(std::move(c));
-  }
+  const dve::OpenArenaPoint world(bed,
+                                  static_cast<std::size_t>(std::max(0L, nclients)));
   bed.run_for(SimTime::seconds(seconds / 2));
 
-  mig::MigrationStats stats;
-  bool done = false;
-  bed.node(0).migd.migrate(proc->pid(), bed.node(1).node.local_addr(),
-                           mig::SocketMigStrategy::incremental_collective,
-                           [&](const mig::MigrationStats& s) {
-                             stats = s;
-                             done = true;
-                           });
-  bed.run_for(SimTime::seconds(seconds - seconds / 2));
-  if (!done || !stats.success) {
+  const auto stats = dve::migrate_and_wait(
+      bed, world.proc->pid(), 0, 1, {mig::SocketMigStrategy::incremental_collective},
+      SimTime::seconds(seconds - seconds / 2));
+  if (!stats || !stats->success) {
     std::printf("migration FAILED\n");
     return 1;
   }
-  std::size_t lost = 0;
-  for (const auto& c : clients) lost += c->missing_snapshots();
+  const std::size_t lost = world.missing_snapshots();
   std::printf("OpenArena, %ld players: downtime %.2f ms, captured %llu, lost %zu\n",
-              nclients, stats.freeze_time().to_ms(),
-              static_cast<unsigned long long>(stats.captured), lost);
+              nclients, stats->freeze_time().to_ms(),
+              static_cast<unsigned long long>(stats->captured), lost);
   return lost == 0 ? 0 : 1;
 }
 
