@@ -52,8 +52,9 @@ DegreePoint run_degree(int degree, std::uint64_t heap_bytes,
   zs.use_db = false;
   zs.active_updates = true;
   zs.heap_bytes = heap_bytes;
-  // One passive client: it receives the zone's updates and sends nothing.
-  const dve::ZoneServerPoint world(bed, zs, {.count = 1, .active = 0});
+  // One active client: it sends a 48-byte message every 50 ms and receives
+  // the zone's updates.
+  const dve::ZoneServerPoint world(bed, zs, {.count = 1, .active = 1});
   bed.run_for(SimTime::milliseconds(400));
 
   mig::MigrateOptions opts;

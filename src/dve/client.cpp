@@ -9,7 +9,7 @@ ClientHost::ClientHost(sim::Engine& engine, net::BroadcastRouter& router,
                        SimDuration clock_offset)
     : router_(&router), addr_(addr), stack_(engine, std::move(name), clock_offset) {
   net::PacketSink tx =
-      router.attach_client(addr, [this](net::Packet p) { stack_.rx(std::move(p)); });
+      router.attach_client(addr, [this](net::Packet&& p) { stack_.rx(std::move(p)); });
   stack_.add_interface(addr, std::move(tx));
 }
 

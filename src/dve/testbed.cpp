@@ -44,10 +44,10 @@ Testbed::Testbed(TestbedConfig cfg)
     n.stack().add_interface(
         nc.local_addr,
         switch_.attach(nc.local_addr,
-                       [&n](net::Packet p) { n.stack().rx(std::move(p)); }));
+                       [&n](net::Packet&& p) { n.stack().rx(std::move(p)); }));
     n.stack().add_interface(
         kClusterIp,
-        router_.attach_node(i, [&n](net::Packet p) { n.stack().rx(std::move(p)); }));
+        router_.attach_node(i, [&n](net::Packet&& p) { n.stack().rx(std::move(p)); }));
 
     bundle->migd.start();
     if (cfg_.start_conductors) {
@@ -68,7 +68,7 @@ Testbed::Testbed(TestbedConfig cfg)
     db_node_ = std::make_unique<proc::Node>(engine_, dc);
     db_node_->stack().add_interface(
         kDbLocalAddr,
-        switch_.attach(kDbLocalAddr, [this](net::Packet p) {
+        switch_.attach(kDbLocalAddr, [this](net::Packet&& p) {
           db_node_->stack().rx(std::move(p));
         }));
     db_server_ = std::make_unique<DatabaseServer>(*db_node_);

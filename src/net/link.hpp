@@ -7,13 +7,17 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "src/net/packet.hpp"
 #include "src/sim/engine.hpp"
 
 namespace dvemig::net {
 
-using PacketSink = std::function<void(Packet)>;
+/// Receives packets by rvalue reference: each stage of a hop (link, switch,
+/// router, host) passes the one packet on, and only a stage that keeps it
+/// moves from it.
+using PacketSink = std::function<void(Packet&&)>;
 
 struct LinkConfig {
   double bandwidth_bps{1e9};                         // GbE by default
@@ -47,11 +51,17 @@ class Link {
   static FaultHook* fault_hook() { return fault_hook_; }
 
   Link(sim::Engine& engine, LinkConfig config) : engine_(&engine), config_(config) {}
+  // Pending delivery events hold the link's address.
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
   void set_sink(PacketSink sink) { sink_ = std::move(sink); }
 
-  /// Queue a packet for transmission. Ownership of the payload moves with it.
-  void transmit(Packet p);
+  /// Queue a packet for transmission. Until it arrives the link owns it: the
+  /// packet waits in one of the link's slots, and its delivery event holds only
+  /// the slot index (DESIGN.md §12.9). An event the engine drops unfired
+  /// (Engine::clear(), ~Engine) leaves its packet parked until the link dies.
+  void transmit(Packet&& p);
 
   const LinkConfig& config() const { return config_; }
 
@@ -59,8 +69,16 @@ class Link {
   std::uint64_t packets_sent() const { return packets_; }
   std::uint64_t bytes_sent() const { return bytes_; }
 
+  /// Packets parked in the link's slots, awaiting their delivery events.
+  std::size_t in_flight() const { return parked_.size() - free_.size(); }
+
  private:
   static inline FaultHook* fault_hook_ = nullptr;
+
+  /// Park `p` in a free slot and schedule its delivery at `when`.
+  void schedule_delivery(SimTime when, Packet&& p);
+  /// Free `slot` and hand its packet to the sink.
+  void deliver(std::uint32_t slot);
 
   sim::Engine* engine_;
   LinkConfig config_;
@@ -68,6 +86,9 @@ class Link {
   SimTime busy_until_{SimTime::zero()};
   std::uint64_t packets_{0};
   std::uint64_t bytes_{0};
+  // In-flight packets by slot; a free slot holds a moved-from packet.
+  std::vector<Packet> parked_;
+  std::vector<std::uint32_t> free_;
 };
 
 }  // namespace dvemig::net

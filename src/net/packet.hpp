@@ -47,8 +47,9 @@ using dvemig::payload_bytes_materialized;
 using dvemig::payload_bytes_summed;
 
 struct Packet {
-  // Packets move by value through several sinks per link hop, so the members
-  // are ordered to pack into 88 bytes: headers, metadata, then the payload.
+  // Each link hop moves a packet into and out of a link slot (DESIGN.md
+  // §12.9), so the members are ordered to pack into 88 bytes: headers,
+  // metadata, then the payload.
   Ipv4Addr src{};
   Ipv4Addr dst{};
   IpProto proto{IpProto::udp};

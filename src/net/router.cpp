@@ -14,9 +14,9 @@ std::shared_ptr<BroadcastRouter::PortState> BroadcastRouter::make_port(
 
 PacketSink BroadcastRouter::attach_node(std::uint32_t node_key, PacketSink sink) {
   DVEMIG_EXPECTS(!nodes_.contains(node_key));
-  auto port = make_port(std::move(sink), [this](Packet p) { from_node(std::move(p)); });
+  auto port = make_port(std::move(sink), [this](Packet&& p) { from_node(std::move(p)); });
   nodes_.emplace(node_key, port);
-  return [port](Packet p) {
+  return [port](Packet&& p) {
     if (port->alive) port->uplink->transmit(std::move(p));
   };
 }
@@ -32,9 +32,9 @@ void BroadcastRouter::detach_node(std::uint32_t node_key) {
 PacketSink BroadcastRouter::attach_client(Ipv4Addr client_addr, PacketSink sink) {
   DVEMIG_EXPECTS(client_addr != cluster_ip_);
   DVEMIG_EXPECTS(!clients_.contains(client_addr));
-  auto port = make_port(std::move(sink), [this](Packet p) { from_client(std::move(p)); });
+  auto port = make_port(std::move(sink), [this](Packet&& p) { from_client(std::move(p)); });
   clients_.emplace(client_addr, port);
-  return [port](Packet p) {
+  return [port](Packet&& p) {
     if (port->alive) port->uplink->transmit(std::move(p));
   };
 }
@@ -47,7 +47,7 @@ void BroadcastRouter::detach_client(Ipv4Addr client_addr) {
   clients_.erase(it);
 }
 
-void BroadcastRouter::from_client(Packet p) {
+void BroadcastRouter::from_client(Packet&& p) {
   if (p.dst != cluster_ip_) {
     dropped_ += 1;  // not for this service
     return;
@@ -59,11 +59,11 @@ void BroadcastRouter::from_client(Packet p) {
   for (auto& [key, port] : nodes_) {
     if (!port->alive) continue;
     broadcast_copies_ += 1;
-    port->downlink->transmit(p);
+    port->downlink->transmit(Packet(p));
   }
 }
 
-void BroadcastRouter::from_node(Packet p) {
+void BroadcastRouter::from_node(Packet&& p) {
   const Ipv4Addr hw_dst = p.link_dst == Ipv4Addr::any() ? p.dst : p.link_dst;
   auto it = clients_.find(hw_dst);
   if (it == clients_.end() || !it->second->alive) {

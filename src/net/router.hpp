@@ -50,8 +50,8 @@ class BroadcastRouter {
   };
 
   std::shared_ptr<PortState> make_port(PacketSink sink, PacketSink on_ingress);
-  void from_client(Packet p);
-  void from_node(Packet p);
+  void from_client(Packet&& p);
+  void from_node(Packet&& p);
 
   sim::Engine* engine_;
   Ipv4Addr cluster_ip_;

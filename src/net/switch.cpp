@@ -28,10 +28,10 @@ PacketSink Switch::attach(Ipv4Addr addr, PacketSink sink) {
   for (std::size_t r = 0; r < rails; ++r) {
     auto up = std::make_unique<Link>(*engine_, link_config_);
     auto down = std::make_unique<Link>(*engine_, link_config_);
-    down->set_sink([shared_sink](Packet p) {
+    down->set_sink([shared_sink](Packet&& p) {
       if (*shared_sink) (*shared_sink)(std::move(p));
     });
-    up->set_sink([this, addr](Packet p) { forward(addr, std::move(p)); });
+    up->set_sink([this, addr](Packet&& p) { forward(addr, std::move(p)); });
     port->uplinks.push_back(std::move(up));
     port->downlinks.push_back(std::move(down));
   }
@@ -39,7 +39,7 @@ PacketSink Switch::attach(Ipv4Addr addr, PacketSink sink) {
 
   // The returned sink keeps the port alive even if detach() races with an
   // in-flight transmission; the alive flag stops delivery after detach.
-  return [port, rails](Packet p) {
+  return [port, rails](Packet&& p) {
     if (!port->alive) return;
     port->uplinks[rail_of(p, rails)]->transmit(std::move(p));
   };
@@ -53,7 +53,7 @@ void Switch::detach(Ipv4Addr addr) {
   ports_.erase(it);
 }
 
-void Switch::forward(Ipv4Addr from, Packet p) {
+void Switch::forward(Ipv4Addr from, Packet&& p) {
   // Frames are steered by the resolved link-layer destination when present (the
   // sender's dst-cache decision), falling back to the IP destination.
   const Ipv4Addr hw_dst = p.link_dst == Ipv4Addr::any() ? p.dst : p.link_dst;
@@ -61,7 +61,7 @@ void Switch::forward(Ipv4Addr from, Packet p) {
     for (auto& [addr, port] : ports_) {
       if (addr == from || !port->alive) continue;
       forwarded_ += 1;
-      port->downlinks[0]->transmit(p);  // copy per receiver
+      port->downlinks[0]->transmit(Packet(p));  // copy per receiver
     }
     return;
   }

@@ -42,7 +42,7 @@ class Switch {
     bool alive{true};  // false after detach; pending deliveries drop
   };
 
-  void forward(Ipv4Addr from, Packet p);
+  void forward(Ipv4Addr from, Packet&& p);
 
   sim::Engine* engine_;
   LinkConfig link_config_;

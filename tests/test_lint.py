@@ -300,6 +300,48 @@ class NoMaterialize(unittest.TestCase):
         self.assertNotIn("[no-materialize]", out)
 
 
+class PacketByRef(unittest.TestCase):
+    """A Packet taken by value in src/net moves the whole packet once more per
+    hop; it is flagged in every parameter form, and references, explicit
+    copies and the make_* factories pass."""
+
+    def test_each_by_value_form_is_flagged(self) -> None:
+        for decl in (
+            "using PacketSink = std::function<void(Packet)>;",
+            "void Switch::forward(Ipv4Addr from, Packet p) {}",
+            "auto sink = [this](net::Packet p) { rx(std::move(p)); };",
+            "void transmit(int rail,\n    const Packet p);",
+        ):
+            with self.subTest(decl=decl):
+                code, out = lint_tree({"src/net/link.cpp": decl + "\n"})
+                self.assertNotEqual(code, 0)
+                line = decl.count("\n") + 1  # where the parameter is
+                self.assertIn(f"src/net/link.cpp:{line}: [packet-by-ref]", out)
+
+    def test_references_copies_and_factories_pass(self) -> None:
+        code, out = lint_tree(
+            {
+                "src/net/router.cpp": (
+                    "using PacketSink = std::function<void(Packet&&)>;\n"
+                    "void from_client(Packet&& p) { link.transmit(Packet(p)); }\n"
+                    "bool checksum_ok(const Packet& p);\n"
+                    "Packet make_udp(Endpoint from, Endpoint to, Bytes payload);\n"
+                    "Packet make_probe(Packet p);\n"
+                    "constexpr std::size_t kSize = sizeof(Packet);\n"
+                )
+            }
+        )
+        self.assertEqual(code, 0, out)
+
+    def test_same_signature_outside_net_passes(self) -> None:
+        code, out = lint_tree({"src/stack/net_stack.cpp": "void rx(net::Packet p);\n"})
+        self.assertNotIn("[packet-by-ref]", out)
+
+    def test_real_tree_passes_packets_by_reference(self) -> None:
+        _, out = run_lint(REPO)
+        self.assertNotIn("[packet-by-ref]", out)
+
+
 class SocketTableOwner(unittest.TestCase):
     """Only src/stack edits ehash/bhash; everything else detaches/attaches."""
 

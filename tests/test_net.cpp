@@ -1,12 +1,36 @@
 // Unit tests for src/net: addressing, packet checksums (incl. the RFC 1624
-// incremental update), link timing, the cluster switch and the broadcast router.
+// incremental update), link timing and fault verdicts, the cluster switch, the
+// broadcast router and allocation-free link hops.
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <new>
+#include <vector>
 
 #include "src/net/checksum.hpp"
 #include "src/net/link.hpp"
 #include "src/net/packet.hpp"
 #include "src/net/router.hpp"
 #include "src/net/switch.hpp"
+
+// Counting global allocator, in this test binary only: the allocation test at
+// the end reads it around a window of packet hops.
+namespace {
+std::size_t g_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++g_allocations;
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+// GCC flags free() on memory from operator new once it inlines this pair, but
+// here operator new is malloc.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace dvemig::net {
 namespace {
@@ -143,6 +167,105 @@ TEST(LinkTest, UnconnectedLinkDropsWithoutCrash) {
   link.transmit(make_udp({{}, 1}, {Ipv4Addr::octets(1, 0, 0, 1), 2}, {}));
   engine.run();
   EXPECT_EQ(link.packets_sent(), 1u);
+}
+
+// Installs a fixed verdict as the process-wide fault hook for one test.
+class FixedFault : public Link::FaultHook {
+ public:
+  explicit FixedFault(Link::FaultVerdict verdict) : verdict_(verdict) {
+    Link::set_fault_hook(this);
+  }
+  ~FixedFault() override { Link::set_fault_hook(nullptr); }
+  Link::FaultVerdict on_transmit(const Link&, const Packet&) override { return verdict_; }
+
+ private:
+  Link::FaultVerdict verdict_;
+};
+
+struct Arrival {
+  SimTime at;
+  Packet packet;
+};
+
+// One 1000-byte datagram over a fresh GbE link under `verdict`; returns what
+// arrived, when, and the link's parked count after the run.
+struct FaultRun {
+  std::vector<Arrival> arrivals;
+  Packet sent;
+  SimTime clean_arrival;   // serialization + latency, no fault
+  SimDuration serialization;
+  std::size_t in_flight_after{0};
+};
+
+FaultRun run_with_fault(Link::FaultVerdict verdict) {
+  sim::Engine engine;
+  Link link(engine, LinkConfig{1e9, SimTime::microseconds(25)});
+  FaultRun run;
+  link.set_sink([&](Packet&& p) { run.arrivals.push_back({engine.now(), std::move(p)}); });
+  run.sent = make_udp({Ipv4Addr::octets(1, 1, 1, 1), 1}, {Ipv4Addr::octets(2, 2, 2, 2), 2},
+                      Buffer(1000, 0x33));
+  // The link's own arithmetic, so the expected times match to the nanosecond.
+  run.serialization = SimTime::nanoseconds(static_cast<std::int64_t>(
+      static_cast<double>(run.sent.wire_size()) * 8.0 / 1e9 * 1e9));
+  run.clean_arrival = run.serialization + SimTime::microseconds(25);
+  {
+    const FixedFault hook(verdict);
+    link.transmit(Packet(run.sent));
+  }
+  engine.run();
+  run.in_flight_after = link.in_flight();
+  return run;
+}
+
+TEST(LinkFaultTest, DropDeliversNothing) {
+  const FaultRun run = run_with_fault({.drop = true});
+  EXPECT_TRUE(run.arrivals.empty());
+  EXPECT_EQ(run.in_flight_after, 0u);
+}
+
+TEST(LinkFaultTest, DuplicateDeliversEqualCopyOneSerializationSlotLater) {
+  const FaultRun run = run_with_fault({.duplicate = true});
+  ASSERT_EQ(run.arrivals.size(), 2u);
+  EXPECT_EQ(run.arrivals[0].at, run.clean_arrival);
+  EXPECT_EQ(run.arrivals[1].at, run.clean_arrival + run.serialization);
+  for (const Arrival& a : run.arrivals) {
+    EXPECT_EQ(a.packet.id, run.sent.id);
+    EXPECT_EQ(a.packet.checksum, run.sent.checksum);
+    EXPECT_EQ(a.packet.payload.copy(), run.sent.payload.copy());
+  }
+  EXPECT_EQ(run.in_flight_after, 0u);
+}
+
+TEST(LinkFaultTest, ExtraDelayShiftsArrivalExactly) {
+  const SimDuration delay = SimTime::microseconds(137);
+  const FaultRun run = run_with_fault({.extra_delay = delay});
+  ASSERT_EQ(run.arrivals.size(), 1u);
+  EXPECT_EQ(run.arrivals[0].at, run.clean_arrival + delay);
+  EXPECT_EQ(run.arrivals[0].packet.id, run.sent.id);
+  EXPECT_EQ(run.in_flight_after, 0u);
+}
+
+// The model checker's choice hook may fire the later of two deliveries on one
+// link first. That delivery must carry the later packet: each event is bound
+// to its own slot, not to the head of a FIFO.
+TEST(LinkChoiceTest, LaterDeliveryFiredFirstCarriesItsOwnPacket) {
+  sim::Engine engine;
+  Link link(engine, LinkConfig{1e9, SimTime::microseconds(25)});
+  std::vector<std::uint64_t> delivered;
+  link.set_sink([&](Packet&& p) { delivered.push_back(p.id); });
+  Packet first = make_udp({Ipv4Addr::octets(1, 1, 1, 1), 1},
+                          {Ipv4Addr::octets(2, 2, 2, 2), 2}, Buffer(100, 1));
+  Packet second = make_udp({Ipv4Addr::octets(1, 1, 1, 1), 1},
+                           {Ipv4Addr::octets(2, 2, 2, 2), 2}, Buffer(100, 2));
+  const std::uint64_t first_id = first.id;
+  const std::uint64_t second_id = second.id;
+  link.transmit(std::move(first));
+  link.transmit(std::move(second));
+  // Always pick the latest member of a ready set wide enough to hold both.
+  engine.set_choice_hook([](std::size_t n) { return n - 1; }, SimTime::milliseconds(1));
+  engine.run();
+  EXPECT_EQ(delivered, (std::vector<std::uint64_t>{second_id, first_id}));
+  EXPECT_EQ(link.in_flight(), 0u);
 }
 
 // ---------------------------------------------------------------- Switch
@@ -288,6 +411,46 @@ TEST(RouterTest, DetachedNodeStopsReceivingBroadcasts) {
   tx(mk(cli, vip));
   engine.run();
   EXPECT_EQ(copies, 1);
+}
+
+// ---------------------------------------------------------------- allocation
+
+// After warm-up, a packet crosses host -> Switch -> host and client ->
+// BroadcastRouter -> 3 nodes without touching the heap: each delivery event
+// holds a link pointer and a slot index, which std::function stores inline,
+// and the packets wait in the links' slot arrays.
+TEST(NetAllocTest, SwitchAndRouterHopsAllocateNothingAfterWarmUp) {
+  sim::Engine engine;
+  Switch sw(engine, LinkConfig{});
+  const Ipv4Addr a = Ipv4Addr::octets(10, 0, 0, 1);
+  const Ipv4Addr b = Ipv4Addr::octets(10, 0, 0, 2);
+  int to_b = 0;
+  auto tx_a = sw.attach(a, [](Packet&&) {});
+  sw.attach(b, [&](Packet&&) { ++to_b; });
+
+  const Ipv4Addr vip = Ipv4Addr::octets(203, 0, 113, 10);
+  BroadcastRouter router(engine, vip, LinkConfig{});
+  int to_nodes = 0;
+  for (std::uint32_t i = 0; i < 3; ++i) router.attach_node(i, [&](Packet&&) { ++to_nodes; });
+  const Ipv4Addr cli = Ipv4Addr::octets(100, 64, 0, 1);
+  auto tx_cli = router.attach_client(cli, [](Packet&&) {});
+
+  // Copies of a one-block packet share the block: copying allocates nothing.
+  const Packet host_pkt = mk(a, b);
+  const Packet client_pkt = mk(cli, vip);
+  const auto burst = [&] {
+    for (int i = 0; i < 4; ++i) {
+      tx_a(Packet(host_pkt));
+      tx_cli(Packet(client_pkt));
+    }
+    engine.run();
+  };
+  for (int i = 0; i < 100; ++i) burst();
+  const std::size_t before = g_allocations;
+  for (int i = 0; i < 2'000; ++i) burst();
+  EXPECT_EQ(g_allocations - before, 0u);
+  EXPECT_EQ(to_b, 2'100 * 4);
+  EXPECT_EQ(to_nodes, 2'100 * 4 * 3);
 }
 
 }  // namespace

@@ -129,8 +129,8 @@ TEST(SimIdentity, AblationsSmoke) {
 // `parallel_pipeline smoke` (bench/parallel_pipeline.cpp): degrees 1 and 4.
 TEST(SimIdentity, ParallelPipelineSmoke) {
   const std::pair<int, const char*> runs[] = {
-      {1, "pid=1001 zone_1 incremental-collective live=1 par=1 192.168.1.10->192.168.1.11 start=400000000 freeze=568183212 resume=569159505 rounds=1 pre=17079380/6553 frz=50271/93 sockets=2 cap=0/0 ok=1"},
-      {4, "pid=1002 zone_1 incremental-collective live=1 par=4 192.168.1.10->192.168.1.11 start=400000000 freeze=459481200 resume=460159756 rounds=1 pre=17079380/6553 frz=17439/93 sockets=2 cap=0/0 ok=1"},
+      {1, "pid=1001 zone_1 incremental-collective live=1 par=1 192.168.1.10->192.168.1.11 start=400000000 freeze=568183212 resume=569159683 rounds=1 pre=17079380/6553 frz=50568/390 sockets=2 cap=0/0 ok=1"},
+      {4, "pid=1002 zone_1 incremental-collective live=1 par=4 192.168.1.10->192.168.1.11 start=400000000 freeze=459481200 resume=460159879 rounds=1 pre=17079380/6553 frz=17736/390 sockets=2 cap=0/0 ok=1"},
   };
   proc::Node::reset_pid_counter();
   for (const auto& [degree, pin] : runs) {
@@ -146,7 +146,7 @@ TEST(SimIdentity, ParallelPipelineSmoke) {
     zs.use_db = false;
     zs.active_updates = true;
     zs.heap_bytes = 16ull << 20;
-    const dve::ZoneServerPoint world(bed, zs, {.count = 1, .active = 0});
+    const dve::ZoneServerPoint world(bed, zs, {.count = 1, .active = 1});
     bed.run_for(SimTime::milliseconds(400));
     mig::MigrateOptions opts;
     opts.config.parallelism = degree;

@@ -81,6 +81,15 @@ no-materialize
     every expanded byte of a striped precopy, because control messages take
     it legitimately everywhere.)
 
+packet-by-ref
+    In ``src/net/``, a ``Packet`` parameter — of a function, a lambda or a
+    ``std::function`` signature, named or not — must be a reference
+    (``Packet&&`` to take the packet on, ``const Packet&`` to look at it).
+    Every link hop runs a chain of sinks (link, switch or router, host), and a
+    by-value parameter at any stage moves the whole 88-byte packet again.
+    Broadcast copies are written out as ``Packet(p)``. The ``make_*``
+    factories, which build packets, are exempt, as are ``sizeof``/``alignof``.
+
 design-inventory
     Every ``src/`` subdirectory that contains sources must be named in
     DESIGN.md's §3 module inventory (``src/<dir>/``). The inventory is the
@@ -159,6 +168,13 @@ MATERIALIZE_ALLOWED = {
     "src/common/serial.cpp",
     "src/stack/udp_socket.cpp",
 }
+
+# packet-by-ref: a parameter-list entry of type Packet taken by value, named
+# or not (`(Packet p)`, `, const net::Packet)`, `(Packet p = {})`).
+RE_PACKET_BY_VALUE = re.compile(
+    r"[(,]\s*((?:const\s+)?(?:net::)?Packet)\s*(?:\w+\s*)?[,)=]"
+)
+PACKET_BY_VALUE_EXEMPT = re.compile(r"^(?:make_\w+|sizeof|alignof)$")
 
 # one-field-list: function definitions taking a BinaryWriter&/BinaryReader&
 # whose name marks them as one half of a wire-format pair.
@@ -313,6 +329,29 @@ def lint_file(path: pathlib.Path, rel: str, problems: list[str]) -> None:
                     "(BinaryReader::bytes/skip, Bytes::for_each_chunk) instead "
                     "(DESIGN.md §12.8)"
                 )
+
+    # --- packet-by-ref --- (joined text: parameter lists wrap)
+    if rel.startswith("src/net/"):
+        for m in RE_PACKET_BY_VALUE.finditer(text):
+            # The callee is the identifier before the list's opening paren.
+            depth, at = 0, m.start(1)
+            while at > 0:
+                at -= 1
+                if text[at] == ")":
+                    depth += 1
+                elif text[at] == "(":
+                    if depth == 0:
+                        break
+                    depth -= 1
+            callee = re.search(r"(\w*)\s*$", text[:at]).group(1)
+            if PACKET_BY_VALUE_EXEMPT.match(callee):
+                continue
+            problems.append(
+                f"{rel}:{line_of(m.start(1))}: [packet-by-ref] Packet taken "
+                "by value — take `Packet&&` (or `const Packet&`) so a hop "
+                "moves the packet once; copy explicitly with `Packet(p)` "
+                "(DESIGN.md §12.9)"
+            )
 
     # --- one-field-list ---
     # Per pair key: the halves present, and where a half first calls a
