@@ -43,7 +43,7 @@ struct SimResult {
   std::uint64_t handoffs{0};
   double worst_freeze_ms{0};
   std::uint64_t ticks{0};         // zone-server real-time loop iterations
-  std::uint64_t socket_reads{0};  // client read() calls those ticks made
+  std::uint64_t socket_reads{0};  // client socket reads those ticks made
 };
 
 SimResult run_dve(bool lb_enabled, std::uint32_t clients, std::int64_t duration_s) {

@@ -100,9 +100,6 @@ class Bytes {
   /// The bytes as one flat span; a value of several chunks is expanded into
   /// one block first (its logical bytes, and so its memo, stay the same).
   std::span<const std::uint8_t> view() const;
-  operator std::span<const std::uint8_t>() const {  // NOLINT(google-explicit-constructor)
-    return view();
-  }
   /// Deep copy into an owned Buffer.
   Buffer copy() const;
   /// Take the bytes out as a Buffer, leaving this empty: moves when this is

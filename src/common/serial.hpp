@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <string_view>
@@ -254,6 +255,27 @@ class BinaryReader {
   std::size_t size_{0};
   std::vector<Buffer> copies_;  // flat copies span() handed out
 };
+
+/// Cuts every complete message (a u32 length, then that many bytes) off the
+/// front of a received byte stream, in order, and hands each body, sharing
+/// the stream's blocks, to `on_msg(Bytes&&)`. The incomplete tail stays in
+/// `stream`. A length above `max_len` is refused as soon as it arrives.
+/// Returns false if it stopped early: at such a length (the stream then
+/// still starts with it), or when `on_msg` returned false, which it may do
+/// after resetting `stream`. Any other `on_msg` must leave `stream` alone.
+template <class OnMsg>
+bool cut_messages(Bytes& stream, OnMsg&& on_msg,
+                  std::uint32_t max_len = std::numeric_limits<std::uint32_t>::max()) {
+  BinaryReader in(stream);
+  std::size_t cut = 0;     // the whole messages handed on
+  std::uint32_t len = 0;   // the last length read
+  while (in.remaining() >= 4 && (len = in.u32()) <= max_len && in.remaining() >= len) {
+    if (!on_msg(in.bytes(len))) return false;
+    cut = in.position();
+  }
+  stream.remove_prefix(cut);
+  return len <= max_len;
+}
 
 // ------------------------------------------------------------ field lists
 //

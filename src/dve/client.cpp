@@ -100,7 +100,7 @@ void TcpDveClient::disconnect() {
     sock_->close();
     sock_.reset();
   }
-  rx_.clear();
+  rx_ = Bytes{};
 }
 
 bool TcpDveClient::connected() const {
@@ -122,23 +122,21 @@ void TcpDveClient::send_message() {
 }
 
 void TcpDveClient::on_readable() {
-  Buffer chunk = sock_->read();
+  Bytes chunk = sock_->read_bytes();
   bytes_received_ += chunk.size();
-  rx_.insert(rx_.end(), chunk.begin(), chunk.end());
+  rx_.append(std::move(chunk));
   // Updates are length-prefixed: u32 len | u32 seq | padding.
-  while (rx_.size() >= 4) {
-    BinaryReader r({rx_.data(), rx_.size()});
-    const std::uint32_t len = r.u32();
-    if (rx_.size() - 4 < len) break;
-    if (len >= 4) {
+  cut_messages(rx_, [this](Bytes&& update) {
+    if (update.size() >= 4) {
+      BinaryReader r(update);
       const std::uint32_t seq = r.u32();
       updates_received_ += 1;
       if (record_) {
         records_.push_back(PacketRecord{host_->stack().engine().now(), seq});
       }
     }
-    rx_.erase(rx_.begin(), rx_.begin() + 4 + len);
-  }
+    return true;
+  });
 }
 
 }  // namespace dvemig::dve

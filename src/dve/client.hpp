@@ -105,7 +105,7 @@ class TcpDveClient {
   std::size_t active_bytes_{0};
   bool record_{false};
 
-  Buffer rx_;
+  Bytes rx_;  // received bytes not yet cut into updates
   std::uint64_t bytes_received_{0};
   std::uint64_t updates_received_{0};
   std::uint64_t resets_seen_{0};

@@ -32,23 +32,11 @@ void DatabaseServer::on_accept_ready() {
 }
 
 void DatabaseServer::Session::on_readable() {
-  Buffer chunk = sock->read();
-  rx.insert(rx.end(), chunk.begin(), chunk.end());
-  process();
-}
-
-void DatabaseServer::Session::process() {
-  while (rx.size() >= 4) {
-    BinaryReader len_reader({rx.data(), 4});
-    const std::uint32_t len = len_reader.u32();
-    if (rx.size() - 4 < len) break;
-    rx.erase(rx.begin(), rx.begin() + 4 + len);
-
+  rx.append(sock->read_bytes());
+  cut_messages(rx, [this](Bytes&&) {
     server->queries_ += 1;
-    auto& engine = server->node_->engine();
-    engine.schedule_after(
-        server->config_.processing_delay,
-        [self = shared_from_this()] {
+    server->node_->engine().schedule_after(
+        server->config_.processing_delay, [self = shared_from_this()] {
           if (self->sock->state() != stack::TcpState::established) return;
           const std::size_t body = self->server->config_.response_bytes;
           BinaryWriter w;
@@ -57,7 +45,8 @@ void DatabaseServer::Session::process() {
           w.repeat(body, 0x42);
           self->sock->send(w.take());
         });
-  }
+    return true;
+  });
 }
 
 }  // namespace dvemig::dve

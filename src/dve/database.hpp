@@ -38,10 +38,9 @@ class DatabaseServer {
   struct Session : std::enable_shared_from_this<Session> {
     DatabaseServer* server{nullptr};
     stack::TcpSocket::Ptr sock;
-    Buffer rx;
+    Bytes rx;  // received bytes not yet cut into requests
 
     void on_readable();
-    void process();
   };
 
   void on_accept_ready();

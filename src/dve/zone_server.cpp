@@ -216,15 +216,11 @@ void ZoneServerApp::db_update() {
 
 void ZoneServerApp::on_db_readable() {
   if (proc_ == nullptr || proc_->frozen() || db_fd_ < 0) return;
-  Buffer chunk = tcp_at(db_fd_).read();
-  db_rx_.insert(db_rx_.end(), chunk.begin(), chunk.end());
-  while (db_rx_.size() >= 4) {
-    BinaryReader r({db_rx_.data(), 4});
-    const std::uint32_t len = r.u32();
-    if (db_rx_.size() - 4 < len) break;
-    db_rx_.erase(db_rx_.begin(), db_rx_.begin() + 4 + len);
+  db_rx_.append(tcp_at(db_fd_).read_bytes());
+  cut_messages(db_rx_, [this](Bytes&&) {
     db_responses_ += 1;
-  }
+    return true;
+  });
 }
 
 }  // namespace dvemig::dve

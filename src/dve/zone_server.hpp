@@ -129,7 +129,7 @@ class ZoneServerApp final : public proc::AppLogic {
   std::vector<ClientSlot> slots_;  // indexed by fd
   std::vector<Fd> ready_;          // fds with data delivered since the last drain
   std::uint32_t next_adopt_seq_{0};
-  obs::CounterRef socket_reads_{"dve.socket_reads"};  // read() calls made by tick()
+  obs::CounterRef socket_reads_{"dve.socket_reads"};  // socket reads made by tick()
 
   sim::TimerHandle tick_timer_;
   sim::TimerHandle db_timer_;
@@ -139,7 +139,7 @@ class ZoneServerApp final : public proc::AppLogic {
   std::uint64_t db_queries_sent_{0};
   std::uint64_t db_responses_{0};
   std::uint64_t ticks_{0};
-  Buffer db_rx_;  // partial DB responses across reads (and across migrations)
+  Bytes db_rx_;  // partial DB responses across reads (and across migrations)
   // Absolute deadlines of the next tick / DB update, carried across migration so
   // the real-time loop catches up after a freeze instead of re-arming from zero.
   std::int64_t next_tick_at_ns_{-1};

@@ -74,37 +74,33 @@ void Conductor::heartbeat() {
 }
 
 void Conductor::on_readable() {
-  // Fixed layouts: the type byte, then a LoadInfo for load_info, or for every
-  // other type the u64 offer id and f64 value send_ctrl writes. Anything else
-  // on this port (an empty, truncated or unknown datagram) is dropped unparsed.
-  constexpr std::size_t kLoadInfoBytes = 1 + LoadInfo::kWireBytes;
-  constexpr std::size_t kCtrlBytes = 1 + sizeof(std::uint64_t) + sizeof(double);
+  // The type byte, then a LoadInfo for load_info or a CtrlMsg for every other
+  // type. Anything else on this port (an empty, truncated, overlong or
+  // unknown datagram) is dropped unparsed.
   while (auto dgram = sock_->recv()) {
-    const std::size_t size = dgram->data.size();
-    const auto type = static_cast<MsgType>(size == 0 ? 0 : dgram->data[0]);
+    BinaryReader r(dgram->data);
+    const auto type = static_cast<MsgType>(r.at_end() ? 0 : r.u8());
+    LoadInfo info;
+    CtrlMsg ctrl;
     const bool known = type >= MsgType::load_info && type <= MsgType::mig_solicit;
-    if (!known || size != (type == MsgType::load_info ? kLoadInfoBytes : kCtrlBytes)) {
+    if (!known || !(type == MsgType::load_info ? get_payload(r, info)
+                                               : get_payload(r, ctrl))) {
       DVEMIG_WARN("conductor", "%s dropped %zu-byte datagram", node_->name().c_str(),
-                  size);
+                  dgram->data.size());
       continue;
     }
-    BinaryReader r(dgram->data);
-    r.skip(1);  // the type byte
     switch (type) {
       case MsgType::load_info:
-        handle_load_info(LoadInfo::deserialize(r));
+        handle_load_info(info);
         break;
-      case MsgType::mig_offer: {
-        const std::uint64_t offer_id = r.u64();
-        const double est = r.f64();
-        handle_offer(dgram->from, offer_id, est);
+      case MsgType::mig_offer:
+        handle_offer(dgram->from, ctrl.offer_id, ctrl.value);
         break;
-      }
       case MsgType::mig_accept:
-        handle_accept(r.u64());
+        handle_accept(ctrl.offer_id);
         break;
       case MsgType::mig_reject:
-        handle_reject(r.u64());
+        handle_reject(ctrl.offer_id);
         break;
       case MsgType::mig_release:
         handle_release();
@@ -267,8 +263,7 @@ void Conductor::send_ctrl(net::Ipv4Addr to, MsgType type, std::uint64_t offer_id
                           double value) {
   BinaryWriter w;
   w.u8(static_cast<std::uint8_t>(type));
-  w.u64(offer_id);
-  w.f64(value);
+  put(w, CtrlMsg{offer_id, value});
   sock_->send_to(net::Endpoint{to, kCondPort}, w.take());
 }
 

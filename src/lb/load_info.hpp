@@ -1,5 +1,6 @@
 // Load information exchanged by the conductor daemons (information policy,
-// Section IV-D: periodic broadcast doubling as a heartbeat).
+// Section IV-D: periodic broadcast doubling as a heartbeat), and the payload of
+// their other datagrams.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +20,6 @@ struct LoadInfo {
   std::uint32_t process_count{0};
   std::int64_t sent_at_ns{0};
 
-  /// Serialized size: three u32, three f64 and one i64.
-  static constexpr std::size_t kWireBytes = 44;
-
   template <class Io, class Self>
   static void fields(Io& io, Self& info) {
     io.u32(info.node_local.value);
@@ -33,7 +31,19 @@ struct LoadInfo {
     io.i64(info.sent_at_ns);
   }
   void serialize(BinaryWriter& w) const { put(w, *this); }
-  static LoadInfo deserialize(BinaryReader& r) { return get<LoadInfo>(r); }
+};
+
+/// Every conductor datagram but load_info, after its type byte: the offer it
+/// concerns and a value (an offer's estimated cores, 0 for the other types).
+struct CtrlMsg {
+  std::uint64_t offer_id{0};
+  double value{0};
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u64(m.offer_id);
+    io.f64(m.value);
+  }
 };
 
 struct ProcessLoad {

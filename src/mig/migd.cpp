@@ -33,30 +33,29 @@ void Transd::on_readable() {
   while (auto dgram = sock_->recv()) {
     // Anything on this port that is not a well-formed request (a stray or
     // truncated datagram, an unknown protocol) is dropped unanswered.
-    if (dgram->data.size() != kTransdRequestBytes) {
+    BinaryReader r(dgram->data);
+    TransdRequest req;
+    if (!get_payload(r, req)) {
       DVEMIG_WARN("transd", "%s dropped %zu-byte datagram", node_->name().c_str(),
                   dgram->data.size());
       continue;
     }
-    BinaryReader r(dgram->data);
-    const std::uint64_t req_id = r.u64();
-    TranslationRule rule = TranslationRule::deserialize(r);
-    if (rule.proto != net::IpProto::tcp && rule.proto != net::IpProto::udp) {
+    if (req.rule.proto != net::IpProto::tcp && req.rule.proto != net::IpProto::udp) {
       DVEMIG_WARN("transd", "%s dropped request %llu for protocol %u",
-                  node_->name().c_str(), static_cast<unsigned long long>(req_id),
-                  static_cast<unsigned>(rule.proto));
+                  node_->name().c_str(), static_cast<unsigned long long>(req.req_id),
+                  static_cast<unsigned>(req.rule.proto));
       continue;
     }
     const net::Endpoint requester = dgram->from;
     // Installing the filter takes kernel work; the ack follows it.
     node_->engine().schedule_after(
         SimTime::nanoseconds(cm_.translation_install_ns),
-        [this, rule, req_id, requester] {
+        [this, req, requester] {
           node_->cpu().account(kKernelPid,
                                SimTime::nanoseconds(cm_.translation_install_ns));
-          translation_->install(rule, fix_dst_cache_);
+          translation_->install(req.rule, fix_dst_cache_);
           BinaryWriter ack;
-          ack.u64(req_id);
+          put(ack, TransdAck{req.req_id});
           sock_->send_to(requester, ack.take());
         });
   }

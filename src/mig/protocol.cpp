@@ -90,28 +90,27 @@ void FrameChannel::fail_rx(const char* reason) {
 void FrameChannel::on_readable() {
   if (errored_) return;
   rx_.append(sock_->read_bytes());
-
-  // Frames are sliced out of rx_, sharing its chunks; rx_ drops them after.
-  BinaryReader in(rx_);
-  std::size_t off = 0;
-  while (in.remaining() >= 4) {
-    const std::uint32_t len = in.u32();
-    if (len == 0) return fail_rx("zero-length frame");
-    if (len > kMaxFrameLen) return fail_rx("frame length exceeds cap");
-    if (in.remaining() < len) break;  // incomplete frame
-    const Bytes frame = in.bytes(len);
-    off = in.position();
+  const auto on_frame = [this](Bytes&& frame) {
+    if (frame.empty()) {
+      fail_rx("zero-length frame");
+      return false;
+    }
     BinaryReader body(frame);
     const std::uint8_t raw_type = body.u8();
-    if (!msg_type_valid(raw_type)) return fail_rx("unknown frame type");
+    if (!msg_type_valid(raw_type)) {
+      fail_rx("unknown frame type");
+      return false;
+    }
     const auto type = static_cast<MsgType>(raw_type);
     if (observer_) {
-      observer_->on_channel_frame(*this, /*outbound=*/false, type, len - 1);
+      observer_->on_channel_frame(*this, /*outbound=*/false, type, frame.size() - 1);
     }
     if (on_frame_) on_frame_(type, body);
-    if (errored_) return;  // the frame callback tore the channel down
+    return !errored_;  // false: the frame callback tore the channel down
+  };
+  if (!cut_messages(rx_, on_frame, kMaxFrameLen) && !errored_) {
+    fail_rx("frame length exceeds cap");
   }
-  rx_.remove_prefix(off);
 }
 
 // ---------------------------------------------------------------------------

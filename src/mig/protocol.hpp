@@ -17,6 +17,7 @@
 
 #include "src/common/serial.hpp"
 #include "src/mig/socket_image.hpp"
+#include "src/mig/translation.hpp"
 #include "src/stack/tcp_socket.hpp"
 
 namespace dvemig::mig {
@@ -115,6 +116,28 @@ struct CaptureRequest {
   template <class Io, class Self>
   static void fields(Io& io, Self& req) {
     io.seq(req.specs);
+  }
+};
+
+/// migd -> transd datagram: install `rule`, then ack `req_id`.
+struct TransdRequest {
+  std::uint64_t req_id{0};
+  TranslationRule rule;
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u64(m.req_id);
+    io.rec(m.rule);
+  }
+};
+
+/// transd -> migd datagram: the request whose rule is installed.
+struct TransdAck {
+  std::uint64_t req_id{0};
+
+  template <class Io, class Self>
+  static void fields(Io& io, Self& m) {
+    io.u64(m.req_id);
   }
 };
 

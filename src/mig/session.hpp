@@ -1,6 +1,6 @@
 // What the migd source and destination roles share (private to src/mig): the
 // Session base with its cost continuations, ShardedCost, the migration
-// metrics, the tracer shorthand and the transd datagram sizes.
+// metrics and the tracer shorthand.
 #pragma once
 
 #include <functional>
@@ -15,12 +15,6 @@ namespace dvemig::mig {
 
 /// Pseudo-pid used to charge kernel-side migration work to the CPU meter.
 inline constexpr Pid kKernelPid{1};
-
-/// migd -> transd request: u64 request id, then the rule. transd -> migd ack:
-/// the u64 request id alone.
-inline constexpr std::size_t kTransdRequestBytes =
-    sizeof(std::uint64_t) + TranslationRule::kWireBytes;
-inline constexpr std::size_t kTransdAckBytes = sizeof(std::uint64_t);
 
 inline obs::Tracer& tracer() { return obs::Tracer::instance(); }
 

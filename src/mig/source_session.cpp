@@ -516,8 +516,7 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
       rule.mig_new_addr = dest_;
       BinaryWriter w;
       const std::uint64_t req = ++next_trans_req_;
-      w.u64(req);
-      rule.serialize(w);
+      put(w, TransdRequest{req, rule});
       pending_trans_.insert(req);
       ctrl_->send_to(net::Endpoint{ms.effective_remote.addr, kTransdPort}, w.take());
     }
@@ -530,13 +529,14 @@ class Migd::SourceSession : public Session<Migd::SourceSession> {
   /// (a stray or truncated datagram, a duplicate or unknown ack) is dropped.
   void on_ctrl_readable() {
     while (auto dgram = ctrl_->recv()) {
-      if (dgram->data.size() != kTransdAckBytes) {
+      BinaryReader r(dgram->data);
+      TransdAck ack;
+      if (!get_payload(r, ack)) {
         DVEMIG_WARN("migd", "pid %u dropped %zu-byte datagram on the translation "
                     "ack port", stats_.pid.value, dgram->data.size());
         continue;
       }
-      BinaryReader r(dgram->data);
-      const std::uint64_t req = r.u64();
+      const std::uint64_t req = ack.req_id;
       if (pending_trans_.erase(req) == 0) {
         DVEMIG_WARN("migd", "pid %u dropped unexpected translation ack %llu",
                     stats_.pid.value, static_cast<unsigned long long>(req));

@@ -30,10 +30,6 @@ struct TranslationRule {
   net::Endpoint mig_old{};      // migrated socket's original endpoint (IP1:portA)
   net::Ipv4Addr mig_new_addr{}; // migration destination (IP2)
 
-  /// Serialized size: u8 proto, peer_local and mig_old as u32 + u16 each,
-  /// u32 mig_new_addr.
-  static constexpr std::size_t kWireBytes = 17;
-
   template <class Io, class Self>
   static void fields(Io& io, Self& rule) {
     io.u8(rule.proto);
@@ -42,7 +38,6 @@ struct TranslationRule {
     io.u32(rule.mig_new_addr.value);
   }
   void serialize(BinaryWriter& w) const { put(w, *this); }
-  static TranslationRule deserialize(BinaryReader& r) { return get<TranslationRule>(r); }
 };
 
 class TranslationManager {

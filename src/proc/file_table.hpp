@@ -5,10 +5,14 @@
 // while sockets take the collective socket-migration path.
 #pragma once
 
-#include <limits>
-#include <map>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <queue>
+#include <ranges>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/assert.hpp"
 #include "src/common/types.hpp"
@@ -39,27 +43,40 @@ class FileTable {
   void seek(Fd fd, std::uint64_t offset);
   void close(Fd fd);
 
-  const OpenFile& get(Fd fd) const;
-  OpenFile& get(Fd fd);
-  bool has(Fd fd) const { return entries_.contains(fd); }
+  const OpenFile& get(Fd fd) const {
+    DVEMIG_EXPECTS(has(fd));
+    return *slots_[static_cast<std::size_t>(fd)];
+  }
+  OpenFile& get(Fd fd) { return const_cast<OpenFile&>(std::as_const(*this).get(fd)); }
+  bool has(Fd fd) const {
+    return fd >= 0 && static_cast<std::size_t>(fd) < slots_.size() &&
+           slots_[static_cast<std::size_t>(fd)].has_value();
+  }
 
-  const std::map<Fd, OpenFile>& entries() const { return entries_; }
-  std::size_t size() const { return entries_.size(); }
+  /// The open files as (fd, file) pairs, in fd order (the freeze phase's).
+  auto entries() const {
+    return std::views::iota(std::size_t{0}, slots_.size()) |
+           std::views::filter([this](std::size_t i) { return slots_[i].has_value(); }) |
+           std::views::transform([this](std::size_t i) {
+             return std::pair<Fd, const OpenFile&>(static_cast<Fd>(i), *slots_[i]);
+           });
+  }
+  std::size_t size() const { return open_; }
   std::size_t socket_count() const;
 
  private:
-  /// Take the lowest free fd: the first fd of the first free run.
+  /// The lowest free fd at or above floor_.
   Fd next_fd();
-  /// Remove `fd` from the free runs (it is being opened at a chosen number).
-  void take_fd(Fd fd);
-  /// Return [lo, hi] to the free runs, merging with its neighbours.
-  void free_fds(Fd lo, Fd hi);
+  /// Open `file` at the free fd `fd`.
+  void install(Fd fd, OpenFile file);
 
-  std::map<Fd, OpenFile> entries_;  // ordered: freeze-phase iteration is by fd
-  // The allocatable fds as disjoint runs, first fd -> last fd (inclusive). They
-  // cover every fd from floor_ up that is not open, so the lowest free fd is
-  // free_.begin()->first and an allocation never rescans the open fds.
-  std::map<Fd, Fd> free_{{3, std::numeric_limits<Fd>::max()}};
+  std::vector<std::optional<OpenFile>> slots_;  // indexed by fd; empty = free
+  std::size_t open_{0};
+  // Every free fd from floor_ up below slots_.size() is in this min-heap, so
+  // the lowest free fd is its top (or, if it is empty, the first fd past the
+  // table) and an allocation never rescans the open fds. An fd opened at a
+  // chosen number stays in the heap and is dropped when it reaches the top.
+  std::priority_queue<Fd, std::vector<Fd>, std::greater<>> free_;
   // 0-2 are notionally stdio. Closing an fd below the floor lowers it (POSIX
   // lowest-free-fd): every closed fd is allocatable again.
   Fd floor_{3};

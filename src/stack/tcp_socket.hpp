@@ -171,9 +171,8 @@ class TcpSocket final : public Socket {
   /// Queue data for transmission (the send buffer is unbounded in this
   /// stack). Segments are slices of `data`: its bytes are not copied.
   void send(Bytes data);
-  /// Read up to `max` bytes of in-order received data, flat.
-  Buffer read(std::size_t max = SIZE_MAX) { return read_bytes(max).take(); }
-  /// As read(), but the segments' bytes are handed on, not copied.
+  /// Read up to `max` bytes of in-order received data. The segments' bytes
+  /// are handed on, not copied.
   Bytes read_bytes(std::size_t max = SIZE_MAX);
   std::size_t bytes_available() const { return cb_.receive_queue_bytes; }
 

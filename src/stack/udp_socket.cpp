@@ -79,7 +79,7 @@ void UdpSocket::datagram_arrived(const net::Packet& p) {
   }
   cb_.datagrams_in += 1;
   cb_.receive_queue.push_back(
-      UdpDatagram{net::Endpoint{p.src, p.udp.sport}, p.payload.copy()});
+      UdpDatagram{net::Endpoint{p.src, p.udp.sport}, p.payload});
   if (on_readable_) on_readable_();
 }
 

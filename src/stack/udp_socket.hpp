@@ -18,7 +18,7 @@ namespace dvemig::stack {
 
 struct UdpDatagram {
   net::Endpoint from;
-  Buffer data;
+  Bytes data;  // shared with the packet that brought it
 };
 
 struct UdpCb {

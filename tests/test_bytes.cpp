@@ -1,7 +1,8 @@
 // Bytes against a flat model: random appends, fill runs, slices, moves,
 // comparisons and expansions must leave the same logical bytes and the same
 // internet-checksum sums as one flat Buffer, and a value of one real chunk
-// must cost no more allocations than a shared payload did.
+// must cost no more allocations than a shared payload did. cut_messages
+// against a flat parser of the same stream.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -231,6 +232,124 @@ TEST(BytesTest, OneRealChunkAllocatesLikeASharedPayload) {
   EXPECT_EQ(viewed, 256u);
   EXPECT_EQ(chunks, 1u);
   EXPECT_TRUE(copy.shares_storage_with(b));
+}
+
+// ------------------------------------------------------------ cut_messages
+
+/// The bodies of the complete u32-length-prefixed messages at the front of
+/// `flat`; `used` is where the first incomplete one starts.
+std::vector<Buffer> parse_flat(const Buffer& flat, std::size_t& used) {
+  std::vector<Buffer> out;
+  used = 0;
+  while (flat.size() - used >= 4) {
+    std::uint32_t len = 0;
+    for (std::size_t i = 0; i < 4; ++i) len |= std::uint32_t{flat[used + i]} << (8 * i);
+    if (flat.size() - used - 4 < len) break;
+    const auto body = flat.begin() + static_cast<std::ptrdiff_t>(used + 4);
+    out.emplace_back(body, body + len);
+    used += 4 + len;
+  }
+  return out;
+}
+
+// Messages of random sizes (0, the cap and one below it among them) arrive
+// split at random points and chunked with runs; the cutter must hand over the
+// bodies a flat parser finds, keep exactly the incomplete tail, and refuse a
+// length over the cap as soon as its four bytes are in, before its body.
+TEST(CutMessagesTest, PropertyMatchesFlatParser) {
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const auto cap = static_cast<std::uint32_t>(1 + rng() % 600);
+    BinaryWriter w;
+    const std::size_t count = 1 + rng() % 40;
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t pick = rng() % 4;
+      const std::uint32_t n = pick == 0   ? 0
+                              : pick == 1 ? cap
+                              : pick == 2 ? cap - 1
+                                          : static_cast<std::uint32_t>(rng() % (cap + 1));
+      w.u32(n);
+      if (rng() % 3 == 0) {
+        w.repeat(n, random_fill(rng));
+      } else {
+        w.bytes(random_bytes(rng, n));
+      }
+    }
+    // Then a length over the cap, with part of its body.
+    const std::size_t over_at = w.size();
+    const auto over = static_cast<std::uint32_t>(cap + 1 + rng() % 1000);
+    w.u32(over);
+    w.bytes(random_bytes(rng, std::min<std::size_t>(over - 1, rng() % 100)));
+    const Buffer flat = w.take();
+
+    Bytes capped;
+    Bytes uncapped;
+    std::vector<Buffer> got;
+    std::vector<Buffer> got_uncapped;
+    std::size_t fed = 0;
+    while (fed < flat.size()) {
+      const std::size_t n = std::min<std::size_t>(flat.size() - fed, 1 + rng() % 400);
+      const auto first = flat.begin() + static_cast<std::ptrdiff_t>(fed);
+      fed += n;
+      const auto end = flat.begin() + static_cast<std::ptrdiff_t>(fed);
+      const Bytes piece = rechunk(Buffer(first, end), rng);
+      capped.append(piece);
+      uncapped.append(piece);
+      const bool whole = cut_messages(
+          capped,
+          [&](Bytes&& body) {
+            got.push_back(flatten(body));
+            return true;
+          },
+          cap);
+      EXPECT_TRUE(cut_messages(uncapped, [&](Bytes&& body) {
+        got_uncapped.push_back(flatten(body));
+        return true;
+      }));
+
+      std::size_t used = 0;
+      const std::vector<Buffer> expect = parse_flat(Buffer(flat.begin(), end), used);
+      ASSERT_EQ(got, expect);
+      ASSERT_EQ(got_uncapped, expect);
+      ASSERT_EQ(flatten(capped), Buffer(flat.begin() + static_cast<std::ptrdiff_t>(used), end));
+      ASSERT_EQ(uncapped.size(), capped.size());
+      ASSERT_EQ(whole, fed < over_at + 4) << "fed " << fed;
+    }
+    EXPECT_EQ(got.size(), count);
+  }
+}
+
+// One read of whole messages in one chunk is the common case (a DVE update,
+// a DB response): the bodies are slices of that chunk, and cutting them, with
+// a partial header left over, allocates nothing.
+TEST(CutMessagesTest, WholeMessagesFromOneChunkAllocateNothing) {
+  BinaryWriter w;
+  for (std::uint32_t seq = 0; seq < 8; ++seq) {
+    w.u32(252);
+    w.u32(seq);
+    w.repeat(248, 0x5A);
+  }
+  w.u8(252);
+  w.u8(0);
+  Bytes stream(w.take());
+  ASSERT_EQ(stream.chunk_count(), 1u);
+
+  std::uint32_t seq_sum = 0;
+  std::size_t cut = 0;
+  const std::size_t before = g_allocations;
+  const bool whole = cut_messages(stream, [&](Bytes&& body) {
+    BinaryReader r(body);
+    seq_sum += r.u32();
+    cut += body.size() == 252 ? 1 : 0;
+    return true;
+  });
+  const std::size_t allocations = g_allocations - before;
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_TRUE(whole);
+  EXPECT_EQ(cut, 8u);
+  EXPECT_EQ(seq_sum, 28u);
+  EXPECT_EQ(stream.size(), 2u);
 }
 
 }  // namespace

@@ -67,7 +67,7 @@ TEST(DatabaseTest, AnswersLengthPrefixedQueries) {
   bed.run_for(SimTime::milliseconds(50));
 
   EXPECT_EQ(bed.db()->queries_served(), 1u);
-  Buffer resp = client->read();
+  Buffer resp = client->read_bytes().copy();
   ASSERT_GE(resp.size(), 4u);
   BinaryReader r(resp);
   EXPECT_EQ(r.u32(), 64u);  // configured response size

@@ -76,7 +76,7 @@ TEST(DatabaseProtocol, QueryFragmentedAcrossSendsStillAnswered) {
   client->send(Buffer(40, 0x51));
   bed.run_for(SimTime::milliseconds(50));
   EXPECT_EQ(bed.db()->queries_served(), 1u);
-  EXPECT_GE(client->read().size(), 4u);
+  EXPECT_GE(client->read_bytes().size(), 4u);
 }
 
 TEST(DatabaseProtocol, PipelinedQueriesAllAnswered) {
@@ -97,7 +97,7 @@ TEST(DatabaseProtocol, PipelinedQueriesAllAnswered) {
   bed.run_for(SimTime::milliseconds(100));
   EXPECT_EQ(bed.db()->queries_served(), 10u);
   // 10 responses of (4 + 64) bytes each.
-  EXPECT_EQ(client->read().size(), 10u * 68u);
+  EXPECT_EQ(client->read_bytes().size(), 10u * 68u);
 }
 
 TEST(ZoneHandoff, ClientMovesBetweenZonesCleanly) {

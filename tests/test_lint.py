@@ -295,6 +295,20 @@ class NoMaterialize(unittest.TestCase):
         code, out = lint_tree({"src/common/serial.cpp": self.EXPAND})
         self.assertNotIn("[no-materialize]", out)
 
+    def test_udp_receive_path_is_not_exempt(self) -> None:
+        # Datagrams share their packet's payload; a flat copy there is flagged.
+        code, out = lint_tree(
+            {
+                "src/stack/udp_socket.cpp": (
+                    "void UdpSocket::datagram_arrived(const net::Packet& p) {\n"
+                    "  queue(UdpDatagram{from(p), p.payload.copy()});\n"
+                    "}\n"
+                )
+            }
+        )
+        self.assertNotEqual(code, 0)
+        self.assertIn("src/stack/udp_socket.cpp:2: [no-materialize]", out)
+
     def test_real_tree_expands_only_where_allowed(self) -> None:
         _, out = run_lint(REPO)
         self.assertNotIn("[no-materialize]", out)

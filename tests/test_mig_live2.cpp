@@ -176,10 +176,10 @@ TEST_F(Live2Fixture, UnacceptedChildMigratesInsideListener) {
   // The deferred connection is fully usable on the destination.
   client->send(Buffer(500, 0xEE));
   bed->run_for(SimTime::milliseconds(100));
-  EXPECT_EQ(server_side->read().size(), 500u);
+  EXPECT_EQ(server_side->read_bytes().size(), 500u);
   server_side->send(Buffer(300, 0xDD));
   bed->run_for(SimTime::milliseconds(100));
-  EXPECT_EQ(client->read().size(), 300u);
+  EXPECT_EQ(client->read_bytes().size(), 300u);
 }
 
 TEST_F(Live2Fixture, IterativeWithMixedUdpAndTcpSockets) {
@@ -225,7 +225,7 @@ TEST_F(Live2Fixture, IterativeWithMixedUdpAndTcpSockets) {
   auto& moved_tcp = static_cast<stack::TcpSocket&>(*moved->files().get(afd).socket);
   tcp_client->send(Buffer(100, 0x44));
   bed->run_for(SimTime::milliseconds(100));
-  EXPECT_EQ(moved_tcp.read().size(), 100u);
+  EXPECT_EQ(moved_tcp.read_bytes().size(), 100u);
 }
 
 // All strategies share one freeze pipeline, batch by batch. A process with

@@ -62,14 +62,14 @@ struct MutualFixture : ::testing::Test {
   void expect_exchange(const char* when) {
     auto& sa = sock_of(at_a, proc_a->pid(), fd_a);
     auto& sb = sock_of(at_b, proc_b->pid(), fd_b);
-    (void)sa.read();
-    (void)sb.read();
+    (void)sa.read_bytes();
+    (void)sb.read_bytes();
     sa.send(Buffer(100, 0xA1));
     bed->run_for(SimTime::milliseconds(50));
-    EXPECT_EQ(sb.read().size(), 100u) << "A->B failed " << when;
+    EXPECT_EQ(sb.read_bytes().size(), 100u) << "A->B failed " << when;
     sb.send(Buffer(64, 0xB2));
     bed->run_for(SimTime::milliseconds(50));
-    EXPECT_EQ(sa.read().size(), 64u) << "B->A failed " << when;
+    EXPECT_EQ(sa.read_bytes().size(), 64u) << "B->A failed " << when;
   }
 };
 
@@ -174,7 +174,7 @@ TEST_F(MutualFixture, TrafficInFlightDuringPeerMigration) {
       if (pb == nullptr || pb->frozen()) return;
       auto& sb = static_cast<stack::TcpSocket&>(*pb->files().get(fd_b).socket);
       if (sb.migration_disabled()) return;
-      received += sb.read().size();
+      received += sb.read_bytes().size();
     });
   }
   bool mig_done = false;
@@ -191,7 +191,7 @@ TEST_F(MutualFixture, TrafficInFlightDuringPeerMigration) {
   EXPECT_TRUE(mig_done);
 
   auto& sb = sock_of(at_b, proc_b->pid(), fd_b);
-  received += sb.read().size();
+  received += sb.read_bytes().size();
   EXPECT_EQ(received, sent);  // nothing lost, nothing duplicated
   EXPECT_GT(sent, 100u * 32u / 2);
 }

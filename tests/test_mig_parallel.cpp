@@ -676,7 +676,7 @@ struct RawStripes {
 
   /// The frame types waiting in `s`'s receive queue.
   static std::vector<MsgType> reply_types(stack::TcpSocket& s) {
-    const Buffer bytes = s.read();
+    const Buffer bytes = s.read_bytes().copy();
     BinaryReader r(bytes);
     std::vector<MsgType> out;
     while (r.remaining() >= 5) {

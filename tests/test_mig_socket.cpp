@@ -185,9 +185,9 @@ TEST(TranslationTest, RuleSerializationRoundTrip) {
   TranslationRule rule{net::IpProto::tcp, net::Endpoint{kAddrC, 3306},
                        net::Endpoint{kAddrA, 45000}, kAddrB};
   BinaryWriter w;
-  rule.serialize(w);
+  put(w, rule);
   BinaryReader r(w.buffer());
-  const TranslationRule back = TranslationRule::deserialize(r);
+  const auto back = get<TranslationRule>(r);
   EXPECT_EQ(back.peer_local, rule.peer_local);
   EXPECT_EQ(back.mig_old, rule.mig_old);
   EXPECT_EQ(back.mig_new_addr, rule.mig_new_addr);
@@ -403,7 +403,7 @@ TEST(SocketImageTest, RestoreRehashesAndPreservesData) {
                 stack::FourTuple{restored->local(), restored->remote()}),
             restored);
   EXPECT_TRUE(restored->rto_pending());  // the unacked segment is timed again
-  EXPECT_EQ(restored->read(), Buffer(1000, 9));  // queued data survived
+  EXPECT_EQ(restored->read_bytes(), Buffer(1000, 9));  // queued data survived
 }
 
 TEST(SocketImageTest, TimestampAdjustmentKeepsTsvalMonotonic) {

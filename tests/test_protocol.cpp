@@ -427,7 +427,7 @@ TEST(MalformedFrame, MigdAnswersGarbageWithMigAbort) {
     c.raw->send(bytes);
     c.bed.run_for(SimTime::milliseconds(100));
 
-    Buffer reply = c.raw->read();
+    Buffer reply = c.raw->read_bytes().copy();
     ASSERT_GE(reply.size(), 5u);
     BinaryReader r(reply);
     EXPECT_EQ(r.u32(), 1u);
@@ -477,13 +477,13 @@ TEST(MalformedFrame, MigdRejectsStripeHelloThatDoesNotFitItsMigration) {
 
     probe->send(hello(row.probe_index));
     c.bed.run_for(SimTime::milliseconds(100));
-    Buffer reply = probe->read();
+    Buffer reply = probe->read_bytes().copy();
     ASSERT_GE(reply.size(), 5u);
     BinaryReader r(reply);
     EXPECT_EQ(r.u32(), 1u);
     EXPECT_EQ(r.u8(), static_cast<std::uint8_t>(MsgType::mig_abort));
     EXPECT_EQ(probe->state(), stack::TcpState::close_wait);  // released by migd
-    EXPECT_TRUE(c.raw->read().empty());
+    EXPECT_TRUE(c.raw->read_bytes().empty());
     EXPECT_EQ(c.migd().dest_session_count(), 1u);  // the first connection
 
     probe->close();

@@ -122,10 +122,10 @@ TEST(TcpData, SmallMessageBothDirections) {
   auto [client, server] = h.connect_pair();
   client->send(Buffer{'p', 'i', 'n', 'g'});
   h.engine.run();
-  EXPECT_EQ(server->read(), (Buffer{'p', 'i', 'n', 'g'}));
+  EXPECT_EQ(server->read_bytes(), (Buffer{'p', 'i', 'n', 'g'}));
   server->send(Buffer{'p', 'o', 'n', 'g'});
   h.engine.run();
-  EXPECT_EQ(client->read(), (Buffer{'p', 'o', 'n', 'g'}));
+  EXPECT_EQ(client->read_bytes(), (Buffer{'p', 'o', 'n', 'g'}));
 }
 
 TEST(TcpData, OnReadableFires) {
@@ -146,7 +146,7 @@ TEST(TcpData, BulkTransferSegmentsAndReassembles) {
   for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<std::uint8_t>(i);
   Buffer received;
   server->set_on_readable([&, srv = server.get()] {
-    Buffer chunk = srv->read();
+    Buffer chunk = srv->read_bytes().copy();
     received.insert(received.end(), chunk.begin(), chunk.end());
   });
   client->send(big);
@@ -161,7 +161,7 @@ TEST(TcpData, ThroughputNearLineRate) {
   auto [client, server] = h.connect_pair();
   const SimTime start = h.engine.now();
   std::size_t received = 0;
-  server->set_on_readable([&, srv = server.get()] { received += srv->read().size(); });
+  server->set_on_readable([&, srv = server.get()] { received += srv->read_bytes().size(); });
   client->send(Buffer(4'000'000, 7));
   h.engine.run();
   const double secs = (h.engine.now() - start).to_sec();
@@ -174,7 +174,7 @@ TEST(TcpData, CongestionWindowGrowsFromSlowStart) {
   TwoHosts h;
   auto [client, server] = h.connect_pair();
   const std::uint32_t initial_cwnd = client->cb().cwnd;
-  server->set_on_readable([srv = server.get()] { (void)srv->read(); });
+  server->set_on_readable([srv = server.get()] { (void)srv->read_bytes(); });
   client->send(Buffer(500'000, 7));
   h.engine.run();
   EXPECT_GT(client->cb().cwnd, initial_cwnd);
@@ -200,7 +200,7 @@ TEST(TcpLoss, RetransmissionRecoversDroppedSegment) {
   HookHandle drop = drop_first_n(h.b, 1);
   Buffer received;
   server->set_on_readable([&, srv = server.get()] {
-    Buffer chunk = srv->read();
+    Buffer chunk = srv->read_bytes().copy();
     received.insert(received.end(), chunk.begin(), chunk.end());
   });
   Buffer msg(40'000);
@@ -216,7 +216,7 @@ TEST(TcpLoss, FastRetransmitTriggersOnDupAcks) {
   TwoHosts h;
   auto [client, server] = h.connect_pair();
   HookHandle drop = drop_first_n(h.b, 1);
-  server->set_on_readable([srv = server.get()] { (void)srv->read(); });
+  server->set_on_readable([srv = server.get()] { (void)srv->read_bytes(); });
   const SimTime start = h.engine.now();
   client->send(Buffer(100'000, 3));
   h.engine.run();
@@ -233,7 +233,7 @@ TEST(TcpLoss, OutOfOrderSegmentsBufferedAndDelivered) {
   bool saw_ooo = false;
   server->set_on_readable([&, srv = server.get()] {
     saw_ooo = saw_ooo || !srv->cb().ooo_queue.empty();
-    (void)srv->read();
+    (void)srv->read_bytes();
   });
   // Poll the out-of-order queue at fine grain while the gap is open (fast
   // retransmit closes it within a millisecond on this LAN).
@@ -262,7 +262,7 @@ TEST(TcpLoss, LostAckRecovered) {
         }
         return Verdict::accept;
       });
-  server->set_on_readable([srv = server.get()] { (void)srv->read(); });
+  server->set_on_readable([srv = server.get()] { (void)srv->read_bytes(); });
   client->send(Buffer(10'000, 5));
   h.engine.run();
   EXPECT_EQ(client->cb().snd_una, client->cb().snd_nxt);  // eventually all acked
@@ -274,7 +274,7 @@ TEST(TcpTimestamps, PawsDropsOldTsval) {
   auto [client, server] = h.connect_pair();
   client->send(Buffer(100, 1));
   h.engine.run();
-  (void)server->read();
+  (void)server->read_bytes();
 
   // Forge a segment with a tsval far in the peer's past.
   net::TcpHeader hdr;
@@ -354,7 +354,7 @@ TEST(TcpFlowControl, ZeroWindowStallsSenderUntilRead) {
   EXPECT_LE(stalled_at, 16 * 1024u);
   // App finally reads -> window updates -> the rest of the 64 KiB flows.
   std::size_t total = 0;
-  std::function<void()> drain = [&] { total += server->read().size(); };
+  std::function<void()> drain = [&] { total += server->read_bytes().size(); };
   server->set_on_readable(drain);
   drain();
   h.engine.run();
@@ -385,7 +385,7 @@ TEST(TcpClose, DataBeforeFinDelivered) {
   client->send(Buffer(1000, 6));
   client->close();
   h.engine.run();
-  EXPECT_EQ(server->read().size(), 1000u);
+  EXPECT_EQ(server->read_bytes().size(), 1000u);
   EXPECT_EQ(server->state(), TcpState::close_wait);
 }
 
@@ -445,7 +445,7 @@ TEST(TcpStats, CountersTrackTraffic) {
 TEST(TcpRtt, SrttConvergesToPathRtt) {
   TwoHosts h;
   auto [client, server] = h.connect_pair();
-  server->set_on_readable([srv = server.get()] { (void)srv->read(); });
+  server->set_on_readable([srv = server.get()] { (void)srv->read_bytes(); });
   for (int i = 0; i < 20; ++i) {
     h.engine.schedule_after(SimTime::milliseconds(10 * (i + 1)),
                             [&, c = client.get()] { c->send(Buffer(100, 1)); });

@@ -66,7 +66,7 @@ TEST(TcpTeardown, HalfCloseServerKeepsSending) {
   ASSERT_EQ(server->state(), TcpState::close_wait);
   server->send(Buffer(2000, 4));  // data flows against the half-closed direction
   h.engine.run_until(h.engine.now() + SimTime::milliseconds(50));
-  EXPECT_EQ(client->read().size(), 2000u);
+  EXPECT_EQ(client->read_bytes().size(), 2000u);
   server->close();
   h.engine.run_until(h.engine.now() + SimTime::seconds(3));
   EXPECT_EQ(client->state(), TcpState::closed);
@@ -79,7 +79,7 @@ TEST(TcpTeardown, CloseWithUnsentDataFlushesFirst) {
   client->close();  // FIN queued behind 50 kB of data
   Buffer got;
   server->set_on_readable([&, srv = server.get()] {
-    Buffer chunk = srv->read();
+    Buffer chunk = srv->read_bytes().copy();
     got.insert(got.end(), chunk.begin(), chunk.end());
   });
   h.engine.run_until(h.engine.now() + SimTime::seconds(1));
@@ -143,7 +143,7 @@ TEST(TcpReorder, JitteredDeliveryStillInOrderToApp) {
   }
   Buffer got;
   server->set_on_readable([&, srv = server.get()] {
-    Buffer chunk = srv->read();
+    Buffer chunk = srv->read_bytes().copy();
     got.insert(got.end(), chunk.begin(), chunk.end());
   });
   client->send(sent);
@@ -187,11 +187,11 @@ TEST(TcpDuplex, SimultaneousBulkBothDirections) {
   Buffer up(150'000, 0xAA), down(90'000, 0xBB);
   Buffer got_up, got_down;
   server->set_on_readable([&, srv = server.get()] {
-    Buffer c = srv->read();
+    Buffer c = srv->read_bytes().copy();
     got_up.insert(got_up.end(), c.begin(), c.end());
   });
   client->set_on_readable([&, cli = client.get()] {
-    Buffer c = cli->read();
+    Buffer c = cli->read_bytes().copy();
     got_down.insert(got_down.end(), c.begin(), c.end());
   });
   client->send(up);
@@ -227,7 +227,7 @@ TEST(TcpPersist, ProbeRecoversFromClosedWindow) {
   // eventually push everything through.
   std::size_t total = 0;
   std::function<void()> sip = [&] {
-    total += server->read(2048).size();
+    total += server->read_bytes(2048).size();
     if (total < 40'000) {
       h.engine.schedule_after(SimTime::milliseconds(10), sip);
     }
@@ -257,7 +257,7 @@ TEST(TcpOutOfOrder, FinBufferedUntilGapFills) {
   client->close();
   h.engine.run_until(h.engine.now() + SimTime::seconds(2));
   EXPECT_TRUE(closed);
-  EXPECT_EQ(server->read().size(), 6000u);
+  EXPECT_EQ(server->read_bytes().size(), 6000u);
   EXPECT_EQ(server->state(), TcpState::close_wait);
   drop.release();
 }

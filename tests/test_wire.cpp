@@ -278,13 +278,58 @@ TEST(WireGolden, CaptureSpec) {
 TEST(WireGolden, TranslationRule) {
   const mig::TranslationRule rule{net::IpProto::tcp, ep(20, 3306), ep(1, 41000),
                                   net::Ipv4Addr::octets(10, 1, 0, 2)};
-  const Buffer bytes = encode([&](BinaryWriter& w) { rule.serialize(w); });
+  const Buffer bytes = encode([&](BinaryWriter& w) { put(w, rule); });
   expect_golden(bytes, {17, 0x5385c5ee24a65903ULL});
   EXPECT_EQ(size_of(rule), bytes.size());
   BinaryReader r(bytes);
-  const mig::TranslationRule back = mig::TranslationRule::deserialize(r);
+  const auto back = get<mig::TranslationRule>(r);
   EXPECT_TRUE(r.at_end());
-  EXPECT_EQ(encode([&](BinaryWriter& w) { back.serialize(w); }), bytes);
+  EXPECT_EQ(encode([&](BinaryWriter& w) { put(w, back); }), bytes);
+}
+
+// The migd <-> transd datagrams.
+TEST(WireGolden, TransdRequestAndAck) {
+  const mig::TransdRequest req{
+      0x0102030405060708ULL,
+      mig::TranslationRule{net::IpProto::tcp, ep(20, 3306), ep(1, 41000),
+                           net::Ipv4Addr::octets(10, 1, 0, 2)}};
+  const Buffer bytes = encode([&](BinaryWriter& w) { put(w, req); });
+  expect_golden(bytes, {25, 0x5df6091cd49d21f3ULL});
+  EXPECT_EQ(size_of(req), bytes.size());
+  BinaryReader r(bytes);
+  mig::TransdRequest back;
+  ASSERT_TRUE(get_payload(r, back));
+  EXPECT_EQ(encode([&](BinaryWriter& w) { put(w, back); }), bytes);
+
+  const Buffer ack = encode([&](BinaryWriter& w) { put(w, mig::TransdAck{req.req_id}); });
+  expect_golden(ack, {8, 0x0c6d4496e17859d5ULL});
+  BinaryReader ar(ack);
+  mig::TransdAck ack_back;
+  ASSERT_TRUE(get_payload(ar, ack_back));
+  EXPECT_EQ(ack_back.req_id, req.req_id);
+}
+
+// A conductor control datagram: the type byte (2 = mig_offer, 4 = mig_reject),
+// then a CtrlMsg.
+TEST(WireGolden, ConductorCtrl) {
+  const std::pair<std::uint8_t, lb::CtrlMsg> msgs[] = {
+      {2, lb::CtrlMsg{0x1122334455667788ULL, 0.375}}, {4, lb::CtrlMsg{42, 0}}};
+  const Golden golden[] = {{17, 0xbb998d9a2eb4bad0ULL}, {17, 0xcc5478d0f3b85779ULL}};
+  for (std::size_t i = 0; i < std::size(msgs); ++i) {
+    const auto& [type, msg] = msgs[i];
+    const Buffer bytes = encode([&](BinaryWriter& w) {
+      w.u8(type);
+      put(w, msg);
+    });
+    expect_golden(bytes, golden[i]);
+    EXPECT_EQ(1 + size_of(msg), bytes.size());
+    BinaryReader r(bytes);
+    EXPECT_EQ(r.u8(), type);
+    lb::CtrlMsg back;
+    ASSERT_TRUE(get_payload(r, back));
+    EXPECT_EQ(back.offer_id, msg.offer_id);
+    EXPECT_EQ(back.value, msg.value);
+  }
 }
 
 TEST(WireGolden, TcpSections) {
@@ -370,7 +415,7 @@ TEST(WireGolden, LoadInfo) {
   expect_golden(bytes, {44, 0x2f29d11aa0ff89d4ULL});
   EXPECT_EQ(size_of(info), bytes.size());
   BinaryReader r(bytes);
-  const lb::LoadInfo back = lb::LoadInfo::deserialize(r);
+  const auto back = get<lb::LoadInfo>(r);
   EXPECT_TRUE(r.at_end());
   EXPECT_EQ(encode([&](BinaryWriter& w) { back.serialize(w); }), bytes);
 }

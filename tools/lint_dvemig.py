@@ -73,10 +73,10 @@ no-materialize
     ``.copy()`` of a Bytes value, ``BinaryWriter::buffer()``/``span_from()``
     and ``BinaryReader::span()``. In ``src/`` they may be called only in the
     files of ``MATERIALIZE_ALLOWED``: the Bytes/serializer implementation
-    itself, and the UDP receive path, which queues each datagram flat for
-    the application (datagrams carry application messages, never pads).
-    Anywhere else such a call would quietly expand ~100 MiB of page fill per
-    precopy round again. (A writer's ``take()`` also returns flat bytes; it is
+    itself. Anywhere else such a call would quietly expand ~100 MiB of page
+    fill per precopy round again. Received bytes stay Bytes up to their
+    parser: a TCP reader cuts its messages in place (``cut_messages``), and
+    a UDP datagram shares its packet's payload. (A writer's ``take()`` also returns flat bytes; it is
     left to the test ``MigrationTest.PageFillStaysVirtual``, which counts
     every expanded byte of a striped precopy, because control messages take
     it legitimately everywhere.)
@@ -166,7 +166,6 @@ MATERIALIZE_ALLOWED = {
     "src/common/bytes.cpp",
     "src/common/serial.hpp",
     "src/common/serial.cpp",
-    "src/stack/udp_socket.cpp",
 }
 
 # packet-by-ref: a parameter-list entry of type Packet taken by value, named
